@@ -13,7 +13,6 @@ from .errors import (
     SingularMinor,
     ZeroG,
 )
-from .kernels import BACKEND, HAVE_COMPILED
 from .points import DualPair, SPoint, SpinPoint, SpinTuple
 
 __version__ = "0.1.0"
@@ -32,7 +31,5 @@ __all__ = [
     "ConstraintViolated",
     "DomainEscape",
     "ConfigError",
-    "BACKEND",
-    "HAVE_COMPILED",
     "__version__",
 ]

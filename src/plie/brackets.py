@@ -9,7 +9,8 @@ an independent cross-check oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -45,12 +46,7 @@ __all__ = [
 def antisymmetrize(M: np.ndarray) -> np.ndarray:
     """Exact antisymmetry: keep the strict upper triangle, mirror with a sign."""
     U = np.triu(M, 1)
-    return U - U.T
-
-
-def _sign_grid(m: int) -> np.ndarray:
-    r = np.arange(m)
-    return np.sign(np.subtract.outer(r, r)).astype(float)
+    return U - U.swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
@@ -87,6 +83,10 @@ class Bivector:
 
 
 # --- componentwise evaluators ----------------------------------------------
+#
+# Every evaluator takes points (or arrays) with leading batch axes and returns
+# one matrix per point: shape (..., dim, dim).  A single point is the batch
+# shape ().
 
 
 def s_bivector_raw(kappa: complex, point: SPoint) -> np.ndarray:
@@ -103,12 +103,14 @@ def s1_product_bivector(kappa: complex, t: SpinTuple) -> np.ndarray:
     Chart: per copy alpha, the coordinates a^alpha then b^alpha.
     """
     n, d = t.n, t.d
-    M = np.zeros((2 * n * d, 2 * n * d), dtype=complex)
-    for a, s in enumerate(t):
-        blk = s_bivector(kappa, s.as_spoint())
-        # S(n,1) chart is already (a_1..a_n, b_1..b_n)
-        off = 2 * n * a
-        M[off : off + 2 * n, off : off + 2 * n] = blk
+    # the d copies form one stack of S(n,1) points; S(n,1)'s chart is (a, b)
+    a = np.stack([s.a for s in t], axis=-2)
+    b = np.stack([s.b for s in t], axis=-2)
+    blk = antisymmetrize(kernels.fill_s(a[..., :, None], b[..., None, :], kappa))
+    m = 2 * n
+    M = np.zeros(blk.shape[:-3] + (m * d, m * d), dtype=complex)
+    for al in range(d):
+        M[..., m * al : m * (al + 1), m * al : m * (al + 1)] = blk[..., al, :, :]
     return M
 
 
@@ -120,36 +122,33 @@ def ao_plus_bivector(kappa: complex, point: SPoint) -> np.ndarray:
     return antisymmetrize(kernels.fill_hat(point.A, point.B, kappa, -1.0))
 
 
+@lru_cache(maxsize=None)
 def _eta_permutation(n: int, d: int) -> np.ndarray:
     """Coordinate permutation induced by alpha -> d+1-alpha on both blocks."""
-    perm = np.empty(2 * n * d, dtype=int)
-    for i in range(n):
-        for a in range(d):
-            perm[i * d + a] = i * d + (d - 1 - a)
     nd = n * d
-    for a in range(d):
-        for i in range(n):
-            perm[nd + a * n + i] = nd + (d - 1 - a) * n + i
+    a_part = np.arange(nd).reshape(n, d)[:, ::-1].ravel()
+    b_part = nd + np.arange(nd).reshape(d, n)[::-1, :].ravel()
+    perm = np.concatenate([a_part, b_part])
+    perm.flags.writeable = False
     return perm
 
 
 def ao_minus_bivector(kappa: complex, point: SPoint) -> np.ndarray:
     """The minus variant: plus bracket evaluated after the eta substitution."""
-    n, d = point.n, point.d
-    etad = np.fliplr(np.eye(d))
-    primed = SPoint(point.A @ etad, etad @ point.B)
+    # A eta_d and eta_d B reverse the columns of A and the rows of B
+    primed = SPoint(point.A[..., ::-1], point.B[..., ::-1, :])
     M = ao_plus_bivector(kappa, primed)
-    perm = _eta_permutation(n, d)
-    return M[np.ix_(perm, perm)]
+    perm = _eta_permutation(point.n, point.d)
+    return M[..., perm[:, None], perm]
 
 
 def _gl_mult_block(kappa: complex, g: np.ndarray) -> np.ndarray:
     """{g_ij, g_kl} = (kappa/2)(sgn(j-l) + sgn(i-k)) g_il g_kj."""
-    ell = g.shape[0]
-    S = _sign_grid(ell)
+    ell = g.shape[-1]
+    S = kernels.sign_grid(ell)
     coeff = S[None, :, None, :] + S[:, None, :, None]
-    M = 0.5 * kappa * coeff * g[:, None, None, :] * g.T[None, :, :, None]
-    return M.reshape(ell * ell, ell * ell)
+    M = 0.5 * kappa * coeff * g[..., :, None, None, :] * g.swapaxes(-1, -2)[..., None, :, :, None]
+    return M.reshape(g.shape[:-2] + (ell * ell, ell * ell))
 
 
 def gl_mult_bivector(kappa: complex, g: np.ndarray) -> np.ndarray:
@@ -157,29 +156,31 @@ def gl_mult_bivector(kappa: complex, g: np.ndarray) -> np.ndarray:
 
 
 def _double_raw(kappa: complex, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    ell = u.shape[0]
-    S = _sign_grid(ell)
+    ell = u.shape[-1]
+    S = kernels.sign_grid(ell)
     uu = _gl_mult_block(kappa, u)
     vv = _gl_mult_block(kappa, v)
+    ut = u.swapaxes(-1, -2)
+    vt = v.swapaxes(-1, -2)
     # {u_ij, v_kl} = k [ (1/2)(sgn(j-l)+1) u_il v_kj - (1/2)(sgn(k-i)+1) u_kj v_il ]
     uv = 0.5 * kappa * (
-        (S[None, :, None, :] + 1.0) * u[:, None, None, :] * v.T[None, :, :, None]
-        - (1.0 - S[:, None, :, None]) * u.T[None, :, :, None] * v[:, None, None, :]
+        (S[None, :, None, :] + 1.0) * u[..., :, None, None, :] * vt[..., None, :, :, None]
+        - (1.0 - S[:, None, :, None]) * ut[..., None, :, :, None] * v[..., :, None, None, :]
     )
-    uvf = uv.reshape(ell * ell, ell * ell)
     m = ell * ell
-    M = np.zeros((2 * m, 2 * m), dtype=complex)
-    M[:m, :m] = uu
-    M[m:, m:] = vv
-    M[:m, m:] = uvf
-    M[m:, :m] = -uvf.T
+    uvf = uv.reshape(u.shape[:-2] + (m, m))
+    M = np.empty(u.shape[:-2] + (2 * m, 2 * m), dtype=complex)
+    M[..., :m, :m] = uu
+    M[..., m:, m:] = vv
+    M[..., :m, m:] = uvf
+    M[..., m:, :m] = -uvf.swapaxes(-1, -2)
     return M
 
 
 def double_bivector(kappa: complex, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
-    if u.shape != v.shape or u.shape[0] != u.shape[1]:
+    if u.shape != v.shape or u.ndim < 2 or u.shape[-2] != u.shape[-1]:
         raise ValueError("u, v must be square of equal size")
     return antisymmetrize(_double_raw(kappa, u, v))
 
@@ -191,52 +192,56 @@ def dual_group_bivector(kappa: complex, pair: DualPair) -> np.ndarray:
     free-coordinate bracket is the restriction of the double bracket; the
     dependent diagonal of h_- never enters the chart.
     """
-    if np.any(np.diag(pair.hminus) == 0):
+    if np.any(np.diagonal(pair.hminus, axis1=-2, axis2=-1) == 0):
         raise ValueError("h_- diagonal must be invertible")
     M = _double_raw(kappa, pair.hplus, pair.hminus)
     idx = charts.glstar_free_indices(pair.ell)
-    return antisymmetrize(M[np.ix_(idx, idx)])
+    return antisymmetrize(M[..., idx[:, None], idx])
 
 
 def sts_bivector(kappa: complex, h: np.ndarray) -> np.ndarray:
     """Quadratic Semenov-Tian-Shansky-type bracket on GL(l)."""
     h = np.asarray(h, dtype=complex)
-    ell = h.shape[0]
-    S = _sign_grid(ell)
+    ell = h.shape[-1]
+    S = kernels.sign_grid(ell)
     eye = np.eye(ell)
+    ht = h.swapaxes(-1, -2)
 
-    C = np.einsum("ia,al->ila", h, h)  # C[i,l,a] = h_ia h_al
-    Ctail = np.flip(np.cumsum(np.flip(C, axis=2), axis=2), axis=2) - C
+    C = np.einsum("...ia,...al->...ila", h, h)  # C[i,l,a] = h_ia h_al
+    Ctail = np.flip(np.cumsum(np.flip(C, axis=-1), axis=-1), axis=-1) - C
     W1 = -Ctail - 0.5 * C  # W1[i,l,j] = sum_a (1/2)(sgn(j-a)-1) h_ia h_al
-    D = np.einsum("kb,bj->kjb", h, h)
-    Dtail = np.flip(np.cumsum(np.flip(D, axis=2), axis=2), axis=2) - D
-    W2 = Dtail + 0.5 * D  # W2[k,j,i] = sum_b (1/2)(sgn(b-i)+1) h_kb h_bj
+    W2 = Ctail + 0.5 * C  # W2[k,j,i] = sum_b (1/2)(sgn(b-i)+1) h_kb h_bj
 
-    M = eye[None, :, :, None] * W1.transpose(0, 2, 1)[:, :, None, :]
-    M = M + eye[:, None, None, :] * W2.transpose(2, 1, 0)[:, :, :, None]
+    M = eye[None, :, :, None] * W1.swapaxes(-1, -2)[..., :, :, None, :]
+    M = M + eye[:, None, None, :] * W2.swapaxes(-1, -3)[..., :, :, :, None]
     M = M - 0.5 * (S[None, :, None, :] - S[:, None, :, None]) * (
-        h[:, None, None, :] * h.T[None, :, :, None]
+        h[..., :, None, None, :] * ht[..., None, :, :, None]
     )
-    return antisymmetrize(kappa * M.reshape(ell * ell, ell * ell))
+    return antisymmetrize(kappa * M.reshape(h.shape[:-2] + (ell * ell, ell * ell)))
 
 
 def zak_complex_bivector(kappa: complex, F: HoloFn1, G: HoloFn1, point: SpinPoint) -> np.ndarray:
-    """Holomorphic Zakrzewski-type bracket on C^{2n} in coordinates (a, b)."""
+    """Holomorphic Zakrzewski-type bracket on C^{2n} in coordinates (a, b).
+
+    ``F`` and ``G`` are evaluated once per batch, on the array of t = a.b.
+    """
     a, b = point.a, point.b
     n = point.n
-    t = np.sum(a * b)
+    ab = a * b
+    t = np.sum(ab, axis=-1)
     Fv, Gv = F.eval(t), G.eval(t)
-    S = _sign_grid(n)
-    AA = 0.5 * kappa * S * np.outer(a, a)
-    BB = -0.5 * kappa * S * np.outer(b, b)
-    cross = -0.5 * kappa * Gv * np.outer(a, b)
-    diag = 0.5 * kappa * (Fv - (S @ (a * b)))
-    cross = cross + np.diag(diag)
-    M = np.zeros((2 * n, 2 * n), dtype=complex)
-    M[:n, :n] = AA
-    M[n:, n:] = BB
-    M[:n, n:] = cross
-    M[n:, :n] = -cross.T
+    S = kernels.sign_grid(n)
+    AA = 0.5 * kappa * S * (a[..., :, None] * a[..., None, :])
+    BB = -0.5 * kappa * S * (b[..., :, None] * b[..., None, :])
+    cross = np.asarray(-0.5 * kappa * Gv)[..., None, None] * (a[..., :, None] * b[..., None, :])
+    diag = 0.5 * kappa * (np.asarray(Fv)[..., None] - (S @ ab[..., None])[..., 0])
+    r = np.arange(n)
+    cross[..., r, r] += diag
+    M = np.empty(a.shape[:-1] + (2 * n, 2 * n), dtype=complex)
+    M[..., :n, :n] = AA
+    M[..., n:, n:] = BB
+    M[..., :n, n:] = cross
+    M[..., n:, :n] = -cross.swapaxes(-1, -2)
     return antisymmetrize(M)
 
 
@@ -390,8 +395,14 @@ class BracketSpec:
         return charts.c2n_chart(self.n)
 
     def bivector(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate the bracket matrix at a flat coordinate vector."""
+        """Evaluate the bracket matrix at flat coordinates.
+
+        ``x`` has shape ``(..., dim)``; the result has shape ``(..., dim, dim)``.
+        """
         k = self.kind
+        x = np.asarray(x, dtype=complex)
+        if x.shape[-1:] != (self.dim,):
+            raise ValueError(f"expected coordinates of shape (..., {self.dim}), got {x.shape}")
         if k in _S_KINDS:
             p = charts.unpack_spoint(x, self.n, self.d)
             if k == "S":
@@ -414,8 +425,7 @@ class BracketSpec:
         if k == "ZakC":
             return zak_complex_bivector(self.kappa, self.F, self.G, charts.unpack_spin(x, self.n))
         n = self.n
-        x = np.asarray(x, dtype=complex)
-        return zak_real_bivector(self.epsilon, self.F, self.G, x[:n], x[n:])
+        return zak_real_bivector(self.epsilon, self.F, self.G, x[..., :n], x[..., n:])
 
     def bivector_at(self, point) -> Bivector:
         """Evaluate at a structured point, returning a chart-tagged Bivector."""

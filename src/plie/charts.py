@@ -91,54 +91,67 @@ def c2n_chart(n: int) -> Chart:
 
 
 # packing ------------------------------------------------------------------
+#
+# Every packer and unpacker keeps leading batch axes: a flat vector of shape
+# (..., dim) unpacks to a point whose arrays carry the same leading axes.
+
+
+def _lead(x: np.ndarray, k: int) -> tuple:
+    """Leading batch axes of an array whose last ``k`` axes are one point."""
+    return x.shape[: x.ndim - k]
 
 
 def pack_spoint(p: SPoint) -> np.ndarray:
-    return np.concatenate([p.A.ravel(), p.B.ravel()])
+    b = _lead(p.A, 2)
+    return np.concatenate([p.A.reshape(b + (-1,)), p.B.reshape(b + (-1,))], axis=-1)
 
 
 def unpack_spoint(x: np.ndarray, n: int, d: int) -> SPoint:
     x = np.asarray(x, dtype=complex)
-    return SPoint(x[: n * d].reshape(n, d), x[n * d :].reshape(d, n))
+    b = _lead(x, 1)
+    return SPoint(x[..., : n * d].reshape(b + (n, d)), x[..., n * d :].reshape(b + (d, n)))
 
 
 def pack_tuple(t: SpinTuple) -> np.ndarray:
-    return np.concatenate([np.concatenate([s.a, s.b]) for s in t])
+    return np.concatenate([v for s in t for v in (s.a, s.b)], axis=-1)
 
 
 def unpack_tuple(x: np.ndarray, n: int, d: int) -> SpinTuple:
     x = np.asarray(x, dtype=complex)
     spins = []
     for a in range(d):
-        blk = x[2 * n * a : 2 * n * (a + 1)]
-        spins.append(SpinPoint(blk[:n], blk[n:]))
+        blk = x[..., 2 * n * a : 2 * n * (a + 1)]
+        spins.append(SpinPoint(blk[..., :n], blk[..., n:]))
     return SpinTuple(spins)
 
 
 def pack_spin(s: SpinPoint) -> np.ndarray:
-    return np.concatenate([s.a, s.b])
+    return np.concatenate([s.a, s.b], axis=-1)
 
 
 def unpack_spin(x: np.ndarray, n: int) -> SpinPoint:
     x = np.asarray(x, dtype=complex)
-    return SpinPoint(x[:n], x[n:])
+    return SpinPoint(x[..., :n], x[..., n:])
 
 
 def pack_gl(g: np.ndarray) -> np.ndarray:
-    return np.asarray(g, dtype=complex).ravel()
+    g = np.asarray(g, dtype=complex)
+    return g.reshape(_lead(g, 2) + (-1,))
 
 
 def unpack_gl(x: np.ndarray, ell: int) -> np.ndarray:
-    return np.asarray(x, dtype=complex).reshape(ell, ell)
+    x = np.asarray(x, dtype=complex)
+    return x.reshape(_lead(x, 1) + (ell, ell))
 
 
 def pack_double(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.concatenate([np.asarray(u, dtype=complex).ravel(), np.asarray(v, dtype=complex).ravel()])
+    return np.concatenate([pack_gl(u), pack_gl(v)], axis=-1)
 
 
 def unpack_double(x: np.ndarray, ell: int):
     x = np.asarray(x, dtype=complex)
-    return x[: ell * ell].reshape(ell, ell), x[ell * ell :].reshape(ell, ell)
+    b = _lead(x, 1)
+    return x[..., : ell * ell].reshape(b + (ell, ell)), x[..., ell * ell :].reshape(b + (ell, ell))
 
 
 def glstar_free_indices(ell: int) -> np.ndarray:
@@ -151,27 +164,23 @@ def glstar_free_indices(ell: int) -> np.ndarray:
 
 def pack_dual(pair: DualPair) -> np.ndarray:
     full = pack_double(pair.hplus, pair.hminus)
-    return full[glstar_free_indices(pair.ell)]
+    return full[..., glstar_free_indices(pair.ell)]
 
 
 def unpack_dual(x: np.ndarray, ell: int) -> DualPair:
     x = np.asarray(x, dtype=complex)
+    b = _lead(x, 1)
     n_up = ell * (ell - 1) // 2
-    hp = np.zeros((ell, ell), dtype=complex)
-    hm = np.zeros((ell, ell), dtype=complex)
-    k = 0
-    for i in range(ell):
-        for j in range(i + 1, ell):
-            hp[i, j] = x[k]
-            k += 1
-    diag = x[n_up : n_up + ell]
+    diag = x[..., n_up : n_up + ell]
     if np.any(diag == 0):
         raise ValueError("h_+ diagonal must be invertible")
-    hp[np.diag_indices(ell)] = diag
-    hm[np.diag_indices(ell)] = 1.0 / diag
-    k = n_up + ell
-    for i in range(1, ell):
-        for j in range(i):
-            hm[i, j] = x[k]
-            k += 1
+    r = np.arange(ell)
+    up = np.triu_indices(ell, 1)  # row-major, as in the chart
+    lo = np.tril_indices(ell, -1)
+    hp = np.zeros(b + (ell, ell), dtype=complex)
+    hm = np.zeros(b + (ell, ell), dtype=complex)
+    hp[..., up[0], up[1]] = x[..., :n_up]
+    hp[..., r, r] = diag
+    hm[..., r, r] = 1.0 / diag
+    hm[..., lo[0], lo[1]] = x[..., n_up + ell :]
     return DualPair(hp, hm)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Any, Optional
@@ -25,13 +26,17 @@ _SPACES = ("spoint", "spin", "tuple", "gl", "double", "dual")
 
 
 def _jsonable(value: Any):
-    """Recursively convert values to JSON-friendly form; complex -> [re, im]."""
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    if isinstance(value, (np.complexfloating,)):
-        return [float(value.real), float(value.imag)]
+    """Recursively convert values to JSON-friendly form; complex -> [re, im].
+
+    A non-finite float (a NaN or infinite residual) becomes null, so the
+    report stays strict JSON.
+    """
+    if isinstance(value, (complex, np.complexfloating)):
+        return [_jsonable(float(value.real)), _jsonable(float(value.imag))]
     if isinstance(value, (np.floating, np.integer)):
-        return value.item()
+        return _jsonable(value.item())
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
     if isinstance(value, np.ndarray):
         return [_jsonable(v) for v in value.tolist()]
     if isinstance(value, dict):
@@ -48,13 +53,13 @@ def report_to_json(report: VerificationReport) -> str:
         "seed": report.seed,
         "samples": report.samples,
         "tolerance": report.tolerance,
-        "max_residual": report.max_residual,
+        "max_residual": _jsonable(report.max_residual),
         "pass": report.ok,
         "failures": [
-            {"index": i, "residual": r, "digest": d} for i, r, d in report.failures
+            {"index": i, "residual": _jsonable(r), "digest": d} for i, r, d in report.failures
         ],
     }
-    return json.dumps(payload, sort_keys=True, indent=2)
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
 
 
 def _parse_complex(text: str) -> complex:
@@ -182,10 +187,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_point(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else (_env_seed() or 42)
+    seed = args.seed if args.seed is not None else _env_seed()
+    if seed is None:
+        seed = 42
     n, d, ell, r, i = args.n, args.d, args.ell, args.radius, args.index
-    if min(n, d, ell) < 1 or r <= 0 or i < 0:
-        raise ConfigError("sizes must be >= 1, radius > 0, index >= 0")
+    if min(n, d, ell) < 1 or not 0 < r < math.inf or i < 0:
+        raise ConfigError("sizes must be >= 1, radius finite and > 0, index >= 0")
     if args.space == "spoint":
         p = sampling.sample_spoint(seed, i, n, d, r)
         payload = {"space": "spoint", "n": n, "d": d, "A": p.A, "B": p.B}
@@ -211,7 +218,7 @@ def _cmd_gen_point(args: argparse.Namespace) -> int:
     payload["seed"] = seed
     payload["index"] = i
     payload["radius"] = r
-    _emit(json.dumps(_jsonable(payload), sort_keys=True, indent=2), args.out)
+    _emit(json.dumps(_jsonable(payload), sort_keys=True, indent=2, allow_nan=False), args.out)
     return 0
 
 

@@ -1,29 +1,111 @@
-"""Kernel selection: compiled Cython fills when available, NumPy otherwise.
+"""NumPy fills of the raw (unsymmetrized) coordinate-bracket matrices on S(n,d).
 
-Set ``PLIE_PURE_PYTHON=1`` to force the NumPy implementation.
+Both fills take stacks: ``A`` of shape ``(..., n, d)`` and ``B`` of shape
+``(..., d, n)`` give a matrix of shape ``(..., 2nd, 2nd)`` per point, in the
+S(n,d) chart: A(i,alpha) row-major, then B(alpha,i) row-major.  A single
+point is the batch shape ``()``.
 """
 
 from __future__ import annotations
 
-import os
+from functools import lru_cache
 
-from . import _kernels_py
+import numpy as np
 
-_force_py = os.environ.get("PLIE_PURE_PYTHON", "") not in ("", "0")
+__all__ = ["sign_grid", "fill_s", "fill_hat"]
 
-if not _force_py:
-    try:
-        from . import _kernels_cy as _impl  # type: ignore[attr-defined]
 
-        HAVE_COMPILED = True
-    except ImportError:
-        _impl = _kernels_py
-        HAVE_COMPILED = False
-else:
-    _impl = _kernels_py
-    HAVE_COMPILED = False
+@lru_cache(maxsize=None)
+def sign_grid(m: int) -> np.ndarray:
+    """S[i, k] = sgn(i - k) as a read-only float array."""
+    r = np.arange(m)
+    S = np.sign(np.subtract.outer(r, r)).astype(float)
+    S.flags.writeable = False
+    return S
 
-BACKEND = "cython" if HAVE_COMPILED else "numpy"
 
-fill_s = _impl.fill_s
-fill_hat = _impl.fill_hat
+@lru_cache(maxsize=None)
+def _cross_delta_indices(n: int, d: int):
+    """Flat positions in the (n, d, d, n) cross block of its three delta terms.
+
+    Returns the positions of (i, a, b, i), of (i, a, a, k) and of (i, a, a, i),
+    each in the row-major order of its free indices.
+    """
+    i = np.arange(n)[:, None, None]
+    a = np.arange(d)[None, :, None]
+    b = np.arange(d)[None, None, :]
+    k = np.arange(n)[None, None, :]
+    ik = (((i * d + a) * d + b) * n + i).ravel()
+    ab = (((i * d + a) * d + a) * n + k).ravel()
+    both = (((i * d + a) * d + a) * n + i)[:, :, 0].ravel()
+    for idx in (ik, ab, both):
+        idx.flags.writeable = False
+    return ik, ab, both
+
+
+def _fill(A, B, kappa: complex, hat: bool, cross_const: complex) -> np.ndarray:
+    A = np.asarray(A, dtype=complex)
+    B = np.asarray(B, dtype=complex)
+    n, d = A.shape[-2:]
+    batch = A.shape[:-2]
+    nd = n * d
+    Si = sign_grid(n)
+    Sa = sign_grid(d)
+    s = -1.0 if hat else 1.0
+    half = 0.5 * kappa
+    At = A.swapaxes(-1, -2)
+
+    M = np.empty(batch + (2 * nd, 2 * nd), dtype=complex)
+
+    # {A_i^a, A_k^b} = (kappa/2)(s sgn(i-k) - sgn(a-b)) A_k^a A_i^b,  axes (i, a, k, b)
+    coeff = s * Si[:, None, :, None] - Sa[None, :, None, :]
+    AA = half * coeff * At[..., None, :, :, None] * A[..., :, None, None, :]
+    M[..., :nd, :nd] = AA.reshape(batch + (nd, nd))
+
+    # {B_i^a, B_k^b} = -(kappa/2)(s sgn(i-k) - sgn(a-b)) B_k^a B_i^b,  B_i^a = B[a,i],
+    # axes (a, i, b, k)
+    coeffB = s * Si[None, :, None, :] - Sa[:, None, :, None]
+    BB = -half * coeffB * B[..., :, None, None, :] * B.swapaxes(-1, -2)[..., None, :, :, None]
+    M[..., nd:, nd:] = BB.reshape(batch + (nd, nd))
+
+    # {A_i^a, B_k^b}, axes (i, a, b, k):
+    #   s delta_ik [ (k/2) A_i^a B_i^b + k sum_{t>i} A_t^a B_t^b ]
+    # + s delta_ab [ (k/2) A_i^a B_k^a + k sum_{mu<a} A_i^mu B_k^mu ]   (S: mu < a)
+    #                                    k sum_{mu>a} ...               (hat: mu > a)
+    # + cross_const delta_ab delta_ik
+    diag_ik = np.einsum("...ia,...bi->...iab", A, B)  # A_i^a B_i^b
+    tail = np.flip(np.cumsum(np.flip(diag_ik, axis=-3), axis=-3), axis=-3) - diag_ik
+    im = np.einsum("...im,...mk->...imk", A, B)  # A_i^mu B_k^mu
+    if hat:
+        part = np.flip(np.cumsum(np.flip(im, axis=-2), axis=-2), axis=-2) - im
+    else:
+        part = np.cumsum(im, axis=-2) - im
+    T_ik = half * diag_ik + kappa * tail
+    T_ab = half * im + kappa * part
+    if hat:
+        np.negative(T_ik, out=T_ik)
+        np.negative(T_ab, out=T_ab)
+
+    ik, ab, both = _cross_delta_indices(n, d)
+    AB = np.zeros(batch + (n * d * d * n,), dtype=complex)
+    AB[..., ik] = T_ik.reshape(batch + (-1,))
+    AB[..., ab] += T_ab.reshape(batch + (-1,))
+    AB[..., both] += cross_const
+    AB = AB.reshape(batch + (nd, nd))
+    M[..., :nd, nd:] = AB
+    M[..., nd:, :nd] = -AB.swapaxes(-1, -2)
+    return M
+
+
+def fill_s(A: np.ndarray, B: np.ndarray, kappa: complex) -> np.ndarray:
+    """Raw bracket matrix of the covariant bracket on S(n,d)."""
+    return _fill(A, B, kappa, False, kappa)
+
+
+def fill_hat(A: np.ndarray, B: np.ndarray, kappa: complex, cross_const: complex) -> np.ndarray:
+    """Raw bracket matrix shared by the oscillator-type brackets on S(n,d).
+
+    ``cross_const`` is the coefficient of delta_{ab} delta_{ik} in the
+    cross bracket: +kappa for the primed bracket, -1 for the plus bracket.
+    """
+    return _fill(A, B, kappa, True, cross_const)

@@ -6,31 +6,46 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensors import as_cmat
-
 __all__ = ["SPoint", "SpinPoint", "SpinTuple", "DualPair"]
+
+
+def _as_cstack(entries) -> np.ndarray:
+    """Validate and return a complex array of matrices, shape (..., rows, cols)."""
+    m = np.asarray(entries, dtype=complex)
+    if m.ndim < 2:
+        raise ValueError(f"expected a matrix, got ndim={m.ndim}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix has non-finite entries")
+    return m
 
 
 @dataclass(frozen=True)
 class SPoint:
-    """A point (A, B) with A of shape (n, d) and B of shape (d, n)."""
+    """A point (A, B) with A of shape (n, d) and B of shape (d, n).
+
+    Both may carry the same leading batch axes, ``(..., n, d)`` and
+    ``(..., d, n)``: a stack of points evaluated together.
+    """
 
     A: np.ndarray
     B: np.ndarray
 
     def __post_init__(self):
-        A = as_cmat(self.A)
-        B = as_cmat(self.B, A.shape[1], A.shape[0])
+        A = _as_cstack(self.A)
+        B = _as_cstack(self.B)
+        n, d = A.shape[-2:]
+        if B.shape != A.shape[:-2] + (d, n):
+            raise ValueError(f"expected B of shape {A.shape[:-2] + (d, n)}, got {B.shape}")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
 
     @property
     def n(self) -> int:
-        return self.A.shape[0]
+        return self.A.shape[-2]
 
     @property
     def d(self) -> int:
-        return self.A.shape[1]
+        return self.A.shape[-1]
 
     @classmethod
     def zero(cls, n: int, d: int) -> "SPoint":
@@ -39,14 +54,17 @@ class SPoint:
 
 @dataclass(frozen=True)
 class SpinPoint:
-    """A single spin copy: a column vector ``a`` and a row covector ``b``."""
+    """A single spin copy: a column vector ``a`` and a row covector ``b``.
+
+    Both may carry the same leading batch axes, ``(..., n)``.
+    """
 
     a: np.ndarray
     b: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=complex).reshape(-1)
-        b = np.asarray(self.b, dtype=complex).reshape(-1)
+        a = np.atleast_1d(np.asarray(self.a, dtype=complex))
+        b = np.atleast_1d(np.asarray(self.b, dtype=complex))
         if a.shape != b.shape or a.size < 1:
             raise ValueError("a and b must be vectors of equal length >= 1")
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
@@ -56,7 +74,7 @@ class SpinPoint:
 
     @property
     def n(self) -> int:
-        return self.a.size
+        return self.a.shape[-1]
 
     @classmethod
     def zero(cls, n: int) -> "SpinPoint":
@@ -64,7 +82,7 @@ class SpinPoint:
 
     def as_spoint(self) -> SPoint:
         """View the spin copy as an element of S(n, 1)."""
-        return SPoint(self.a[:, None], self.b[None, :])
+        return SPoint(self.a[..., :, None], self.b[..., None, :])
 
 
 class SpinTuple:
@@ -105,22 +123,27 @@ class SpinTuple:
 
 @dataclass(frozen=True)
 class DualPair:
-    """An element (h_+, h_-) of the dual group: triangular with reciprocal diagonals."""
+    """An element (h_+, h_-) of the dual group: triangular with reciprocal diagonals.
+
+    Both may carry the same leading batch axes, ``(..., l, l)``.
+    """
 
     hplus: np.ndarray
     hminus: np.ndarray
 
     def __post_init__(self):
-        hp = as_cmat(self.hplus)
-        ell = hp.shape[0]
-        hm = as_cmat(self.hminus, ell, ell)
-        if hp.shape[0] != hp.shape[1]:
+        hp = _as_cstack(self.hplus)
+        hm = _as_cstack(self.hminus)
+        if hp.shape[-2] != hp.shape[-1]:
             raise ValueError("h_+ must be square")
+        if hm.shape != hp.shape:
+            raise ValueError(f"expected h_- of shape {hp.shape}, got {hm.shape}")
         if np.any(np.tril(hp, -1) != 0):
             raise ValueError("h_+ must be upper triangular (exact zeros below)")
         if np.any(np.triu(hm, 1) != 0):
             raise ValueError("h_- must be lower triangular (exact zeros above)")
-        dp, dm = np.diag(hp), np.diag(hm)
+        dp = np.diagonal(hp, axis1=-2, axis2=-1)
+        dm = np.diagonal(hm, axis1=-2, axis2=-1)
         if np.max(np.abs(dp * dm - 1.0)) > 1e-12 * max(1.0, np.max(np.abs(dp * dm))):
             raise ValueError("diagonals of h_+ and h_- must be reciprocal")
         object.__setattr__(self, "hplus", hp)
@@ -128,7 +151,7 @@ class DualPair:
 
     @property
     def ell(self) -> int:
-        return self.hplus.shape[0]
+        return self.hplus.shape[-1]
 
     @classmethod
     def identity(cls, ell: int) -> "DualPair":

@@ -8,6 +8,8 @@ at most 1.  The per-check bounds appear in the report params.
 
 from __future__ import annotations
 
+import cmath
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
@@ -55,6 +57,9 @@ class RunConfig:
     threads: int = 1
 
     def __post_init__(self):
+        for name in ("kappa", "epsilon", "radius", "tol_exact", "tol_fd", "fd_step"):
+            if not cmath.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.suite not in SUITES:
             raise ConfigError(f"unknown suite {self.suite!r}; choose from {', '.join(SUITES)}")
         for name in ("n", "d", "ell"):
@@ -458,13 +463,21 @@ _BUILDERS = {
 }
 
 
+def _worst(res: dict):
+    """(residual, check) of a sample's worst check; a non-finite one comes first
+    and is reported as NaN or +inf."""
+    for key, value in res.items():
+        if not math.isfinite(value):
+            return abs(float(value)), key
+    key = max(res, key=lambda k: res[k])
+    return float(res[key]), key
+
+
 def _execute(cfg: RunConfig, suite: str) -> VerificationReport:
     params, count, sample = _BUILDERS[suite](cfg)
 
     def run_one(i: int):
-        res = sample(i)
-        worst_key = max(res, key=lambda k: res[k])
-        return i, float(res[worst_key]), worst_key
+        return (i,) + _worst(sample(i))
 
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
@@ -473,9 +486,10 @@ def _execute(cfg: RunConfig, suite: str) -> VerificationReport:
         results = [run_one(i) for i in range(count)]
     results.sort(key=lambda r: r[0])
 
-    max_res = max(r[1] for r in results)
+    max_res = float(np.max([r[1] for r in results]))  # NaN if any residual is NaN
     failures = tuple(
-        (i, r, f"seed={cfg.seed} index={i} check={key}") for i, r, key in results if r > 1.0
+        # "not r <= 1" also holds for NaN, which compares false with everything
+        (i, r, f"seed={cfg.seed} index={i} check={key}") for i, r, key in results if not r <= 1.0
     )
     return VerificationReport(
         suite=suite,
@@ -484,7 +498,7 @@ def _execute(cfg: RunConfig, suite: str) -> VerificationReport:
         samples=count,
         tolerance=1.0,
         max_residual=max_res,
-        ok=max_res <= 1.0,
+        ok=not failures,
         failures=failures,
     )
 
@@ -494,7 +508,7 @@ def run_suite(cfg: RunConfig) -> VerificationReport:
     if cfg.suite != "all":
         return _execute(cfg, cfg.suite)
     reports = {name: _execute(cfg, name) for name in _BUILDERS}
-    max_res = max(r.max_residual for r in reports.values())
+    max_res = float(np.max([r.max_residual for r in reports.values()]))
     failures = tuple(
         (i, res, f"{name}: {digest}") for name, r in reports.items() for i, res, digest in r.failures
     )
@@ -508,6 +522,6 @@ def run_suite(cfg: RunConfig) -> VerificationReport:
         samples=sum(r.samples for r in reports.values()),
         tolerance=1.0,
         max_residual=max_res,
-        ok=max_res <= 1.0,
+        ok=not failures,
         failures=failures,
     )

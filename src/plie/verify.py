@@ -71,6 +71,8 @@ class VerificationReport:
     def __post_init__(self):
         if self.ok != (self.max_residual <= self.tolerance):
             raise ValueError("pass flag inconsistent with residual/tolerance")
+        if self.ok != (not self.failures):
+            raise ValueError("pass flag inconsistent with the failure list")
 
 
 def _jac_once(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float, direction: str) -> np.ndarray:
@@ -93,26 +95,50 @@ def jacobian_fd(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, scheme: Di
     return J
 
 
+# Probes of one bivector call in ``jacobi_residual``: at most this many
+# complex entries in the call's (probes, dim, dim) output.
+_BLOCK_ENTRIES = 2**18
+
+
+def _bivector_derivatives(spec: BracketSpec, x: np.ndarray, delta: complex, out: np.ndarray) -> np.ndarray:
+    """Central differences out[l] = (Pi(x + delta e_l) - Pi(x - delta e_l)) / (2 delta).
+
+    The probes x +- delta e_l are evaluated in blocks of consecutive l, one
+    bivector call per block.
+    """
+    dim = x.size
+    per_block = max(1, _BLOCK_ENTRIES // (2 * dim * dim))
+    for l0 in range(0, dim, per_block):
+        l1 = min(dim, l0 + per_block)
+        rows = np.arange(l1 - l0)
+        cols = np.arange(l0, l1)
+        X = np.empty((2, l1 - l0, dim), dtype=complex)
+        X[...] = x
+        X[0, rows, cols] += delta
+        X[1, rows, cols] -= delta
+        P = spec.bivector(X)
+        blk = np.subtract(P[0], P[1], out=out[l0:l1])
+        blk /= 2 * delta
+    return out
+
+
 def jacobi_residual(spec: BracketSpec, x: np.ndarray, scheme: DiffScheme = DiffScheme()) -> float:
     """Max over coordinate triples of the cyclic Jacobiator of the bivector."""
     x = np.asarray(x, dtype=complex)
     dim = spec.dim
     Pi0 = spec.bivector(x)
-
-    def dmat(h: float) -> np.ndarray:
-        delta = h if scheme.direction == "real-axis" else 1j * h
-        dPi = np.empty((dim, dim, dim), dtype=complex)
-        for l in range(dim):
-            e = np.zeros(dim, dtype=complex)
-            e[l] = delta
-            dPi[l] = (spec.bivector(x + e) - spec.bivector(x - e)) / (2 * delta)
-        return dPi
-
-    dPi = dmat(scheme.step)
+    unit = 1.0 if scheme.direction == "real-axis" else 1j
+    dPi = _bivector_derivatives(spec, x, unit * scheme.step, np.empty((dim, dim, dim), dtype=complex))
     if scheme.richardson:
-        dPi = (4.0 * dmat(scheme.step / 2) - dPi) / 3.0
-    T = np.einsum("il,ljk->ijk", Pi0, dPi)
-    J = T + T.transpose(1, 2, 0) + T.transpose(2, 0, 1)
+        fine = _bivector_derivatives(spec, x, unit * (scheme.step / 2), np.empty_like(dPi))
+        fine *= 4.0
+        fine -= dPi
+        fine /= 3.0
+        dPi = fine
+    # T[i, j, k] = sum_l Pi0[i, l] d_l Pi[j, k]; the cyclic sum reuses dPi's buffer
+    T = (Pi0 @ dPi.reshape(dim, dim * dim)).reshape(dim, dim, dim)
+    J = np.add(T, T.transpose(1, 2, 0), out=dPi)
+    J += T.transpose(2, 0, 1)
     return float(np.max(np.abs(J)))
 
 

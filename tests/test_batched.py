@@ -1,0 +1,175 @@
+"""Tests for the batched evaluation core: stacks of points through every
+bracket kind, the kernel fills and the blocked Jacobi residual."""
+
+import numpy as np
+import pytest
+
+from plie import charts, kernels, sampling, verify
+from plie.brackets import BracketSpec, HoloFn1, s_bivector_tensor
+from plie.points import SPoint
+from plie.verify import DiffScheme, jacobi_residual
+
+F_AFF = HoloFn1(lambda t: 2 + t, lambda t: 1 + 0 * t, "F")
+G_AFF = HoloFn1(lambda t: -1 + 0 * t, lambda t: 0 * t, "G")
+
+SPECS = [
+    BracketSpec("S", 1j, n=2, d=3),
+    BracketSpec("AOplus", 2.0 - 1.0j, n=3, d=2),
+    BracketSpec("AOminus", 1.0, n=2, d=3),
+    BracketSpec("Prime", 1j, n=3, d=3),
+    BracketSpec("Sprod", 2.0 - 1.0j, n=2, d=3),
+    BracketSpec("GLmult", 1j, ell=3),
+    BracketSpec("Double", 1.0, ell=3),
+    BracketSpec("DualGroup", 2.0 - 1.0j, ell=3),
+    BracketSpec("STS", 1j, ell=3),
+    BracketSpec("ZakC", 1.0, n=3, F=F_AFF, G=G_AFF),
+    BracketSpec("ZakR", epsilon=0.5, n=3, F=F_AFF, G=G_AFF),
+]
+
+
+def _points(spec, count, seed=5):
+    if spec.kind == "DualGroup":
+        return np.stack([charts.pack_dual(sampling.sample_dual(seed, i, spec.ell, 0.4)) for i in range(count)])
+    return np.stack([sampling.sample_vector(seed, i, spec.dim, 1.0) for i in range(count)])
+
+
+def test_every_kind_is_covered():
+    assert sorted(s.kind for s in SPECS) == sorted(
+        ("S", "AOplus", "AOminus", "Prime", "Sprod", "GLmult", "Double", "DualGroup", "STS", "ZakC", "ZakR")
+    )
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
+@pytest.mark.parametrize("batch", [(4,), (2, 3)])
+def test_stack_equals_points_stacked(spec, batch):
+    X = _points(spec, int(np.prod(batch))).reshape(batch + (spec.dim,))
+    got = spec.bivector(X)
+    assert got.shape == batch + (spec.dim, spec.dim)
+    for idx in np.ndindex(*batch):
+        np.testing.assert_array_equal(got[idx], spec.bivector(X[idx]))
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
+def test_single_point_is_batch_shape_empty(spec):
+    x = _points(spec, 1)[0]
+    assert spec.bivector(x).shape == (spec.dim, spec.dim)
+
+
+def test_bivector_rejects_wrong_coordinate_count():
+    with pytest.raises(ValueError):
+        BracketSpec("S", 1.0, n=2, d=2).bivector(np.zeros((3, 7)))
+
+
+@pytest.mark.parametrize("n,d", [(1, 1), (2, 3), (3, 2), (4, 4)])
+@pytest.mark.parametrize("kappa", [1.0, 2.0 - 1.0j])
+def test_batched_fill_matches_tensor_oracle(n, d, kappa):
+    pts = [sampling.sample_spoint(9, i, n, d, 1.0) for i in range(5)]
+    M = kernels.fill_s(np.stack([p.A for p in pts]), np.stack([p.B for p in pts]), kappa)
+    for k, p in enumerate(pts):
+        np.testing.assert_allclose(M[k], s_bivector_tensor(kappa, p), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n,d", [(2, 3), (3, 1)])
+def test_fill_hat_stack_equals_points_stacked(n, d):
+    pts = [sampling.sample_spoint(4, i, n, d, 1.0) for i in range(3)]
+    M = kernels.fill_hat(np.stack([p.A for p in pts]), np.stack([p.B for p in pts]), 1j, -1.0)
+    for k, p in enumerate(pts):
+        np.testing.assert_array_equal(M[k], kernels.fill_hat(p.A, p.B, 1j, -1.0))
+
+
+@pytest.mark.parametrize("pack,unpack,sample", [
+    (charts.pack_spoint, lambda x: charts.unpack_spoint(x, 2, 3), lambda i: sampling.sample_spoint(1, i, 2, 3, 1.0)),
+    (charts.pack_tuple, lambda x: charts.unpack_tuple(x, 2, 3), lambda i: sampling.sample_tuple(1, i, 2, 3, 1.0)),
+    (charts.pack_dual, lambda x: charts.unpack_dual(x, 4), lambda i: sampling.sample_dual(1, i, 4, 0.4)),
+], ids=["spoint", "tuple", "dual"])
+def test_chart_roundtrip_on_stacks(pack, unpack, sample):
+    X = np.stack([pack(sample(i)) for i in range(6)]).reshape(2, 3, -1)
+    np.testing.assert_array_equal(pack(unpack(X)), X)
+
+
+# --- the per-probe Jacobi residual, kept as an oracle ---------------------------
+
+
+def _jacobi_per_probe(spec, x, scheme):
+    """One bivector call per probe, contracted with a plain einsum."""
+    x = np.asarray(x, dtype=complex)
+    dim = spec.dim
+    Pi0 = spec.bivector(x)
+
+    def dmat(h):
+        delta = h if scheme.direction == "real-axis" else 1j * h
+        dPi = np.empty((dim, dim, dim), dtype=complex)
+        for l in range(dim):
+            e = np.zeros(dim, dtype=complex)
+            e[l] = delta
+            dPi[l] = (spec.bivector(x + e) - spec.bivector(x - e)) / (2 * delta)
+        return dPi
+
+    dPi = dmat(scheme.step)
+    if scheme.richardson:
+        dPi = (4.0 * dmat(scheme.step / 2) - dPi) / 3.0
+    T = np.einsum("il,ljk->ijk", Pi0, dPi)
+    J = T + T.transpose(1, 2, 0) + T.transpose(2, 0, 1)
+    return float(np.max(np.abs(J)))
+
+
+class _Perturbed:
+    """S(n,d) plus an antisymmetric cubic term: a bivector far from Poisson,
+    so its Jacobiator is O(1) and two evaluations can be compared relatively."""
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.dim = spec.dim
+
+    def bivector(self, x):
+        x = np.asarray(x, dtype=complex)
+        E = 0.3 * x[..., :, None] * (x * x)[..., None, :]
+        return self.spec.bivector(x) + E - E.swapaxes(-1, -2)
+
+
+BIG = BracketSpec("S", 2.0 - 1.0j, n=7, d=7)
+
+
+def test_big_probe_stack_spans_several_blocks():
+    assert 2 * BIG.dim * BIG.dim * BIG.dim > verify._BLOCK_ENTRIES
+
+
+def test_blocked_residual_matches_per_probe_on_poisson_bracket():
+    x = sampling.sample_vector(42, 0, BIG.dim, 1.0)
+    POLY = DiffScheme(step=1e-2, richardson=False)
+    got, want = jacobi_residual(BIG, x, POLY), _jacobi_per_probe(BIG, x, POLY)
+    assert got < 1e-10 and want < 1e-10
+    assert abs(got - want) < 1e-11
+
+
+@pytest.mark.parametrize(
+    "scheme",
+    [
+        DiffScheme(step=1e-2, richardson=False),
+        DiffScheme(step=1e-2, richardson=False, direction="imag-axis"),
+        DiffScheme(step=1e-3, richardson=True),
+    ],
+    ids=["real-axis", "imag-axis", "richardson"],
+)
+def test_blocked_residual_matches_per_probe(scheme):
+    spec = _Perturbed(BIG)
+    x = sampling.sample_vector(42, 1, BIG.dim, 1.0)
+    got, want = jacobi_residual(spec, x, scheme), _jacobi_per_probe(spec, x, scheme)
+    assert want > 1e-2
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_blocked_residual_matches_per_probe_small_blocks(monkeypatch):
+    # blocks of two probe pairs at dim 8: uneven last block, every kind of block edge
+    monkeypatch.setattr(verify, "_BLOCK_ENTRIES", 2 * 2 * 8 * 8)
+    spec = _Perturbed(BracketSpec("Prime", 1j, n=2, d=2))
+    x = sampling.sample_vector(3, 0, spec.dim, 1.0)
+    for scheme in (DiffScheme(step=1e-2, richardson=False), DiffScheme(step=1e-3, richardson=True)):
+        assert jacobi_residual(spec, x, scheme) == pytest.approx(_jacobi_per_probe(spec, x, scheme), rel=1e-12)
+
+
+def test_spoint_stack_validation():
+    with pytest.raises(ValueError):
+        SPoint(np.zeros((2, 3, 2)), np.zeros((3, 2, 3)))
+    p = SPoint(np.zeros((4, 3, 2)), np.zeros((4, 2, 3)))
+    assert (p.n, p.d) == (3, 2)

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from plie.cli import main
+from plie.cli import main, report_to_json
+from plie.verify import VerificationReport
 
 FAST = ["--samples", "3"]
 
@@ -89,6 +90,42 @@ class TestVerify:
     def test_bad_kappa_exits_2(self, capsys):
         assert main(["verify", "--suite", "jacobi", "--kappa", "nope"]) == 2
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--kappa", "nan"),
+            ("--kappa", "inf,0"),
+            ("--kappa", "1,-inf"),
+            ("--epsilon", "nan"),
+            ("--radius", "inf"),
+            ("--tol-exact", "nan"),
+            ("--tol-fd", "inf"),
+            ("--fd-step", "nan"),
+        ],
+    )
+    def test_non_finite_value_exits_2(self, capsys, flag, value):
+        assert main(["verify", "--suite", "jacobi", flag, value]) == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_non_finite_in_config_file_exits_2(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"kappa": [Infinity, 0]}')
+        assert main(["verify", "--suite", "jacobi", "--config", str(cfg)]) == 2
+
+
+def test_report_with_nan_residual_is_strict_json():
+    failures = ((0, float("nan"), "seed=0 index=0 check=a"), (1, float("inf"), "seed=0 index=1 check=b"))
+    report = VerificationReport("x", {"worst": float("nan")}, 0, 2, 1.0, float("nan"), False, failures)
+    payload = json.loads(report_to_json(report), parse_constant=_reject)
+    assert payload["max_residual"] is None
+    assert [f["residual"] for f in payload["failures"]] == [None, None]
+    assert payload["params"]["worst"] is None
+    assert payload["pass"] is False
+
+
+def _reject(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
 
 class TestGenPoint:
     def test_spin_shape(self, tmp_path):
@@ -115,3 +152,16 @@ class TestGenPoint:
 
     def test_invalid_sizes_exit_2(self, capsys):
         assert main(["gen-point", "--space", "spin", "--n", "0"]) == 2
+
+    @pytest.mark.parametrize("radius", ["nan", "inf"])
+    def test_non_finite_radius_exits_2(self, radius):
+        assert main(["gen-point", "--space", "spin", "--radius", radius]) == 2
+
+    def test_env_seed_zero_is_used(self, tmp_path, monkeypatch):
+        env, flag, default = tmp_path / "env.json", tmp_path / "flag.json", tmp_path / "default.json"
+        main(["gen-point", "--space", "spin", "--seed", "0", "--out", str(flag)])
+        main(["gen-point", "--space", "spin", "--out", str(default)])
+        monkeypatch.setenv("PLIE_SEED", "0")
+        main(["gen-point", "--space", "spin", "--out", str(env)])
+        assert json.loads(env.read_text())["seed"] == 0
+        assert env.read_text() == flag.read_text() != default.read_text()

@@ -4,7 +4,7 @@ moment relations, product-factor identities, symplectic inversion and rank."""
 import numpy as np
 import pytest
 
-from plie import charts, sampling
+from plie import charts, sampling, suites
 from plie.brackets import BracketSpec, HoloFn1
 from plie.decoupling import iota, map_m
 from plie.errors import ConfigError, ZeroG
@@ -52,6 +52,53 @@ class TestDiffScheme:
 def test_report_consistency_enforced():
     with pytest.raises(ValueError):
         VerificationReport("x", {}, 0, 1, 1.0, 2.0, ok=True)
+
+
+def test_report_pass_flag_matches_failure_list():
+    failure = ((0, 2.0, "seed=0 index=0 check=a"),)
+    with pytest.raises(ValueError):
+        VerificationReport("x", {}, 0, 1, 1.0, float("nan"), ok=False)
+    with pytest.raises(ValueError):
+        VerificationReport("x", {}, 0, 1, 1.0, 0.5, ok=True, failures=failure)
+    VerificationReport("x", {}, 0, 1, 1.0, 2.0, ok=False, failures=failure)
+
+
+class TestNonFiniteResiduals:
+    """A NaN or infinite residual fails its sample and names its check,
+    wherever it sits among the sample's checks."""
+
+    @staticmethod
+    def _run(monkeypatch, residuals):
+        def builder(cfg):
+            return {"bounds": {}}, 2, lambda i: dict(residuals) if i == 1 else {"a": 0.1, "b": 0.2}
+
+        monkeypatch.setitem(suites._BUILDERS, "symplectic", builder)
+        return suites.run_suite(suites.RunConfig("symplectic"))
+
+    @pytest.mark.parametrize(
+        "residuals,check",
+        [
+            ({"a": 0.5, "b": float("nan")}, "b"),
+            ({"a": float("nan"), "b": 0.5}, "a"),
+            ({"a": 0.5, "b": float("inf"), "c": 0.2}, "b"),
+            ({"a": float("-inf"), "b": 0.5}, "a"),
+        ],
+        ids=["nan-after-finite", "nan-first", "inf-middle", "minus-inf-first"],
+    )
+    def test_non_finite_check_fails_and_is_named(self, monkeypatch, residuals, check):
+        report = self._run(monkeypatch, residuals)
+        assert report.ok is False
+        assert [(i, d) for i, _, d in report.failures] == [(1, f"seed=42 index=1 check={check}")]
+        assert not np.isfinite(report.failures[0][1])
+
+    def test_nan_fails_suite_all(self, monkeypatch):
+        def builder(cfg):
+            return {"bounds": {}}, 1, lambda i: {"a": 0.5, "b": float("nan")}
+
+        monkeypatch.setattr(suites, "_BUILDERS", {"symplectic": builder, "rank": suites._BUILDERS["rank"]})
+        report = suites.run_suite(suites.RunConfig("all"))
+        assert report.ok is False
+        assert [d for _, _, d in report.failures] == ["symplectic: seed=42 index=0 check=b"]
 
 
 def test_jacobian_fd_polynomial_map():
