@@ -1,7 +1,7 @@
 """Command-line interface: seeded point generation and verification suites.
 
 Exit codes: 0 suite passed, 1 suite failed, 2 invalid configuration,
-3 internal evaluation error.
+3 internal evaluation error, 4 unexpected error.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from . import charts, sampling
+from . import sampling
 from .errors import ConfigError, PlieError
 from .suites import SUITES, RunConfig, run_suite
 from .verify import VerificationReport
@@ -91,7 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--tol-exact", type=float, default=None, dest="tol_exact")
     v.add_argument("--tol-fd", type=float, default=None, dest="tol_fd")
     v.add_argument("--fd-step", type=float, default=None, dest="fd_step")
-    v.add_argument("--threads", type=int, default=None)
     v.add_argument("--config", type=str, default=None, help="JSON file with defaults (flags win)")
     v.add_argument("--out", type=str, default=None, help="report path (default: stdout)")
 
@@ -163,7 +162,6 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         tol_exact=float(pick("tol_exact", 1e-10)),
         tol_fd=float(pick("tol_fd", 1e-7)),
         fd_step=float(pick("fd_step", 1e-5)),
-        threads=int(pick("threads", 1)),
     )
 
 
@@ -239,6 +237,9 @@ def main(argv: Optional[list] = None) -> int:
     except PlieError as exc:
         print(f"internal evaluation error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:  # a defect, not a verdict: keep it apart from exit 1
+        print(f"unexpected error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import ConstraintViolated, DomainEscape
-from .factorization import factor_inv_pair, g_pm
+from .factorization import factor_inv_pair, g_factors
 from .points import SPoint, SpinPoint, SpinTuple
 from .tensors import eta
 
@@ -28,36 +28,45 @@ _GUARD = 0.9
 
 
 def guard_tuple(t: SpinTuple) -> None:
-    """Require ||a|| * ||b|| < 0.9 per copy: keeps all G_j off the branch cut."""
+    """Require ||a|| * ||b|| < 0.9 per copy: keeps all G_j off the branch cut.
+
+    Copies of shape (..., n) are checked point by point; one point outside
+    the domain raises.
+    """
     for i, s in enumerate(t):
-        if np.linalg.norm(s.a) * np.linalg.norm(s.b) >= _GUARD:
+        if np.any(np.linalg.norm(s.a, axis=-1) * np.linalg.norm(s.b, axis=-1) >= _GUARD):
             raise DomainEscape(f"copy {i + 1}: ||a||*||b|| >= {_GUARD}")
 
 
-def _tri_inv(m: np.ndarray, lower: bool) -> np.ndarray:
-    inv = solve_triangular(m, np.eye(m.shape[0]), lower=lower)
-    if lower:
-        inv[np.triu_indices_from(inv, 1)] = 0.0
-    else:
-        inv[np.tril_indices_from(inv, -1)] = 0.0
-    return inv
+def _dress(h: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """h a for stacks of matrices (..., n, n) and columns (..., n)."""
+    return (h @ a[..., :, None])[..., 0]
+
+
+def _dress_row(b: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """b h for stacks of rows (..., n) and matrices (..., n, n)."""
+    return (b[..., None, :] @ h)[..., 0, :]
 
 
 def map_m(t: SpinTuple) -> SPoint:
-    """Column-wise dressing: A^al = g_+(1)...g_+(al-1) a^al, B^al = b^al g_-(al-1)^-1...g_-(1)^-1."""
+    """Column-wise dressing: A^al = g_+(1)...g_+(al-1) a^al, B^al = b^al g_-(al-1)^-1...g_-(1)^-1.
+
+    Copies of shape (..., n) give A of shape (..., n, d) and B of shape (..., d, n).
+    """
     guard_tuple(t)
     n, d = t.n, t.d
-    A = np.empty((n, d), dtype=complex)
-    B = np.empty((d, n), dtype=complex)
+    batch = t[0].a.shape[:-1]
+    A = np.empty(batch + (n, d), dtype=complex)
+    B = np.empty(batch + (d, n), dtype=complex)
     hp = np.eye(n, dtype=complex)  # running g_+(1)...g_+(al-1)
     hm = np.eye(n, dtype=complex)  # running g_-(al-1)^-1...g_-(1)^-1
     for al, s in enumerate(t):
-        A[:, al] = hp @ s.a
-        B[al, :] = s.b @ hm
+        A[..., :, al] = _dress(hp, s.a)
+        B[..., al, :] = _dress_row(s.b, hm)
         if al < d - 1:
-            pair = g_pm(s)
-            hp = hp @ pair.hplus
-            hm = _tri_inv(pair.hminus, lower=True) @ hm
+            gp, _, _, gm_inv = g_factors(s)
+            hp = hp @ gp
+            hm = gm_inv @ hm
     return SPoint(A, B)
 
 
@@ -71,26 +80,30 @@ def map_m_inverse(p: SPoint) -> SpinTuple:
         s = SpinPoint(hp_inv @ p.A[:, al], p.B[al, :] @ hm_inv)
         spins.append(s)
         if al < d - 1:
-            pair = g_pm(s)
-            hp_inv = _tri_inv(pair.hplus, lower=False) @ hp_inv
-            hm_inv = hm_inv @ pair.hminus
+            _, gm, gp_inv, _ = g_factors(s)
+            hp_inv = gp_inv @ hp_inv
+            hm_inv = hm_inv @ gm
     return SpinTuple(spins)
 
 
 def map_F(t: SpinTuple) -> SPoint:
-    """Reverse dressing: A-hat^al = g_+(d)^-1...g_+(al)^-1 a^al, B-hat^al = b^al g_-(al)...g_-(d)."""
+    """Reverse dressing: A-hat^al = g_+(d)^-1...g_+(al)^-1 a^al, B-hat^al = b^al g_-(al)...g_-(d).
+
+    Copies of shape (..., n) give A of shape (..., n, d) and B of shape (..., d, n).
+    """
     guard_tuple(t)
     n, d = t.n, t.d
-    A = np.empty((n, d), dtype=complex)
-    B = np.empty((d, n), dtype=complex)
+    batch = t[0].a.shape[:-1]
+    A = np.empty(batch + (n, d), dtype=complex)
+    B = np.empty(batch + (d, n), dtype=complex)
     left = np.eye(n, dtype=complex)  # g_+(d)^-1 ... g_+(al+1)^-1
     right = np.eye(n, dtype=complex)  # g_-(al+1) ... g_-(d)
     for al in range(d - 1, -1, -1):
-        pair = g_pm(t[al])
-        left = left @ _tri_inv(pair.hplus, lower=False)
-        right = pair.hminus @ right
-        A[:, al] = left @ t[al].a
-        B[al, :] = t[al].b @ right
+        _, gm, gp_inv, _ = g_factors(t[al])
+        left = left @ gp_inv
+        right = gm @ right
+        A[..., :, al] = _dress(left, t[al].a)
+        B[..., al, :] = _dress_row(t[al].b, right)
     return SPoint(A, B)
 
 
@@ -108,7 +121,7 @@ def map_F_inverse(p: SPoint) -> SpinTuple:
         M = np.eye(n) - P @ np.outer(p.A[:, al], p.B[al, :]) @ R
         pair = factor_inv_pair(M)
         P = pair.hplus @ P
-        R = R @ _tri_inv(pair.hminus, lower=True)
+        R = R @ np.tril(solve_triangular(pair.hminus, np.eye(n), lower=True))
         spins[al] = SpinPoint(P @ p.A[:, al], p.B[al, :] @ R)
     return SpinTuple(spins)
 

@@ -18,6 +18,7 @@ __all__ = [
     "chi_inverse_local",
     "factor_inv_pair",
     "g_functions",
+    "g_factors",
     "g_pm",
     "gamma",
     "gamma_pm",
@@ -28,14 +29,14 @@ _MINOR_RTOL = 1e-12
 _CUT_RTOL = 1e-13
 
 
-def _principal_sqrt(values: np.ndarray, offset: int = 0) -> np.ndarray:
-    """Principal square roots; negative reals raise BranchCut (1-based index)."""
-    out = np.empty(values.shape, dtype=complex)
-    for j, v in enumerate(values):
-        if v.real < 0 and abs(v.imag) <= _CUT_RTOL * abs(v):
-            raise BranchCut(offset + j + 1, v)
-        out[j] = np.sqrt(v)
-    return out
+def _principal_sqrt(values: np.ndarray) -> np.ndarray:
+    """Principal square roots, entrywise over (..., k); an entry on the negative
+    real axis raises BranchCut with its 1-based index along the last axis."""
+    cut = (values.real < 0) & (np.abs(values.imag) <= _CUT_RTOL * np.abs(values))
+    if np.any(cut):
+        at = tuple(np.argwhere(cut)[0])
+        raise BranchCut(int(at[-1]) + 1, complex(values[at]))
+    return np.sqrt(np.asarray(values, dtype=complex))
 
 
 def gauss(g: np.ndarray):
@@ -115,42 +116,54 @@ def factor_inv_pair(m: np.ndarray) -> DualPair:
 
 
 def g_functions(p: SpinPoint) -> np.ndarray:
-    """Partial sums G_j = 1 + sum_{k>=j} a_k b_k, indices 0..n+1, G_0 = G_{n+1} = 1."""
+    """Partial sums G_j = 1 + sum_{k>=j} a_k b_k, indices 0..n+1, G_0 = G_{n+1} = 1.
+
+    Spins of shape (..., n) give sums of shape (..., n + 2).
+    """
     ab = p.a * p.b
-    G = np.ones(p.n + 2, dtype=complex)
-    G[1 : p.n + 1] += np.cumsum(ab[::-1])[::-1]
+    G = np.ones(ab.shape[:-1] + (p.n + 2,), dtype=complex)
+    G[..., 1 : p.n + 1] += np.cumsum(ab[..., ::-1], axis=-1)[..., ::-1]
     return G
 
 
-def g_pm(p: SpinPoint) -> DualPair:
-    """Closed-form factorization of 1 + a b into an upper/lower pair.
+def g_factors(p: SpinPoint):
+    """Closed-form (g_+, g_-, g_+^{-1}, g_-^{-1}) of 1 + a b = g_+ g_-^{-1}.
 
-    Entries (1-based): (g_+)_jj = s_j/s_{j+1}, (g_+)_jk = a_j b_k/(s_k s_{k+1})
-    for j < k, and (g_-^{-1})_jj = s_j/s_{j+1}, (g_-^{-1})_jk = a_j b_k/(s_j s_{j+1})
-    for j > k, with a single consistent root s_j = sqrt(G_j) per index.
+    Entries (1-based), with a single consistent root s_j = sqrt(G_j) per index:
+
+    * (g_+)_jj = (g_-^{-1})_jj = s_j/s_{j+1} and (g_-)_jj = (g_+^{-1})_jj = s_{j+1}/s_j;
+    * (g_+)_jk = a_j b_k/(s_k s_{k+1}) for j < k and (g_-)_jk = -a_j b_k/(s_k s_{k+1}) for j > k;
+    * (g_-^{-1})_jk = a_j b_k/(s_j s_{j+1}) for j > k and (g_+^{-1})_jk = -a_j b_k/(s_j s_{j+1}) for j < k.
+
+    Spins of shape (..., n) give four stacks of shape (..., n, n).  ZeroG(j)
+    reports a vanishing G_j, BranchCut(j) a G_j on the negative real axis.
     """
     n = p.n
     G = g_functions(p)
-    scale = max(1.0, float(np.max(np.abs(G))))
-    for j in range(1, n + 1):
-        if abs(G[j]) <= 1e-12 * scale:
-            raise ZeroG(j, G[j])
-    s = _principal_sqrt(G[1 : n + 2])  # s[j-1] = sqrt(G_j), j = 1..n+1
+    scale = np.maximum(1.0, np.max(np.abs(G), axis=-1, keepdims=True))
+    small = np.abs(G[..., 1 : n + 1]) <= 1e-12 * scale
+    if np.any(small):
+        at = tuple(np.argwhere(small)[0])
+        raise ZeroG(int(at[-1]) + 1, complex(G[at[:-1] + (at[-1] + 1,)]))
+    s = _principal_sqrt(G[..., 1 : n + 2])  # s[..., j-1] = sqrt(G_j), j = 1..n+1
 
-    gp = np.zeros((n, n), dtype=complex)
-    gm_inv = np.zeros((n, n), dtype=complex)
-    dd = s[:n] / s[1 : n + 1]
-    np.fill_diagonal(gp, dd)
-    np.fill_diagonal(gm_inv, dd)
-    off = np.outer(p.a, p.b)
-    for j in range(n):
-        for k in range(j + 1, n):
-            gp[j, k] = off[j, k] / (s[k] * s[k + 1])
-        for k in range(j):
-            gm_inv[j, k] = off[j, k] / (s[j] * s[j + 1])
+    ss = s[..., :n] * s[..., 1:]
+    off = p.a[..., :, None] * p.b[..., None, :]
+    col = off / ss[..., None, :]  # a_j b_k / (s_k s_{k+1})
+    row = off / ss[..., :, None]  # a_j b_k / (s_j s_{j+1})
+    r = np.arange(n)
+    gp = np.triu(col, 1)
+    gm = np.tril(-col, -1)
+    gp_inv = np.triu(-row, 1)
+    gm_inv = np.tril(row, -1)
+    gp[..., r, r] = gm_inv[..., r, r] = s[..., :n] / s[..., 1:]
+    gm[..., r, r] = gp_inv[..., r, r] = s[..., 1:] / s[..., :n]
+    return gp, gm, gp_inv, gm_inv
 
-    gm = solve_triangular(gm_inv, np.eye(n), lower=True)
-    gm[np.triu_indices_from(gm, 1)] = 0.0
+
+def g_pm(p: SpinPoint) -> DualPair:
+    """Closed-form factorization 1 + a b = g_+ g_-^{-1} as the pair (g_+, g_-); see g_factors."""
+    gp, gm, _, _ = g_factors(p)
     return DualPair(gp, gm)
 
 
@@ -166,12 +179,9 @@ def gamma_pm(point: SPoint) -> DualPair:
 
 def calG_pm(t: SpinTuple) -> DualPair:
     """Ordered products of the per-copy factors: (g_+(1)...g_+(d), g_-(1)...g_-(d))."""
-    pairs = [g_pm(s) for s in t]
-    Gp = pairs[0].hplus
-    Gm = pairs[0].hminus
-    for pr in pairs[1:]:
-        Gp = Gp @ pr.hplus
-        Gm = Gm @ pr.hminus
-    Gp[np.tril_indices_from(Gp, -1)] = 0.0
-    Gm[np.triu_indices_from(Gm, 1)] = 0.0
-    return DualPair(Gp, Gm)
+    factors = [g_factors(s) for s in t]
+    Gp, Gm = factors[0][:2]
+    for gp, gm, _, _ in factors[1:]:
+        Gp = Gp @ gp
+        Gm = Gm @ gm
+    return DualPair(np.triu(Gp), np.tril(Gm))

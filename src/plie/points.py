@@ -86,7 +86,11 @@ class SpinPoint:
 
 
 class SpinTuple:
-    """An ordered tuple of d spin copies of uniform size n."""
+    """An ordered tuple of d spin copies of uniform size n.
+
+    The copies may carry the same leading batch axes, ``(..., n)``: a stack
+    of tuples evaluated together.
+    """
 
     __slots__ = ("spins",)
 
@@ -94,9 +98,9 @@ class SpinTuple:
         spins = tuple(spins)
         if not spins:
             raise ValueError("need at least one spin copy")
-        n = spins[0].n
-        if any(s.n != n for s in spins):
-            raise ValueError("all spin copies must share the same size")
+        shape = spins[0].a.shape
+        if any(s.a.shape != shape for s in spins):
+            raise ValueError("all spin copies must share the same size and batch axes")
         self.spins = spins
 
     @property

@@ -23,10 +23,6 @@ __all__ = [
     "sample_vector",
 ]
 
-DEFAULT_RADIUS_LOCAL = 0.3
-DEFAULT_RADIUS_GLOBAL = 1.0
-
-
 def rng_for(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(index)])
 

@@ -10,16 +10,15 @@ from __future__ import annotations
 
 import cmath
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import charts, decoupling as dc, factorization as fc, sampling, verify as vf
-from .brackets import BracketSpec, HoloFn1, s_bivector_raw, s_bivector_tensor
+from .brackets import BracketSpec, HoloFn1
 from .errors import ConfigError
-from .points import SPoint, SpinPoint
+from .points import SPoint
 from .verify import DiffScheme, VerificationReport
 
 __all__ = ["RunConfig", "SUITES", "run_suite"]
@@ -54,7 +53,6 @@ class RunConfig:
     tol_exact: float = 1e-10
     tol_fd: float = 1e-7
     fd_step: float = 1e-5
-    threads: int = 1
 
     def __post_init__(self):
         for name in ("kappa", "epsilon", "radius", "tol_exact", "tol_fd", "fd_step"):
@@ -75,8 +73,6 @@ class RunConfig:
             raise ConfigError("kappa must be nonzero")
         if self.epsilon == 0:
             raise ConfigError("epsilon must be nonzero")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
 
 
 # schemes: central differences are exact (up to rounding) for polynomial
@@ -219,13 +215,9 @@ def _suite_factorization(cfg: RunConfig):
 
 
 def _linear_jacobian(fmap: Callable[[np.ndarray], np.ndarray], dim: int) -> np.ndarray:
-    y0 = np.asarray(fmap(np.zeros(dim, dtype=complex)))
-    J = np.empty((y0.size, dim), dtype=complex)
-    for l in range(dim):
-        e = np.zeros(dim, dtype=complex)
-        e[l] = 1.0
-        J[:, l] = np.asarray(fmap(e)) - y0
-    return J
+    """Exact Jacobian of a linear map, from one call on the stack (0, e_1, ..., e_dim)."""
+    Y = np.asarray(fmap(np.eye(dim + 1, dim, -1, dtype=complex)))
+    return (Y[1:] - Y[0]).T
 
 
 def _suite_ao_maps(cfg: RunConfig):
@@ -417,19 +409,22 @@ def _suite_actions(cfg: RunConfig):
     G = HoloFn1(lambda t: -1 + 0 * t, lambda t: 0 * t, "G")
     zspec = BracketSpec("ZakC", kap, n=n, F=F, G=G)
 
+    # group element and point each of shape (..., dim); either may be one point
     def act_n(gv, xv):
-        g = gv.reshape(n, n)
+        g = charts.unpack_gl(gv, n)
         p = charts.unpack_spoint(xv, n, d)
         return charts.pack_spoint(SPoint(g @ p.A, p.B @ np.linalg.inv(g)))
 
     def act_d(gv, xv):
-        g = gv.reshape(d, d)
+        g = charts.unpack_gl(gv, d)
         p = charts.unpack_spoint(xv, n, d)
         return charts.pack_spoint(SPoint(p.A @ np.linalg.inv(g), g @ p.B))
 
     def act_z(gv, xv):
-        g = gv.reshape(n, n)
-        return np.concatenate([g @ xv[:n], xv[n:] @ np.linalg.inv(g)])
+        g = charts.unpack_gl(gv, n)
+        a = (g @ xv[..., :n, None])[..., 0]
+        b = (xv[..., None, n:] @ np.linalg.inv(g))[..., 0, :]
+        return np.concatenate([a, b], axis=-1)
 
     def sample(i: int) -> dict:
         rng = sampling.rng_for(cfg.seed, i)
@@ -476,15 +471,7 @@ def _worst(res: dict):
 def _execute(cfg: RunConfig, suite: str) -> VerificationReport:
     params, count, sample = _BUILDERS[suite](cfg)
 
-    def run_one(i: int):
-        return (i,) + _worst(sample(i))
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
-            results = list(ex.map(run_one, range(count)))
-    else:
-        results = [run_one(i) for i in range(count)]
-    results.sort(key=lambda r: r[0])
+    results = [(i,) + _worst(sample(i)) for i in range(count)]
 
     max_res = float(np.max([r[1] for r in results]))  # NaN if any residual is NaN
     failures = tuple(

@@ -6,12 +6,14 @@ admissibility condition of the holomorphic covariant brackets.
 All differentiation uses central differences along the real axis of each
 complex coordinate (valid for holomorphic maps), optionally with one
 Richardson extrapolation level; exact Jacobians should be supplied for
-linear maps.
+linear maps.  A differentiated map takes points of shape (..., dim) to
+values of shape (..., m), and each Jacobian evaluates all its probe points
+in one call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -19,9 +21,9 @@ import numpy as np
 from . import charts
 from .brackets import BracketSpec, HoloFn1, sts_rhs_tensor
 from .errors import ConfigError, ZeroG
-from .factorization import g_functions, g_pm, gamma
+from .factorization import g_factors, g_functions, g_pm, gamma
 from .points import SPoint, SpinPoint, SpinTuple
-from .tensors import Tensor4, dj_r, r_pm
+from .tensors import dj_r, r_pm
 
 __all__ = [
     "DiffScheme",
@@ -75,24 +77,39 @@ class VerificationReport:
             raise ValueError("pass flag inconsistent with the failure list")
 
 
-def _jac_once(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float, direction: str) -> np.ndarray:
-    x = np.asarray(x, dtype=complex)
+def _probe_stack(x: np.ndarray, deltas) -> np.ndarray:
+    """Rows x + delta e_l for l = 0..dim-1, then x - delta e_l, for each delta in turn."""
     dim = x.size
-    delta = h if direction == "real-axis" else 1j * h
-    cols = []
-    for l in range(dim):
-        e = np.zeros(dim, dtype=complex)
-        e[l] = delta
-        cols.append((np.asarray(f(x + e)) - np.asarray(f(x - e))) / (2 * delta))
-    return np.stack(cols, axis=-1)
+    X = np.empty((len(deltas), 2, dim, dim), dtype=complex)
+    X[...] = x
+    r = np.arange(dim)
+    for k, delta in enumerate(deltas):
+        X[k, 0, r, r] += delta
+        X[k, 1, r, r] -= delta
+    return X.reshape(-1, dim)
 
 
 def jacobian_fd(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, scheme: DiffScheme = DiffScheme()) -> np.ndarray:
-    """Central-difference Jacobian of a holomorphic map, shape (len(f), len(x))."""
-    J = _jac_once(f, x, scheme.step, scheme.direction)
+    """Central-difference Jacobian of a holomorphic map at x, shape (m, dim).
+
+    ``f`` maps points of shape (..., dim) to values of shape (..., m).  All
+    probes x +- delta e_l (and x +- (delta/2) e_l with Richardson) go to ``f``
+    in one call on a (P, dim) stack; ValueError if the values do not come
+    back as (P, m), e.g. from a map written for one point only.
+    """
+    x = np.asarray(x, dtype=complex)
+    dim = x.size
+    unit = 1.0 if scheme.direction == "real-axis" else 1j
+    deltas = [unit * scheme.step] + ([unit * (scheme.step / 2)] if scheme.richardson else [])
+    X = _probe_stack(x, deltas)
+    Y = np.asarray(f(X))
+    if Y.ndim != 2 or Y.shape[0] != X.shape[0]:
+        raise ValueError(f"map must take (..., {dim}) to (..., m): a {X.shape} stack gave {Y.shape}")
+    Y = Y.reshape(len(deltas), 2, dim, -1)
+    J = (Y[0, 0] - Y[0, 1]) / (2 * deltas[0])
     if scheme.richardson:
-        J = (4.0 * _jac_once(f, x, scheme.step / 2, scheme.direction) - J) / 3.0
-    return J
+        J = (4.0 * ((Y[1, 0] - Y[1, 1]) / (2 * deltas[1])) - J) / 3.0
+    return J.T
 
 
 # Probes of one bivector call in ``jacobi_residual``: at most this many
@@ -196,7 +213,7 @@ def bracket_functions(
     """Matrix of brackets {f_p, g_q} at x via the chain rule Jf Pi Jg^T."""
     x = np.asarray(x, dtype=complex)
     Jf = jacobian_fd(f, x, scheme)
-    Jg = jacobian_fd(g, x, scheme)
+    Jg = Jf if g is f else jacobian_fd(g, x, scheme)
     return Jf @ spec.bivector(x) @ Jg.T
 
 
@@ -207,17 +224,22 @@ def bracket_coord_fn(
     f: Callable[[np.ndarray], complex],
     scheme: DiffScheme = DiffScheme(),
 ) -> complex:
-    """The bracket {x_p, f} = sum_c Pi[p, c] d_c f at x."""
+    """The bracket {x_p, f} = sum_c Pi[p, c] d_c f at x; ``f`` maps (..., dim) to (...)."""
     x = np.asarray(x, dtype=complex)
-    grad = jacobian_fd(lambda xx: np.atleast_1d(f(xx)), x, scheme)[0]
+    grad = jacobian_fd(lambda xx: np.asarray(f(xx))[..., None], x, scheme)[0]
     return complex(spec.bivector(x)[coord_index] @ grad)
 
 
 # --- moment-map identities ----------------------------------------------------
 
 
+def _flat(m: np.ndarray) -> np.ndarray:
+    """Row-major entries of a stack of matrices (..., r, c) as (..., r * c)."""
+    return m.reshape(m.shape[:-2] + (-1,))
+
+
 def _gamma_flat(x: np.ndarray, n: int, d: int) -> np.ndarray:
-    return gamma(charts.unpack_spoint(x, n, d)).ravel()
+    return _flat(gamma(charts.unpack_spoint(x, n, d)))
 
 
 def moment_residuals(kappa: complex, point: SPoint, scheme: DiffScheme = DiffScheme()) -> dict:
@@ -236,7 +258,7 @@ def moment_residuals(kappa: complex, point: SPoint, scheme: DiffScheme = DiffSch
 
     # coordinates-and-Gamma in one map so Jacobian blocks share probes
     def full(xx):
-        return np.concatenate([xx, _gamma_flat(xx, n, d)])
+        return np.concatenate([xx, _gamma_flat(xx, n, d)], axis=-1)
 
     Gm = gamma(point)
     nd = n * d
@@ -260,13 +282,12 @@ def moment_residuals(kappa: complex, point: SPoint, scheme: DiffScheme = DiffSch
     a_col = sp.a[:, None]
     b_row = sp.b[None, :]
 
+    # S(n, 1) and the spin chart C2n(n) order coordinates alike: a, then b
     def gplus_flat(xx):
-        p = charts.unpack_spoint(xx, n, 1)
-        return g_pm(SpinPoint(p.A[:, 0], p.B[0, :])).hplus.ravel()
+        return _flat(g_pm(charts.unpack_spin(xx, n)).hplus)
 
     def gminus_flat(xx):
-        p = charts.unpack_spoint(xx, n, 1)
-        return g_pm(SpinPoint(p.A[:, 0], p.B[0, :])).hminus.ravel()
+        return _flat(g_pm(charts.unpack_spin(xx, n)).hminus)
 
     def coords(xx):
         return xx
@@ -291,7 +312,7 @@ def moment_residuals(kappa: complex, point: SPoint, scheme: DiffScheme = DiffSch
     def full_hat(xx):
         p = charts.unpack_spoint(xx, n, d)
         gh = np.eye(n, dtype=complex) - p.A @ p.B
-        return np.concatenate([xx, gh.ravel()])
+        return np.concatenate([xx, _flat(gh)], axis=-1)
 
     Gh = np.eye(n, dtype=complex) - point.A @ point.B
     Mh = bracket_functions(h_spec, x, full_hat, full_hat, scheme)
@@ -311,16 +332,28 @@ def moment_residuals(kappa: complex, point: SPoint, scheme: DiffScheme = DiffSch
 
 
 def _h_products(t: SpinTuple):
-    """Per-copy factors and the cumulative products h+^al, h-^al (index 0..d)."""
+    """Per-copy factors g_+, g_-^{-1} and the cumulative products h+^al, h-^al (index 0..d).
+
+    Copies of shape (..., n) give factors and products of shape (..., n, n);
+    h+^0 = h-^0 is the unbatched identity.
+    """
     n = t.n
-    pairs = [g_pm(s) for s in t]
-    gminus_inv = [np.linalg.inv(p.hminus) for p in pairs]
+    factors = [g_factors(s) for s in t]
+    gplus = [f[0] for f in factors]
+    gminus_inv = [f[3] for f in factors]
     hp = [np.eye(n, dtype=complex)]
     hm = [np.eye(n, dtype=complex)]
     for al in range(t.d):
-        hp.append(hp[-1] @ pairs[al].hplus)
+        hp.append(hp[-1] @ gplus[al])
         hm.append(gminus_inv[al] @ hm[-1])
-    return pairs, gminus_inv, hp, hm
+    return gplus, gminus_inv, hp, hm
+
+
+def _h_map(x: np.ndarray, n: int, d: int) -> np.ndarray:
+    """The map lemma_h_residuals differentiates, (..., 2nd) -> (..., 2nd + 2dn^2):
+    all coordinates, then h+^1..d and h-^1..d flattened."""
+    _, _, hp, hm = _h_products(charts.unpack_tuple(x, n, d))
+    return np.concatenate([x] + [_flat(m) for m in hp[1:] + hm[1:]], axis=-1)
 
 
 def _h_range(factors, al: int, gm: int) -> np.ndarray:
@@ -350,14 +383,10 @@ def lemma_h_residuals(kappa: complex, t: SpinTuple, scheme: DiffScheme = DiffSch
     spec = BracketSpec("Sprod", kappa, n=n, d=d)
     x = charts.pack_tuple(t)
     rn, rp, rm = dj_r(n), r_pm(n, +1), r_pm(n, -1)
-    pairs, gminus_inv, hp, hm = _h_products(t)
-    gp_list = [p.hplus for p in pairs]
+    gp_list, gminus_inv, hp, hm = _h_products(t)
 
-    # one evaluation map: all coordinates, then h+^1..d and h-^1..d flattened
     def full(xx):
-        tt = charts.unpack_tuple(xx, n, d)
-        _, _, hpx, hmx = _h_products(tt)
-        return np.concatenate([xx] + [m.ravel() for m in hpx[1:]] + [m.ravel() for m in hmx[1:]])
+        return _h_map(xx, n, d)
 
     M = bracket_functions(spec, x, full, full, scheme)
     dim = 2 * n * d

@@ -238,12 +238,12 @@ def test_criterion_09_covariance(capsys):
     gspec_d = BracketSpec("GLmult", 1.0, ell=d)
 
     def act_n(gv, xv):
-        g = gv.reshape(n, n)
+        g = gv.reshape(gv.shape[:-1] + (n, n))
         p = charts.unpack_spoint(xv, n, d)
         return charts.pack_spoint(SPoint(g @ p.A, p.B @ np.linalg.inv(g)))
 
     def act_d(gv, xv):
-        g = gv.reshape(d, d)
+        g = gv.reshape(gv.shape[:-1] + (d, d))
         p = charts.unpack_spoint(xv, n, d)
         return charts.pack_spoint(SPoint(p.A @ np.linalg.inv(g), g @ p.B))
 

@@ -1,13 +1,15 @@
 """Tests for the batched evaluation core: stacks of points through every
-bracket kind, the kernel fills and the blocked Jacobi residual."""
+bracket kind, the kernel fills, the factorization and decoupling maps, the
+one-call Jacobian and the blocked Jacobi residual."""
 
 import numpy as np
 import pytest
 
-from plie import charts, kernels, sampling, verify
+from plie import charts, decoupling as dc, factorization as fc, kernels, sampling, verify
 from plie.brackets import BracketSpec, HoloFn1, s_bivector_tensor
-from plie.points import SPoint
-from plie.verify import DiffScheme, jacobi_residual
+from plie.errors import BranchCut, DomainEscape, ZeroG
+from plie.points import SPoint, SpinPoint, SpinTuple
+from plie.verify import DiffScheme, jacobi_residual, jacobian_fd
 
 F_AFF = HoloFn1(lambda t: 2 + t, lambda t: 1 + 0 * t, "F")
 G_AFF = HoloFn1(lambda t: -1 + 0 * t, lambda t: 0 * t, "G")
@@ -173,3 +175,141 @@ def test_spoint_stack_validation():
         SPoint(np.zeros((2, 3, 2)), np.zeros((3, 2, 3)))
     p = SPoint(np.zeros((4, 3, 2)), np.zeros((4, 2, 3)))
     assert (p.n, p.d) == (3, 2)
+
+
+# --- factorization and decoupling maps on stacks ---------------------------------
+
+N, D = 3, 3
+SCHEMES = [
+    DiffScheme(step=1e-5, richardson=True),
+    DiffScheme(step=1e-5, richardson=False),
+    DiffScheme(step=1e-5, richardson=True, direction="imag-axis"),
+]
+SCHEME_IDS = ["richardson", "plain", "imag-axis"]
+
+
+def _tuple_stack(batch, seed=5):
+    """Packed tuples at sample indices 0, 1, ..., of shape batch + (2 N D,)."""
+    X = np.stack([charts.pack_tuple(sampling.sample_tuple(seed, i, N, D, 0.3)) for i in range(int(np.prod(batch)))])
+    return X.reshape(batch + (-1,))
+
+
+def _theta_F(t):
+    return dc.map_theta(dc.map_F(t), 1.0, -1.0 / (2.0 - 1.0j), 2.0 - 1.0j)
+
+
+def _pair(p):
+    return np.concatenate([p.hplus, p.hminus], axis=-1)
+
+
+TUPLE_MAPS = {
+    "g_functions": lambda t: fc.g_functions(t[1]),
+    "g_pm": lambda t: _pair(fc.g_pm(t[1])),
+    "calG_pm": lambda t: _pair(fc.calG_pm(t)),
+    "map_m": lambda t: charts.pack_spoint(dc.map_m(t)),
+    "map_F": lambda t: charts.pack_spoint(dc.map_F(t)),
+    "map_theta_F": lambda t: charts.pack_spoint(_theta_F(t)),
+}
+
+
+@pytest.mark.parametrize("name", TUPLE_MAPS)
+@pytest.mark.parametrize("batch", [(4,), (2, 3)])
+def test_map_stack_equals_points_stacked(name, batch):
+    f = TUPLE_MAPS[name]
+    X = _tuple_stack(batch)
+    got = f(charts.unpack_tuple(X, N, D))
+    assert got.shape[: len(batch)] == batch
+    for idx in np.ndindex(*batch):
+        np.testing.assert_allclose(got[idx], f(charts.unpack_tuple(X[idx], N, D)), rtol=0, atol=1e-15)
+
+
+def test_closed_form_inverses():
+    gp, gm, gp_inv, gm_inv = fc.g_factors(charts.unpack_tuple(_tuple_stack((5,)), N, D)[0])
+    eye = np.eye(N)
+    for prod in (gp @ gp_inv, gm @ gm_inv):
+        np.testing.assert_allclose(prod, np.broadcast_to(eye, prod.shape), rtol=0, atol=1e-15)
+
+
+def _jacobian_per_probe(f, x, scheme):
+    """One map call per probe x +- delta e_l, kept as the oracle of the one-call Jacobian."""
+    x = np.asarray(x, dtype=complex)
+    dim = x.size
+
+    def once(h):
+        delta = h if scheme.direction == "real-axis" else 1j * h
+        cols = []
+        for l in range(dim):
+            e = np.zeros(dim, dtype=complex)
+            e[l] = delta
+            cols.append((np.asarray(f(x + e)) - np.asarray(f(x - e))) / (2 * delta))
+        return np.stack(cols, axis=-1)
+
+    J = once(scheme.step)
+    if scheme.richardson:
+        J = (4.0 * once(scheme.step / 2) - J) / 3.0
+    return J
+
+
+DIFF_MAPS = {
+    "map_F": lambda x: charts.pack_spoint(dc.map_F(charts.unpack_tuple(x, N, D))),
+    "lemma4_full": lambda x: verify._h_map(x, N, D),
+}
+
+
+@pytest.mark.parametrize("scheme", SCHEMES, ids=SCHEME_IDS)
+@pytest.mark.parametrize("name", DIFF_MAPS)
+def test_one_call_jacobian_matches_per_probe(name, scheme):
+    f = DIFF_MAPS[name]
+    x = charts.pack_tuple(sampling.sample_tuple(7, 0, N, D, 0.3))
+    calls = []
+
+    def counted(X):
+        calls.append(X.shape)
+        return f(X)
+
+    got = jacobian_fd(counted, x, scheme)
+    want = _jacobian_per_probe(f, x, scheme)
+    assert calls == [((4 if scheme.richardson else 2) * x.size, x.size)]
+    assert got.shape == want.shape
+    # equal maps up to rounding, divided by the step: a few ulps over the step
+    np.testing.assert_allclose(got, want, rtol=0, atol=16 * np.finfo(float).eps / scheme.step)
+
+
+def test_jacobian_rejects_per_point_callable():
+    x = sampling.sample_vector(1, 0, 4, 0.3)
+    with pytest.raises(ValueError):
+        jacobian_fd(lambda v: v[0], x, SCHEMES[0])
+    with pytest.raises(ValueError):
+        jacobian_fd(lambda v: np.sum(v, axis=-1), x, SCHEMES[0])
+
+
+def _last_spin_replaced(a, b):
+    """A stack of five valid spins of size 2 whose last one is (a, b)."""
+    ok = [sampling.sample_spin(3, i, 2, 0.3) for i in range(4)]
+    return SpinPoint(np.stack([s.a for s in ok] + [np.asarray(a)]), np.stack([s.b for s in ok] + [np.asarray(b)]))
+
+
+def test_zero_g_in_last_point_of_stack():
+    with pytest.raises(ZeroG) as exc:
+        fc.g_pm(_last_spin_replaced([0.5, 1.0], [0.1, -1.0]))
+    assert exc.value.index == 2
+
+
+def test_branch_cut_in_last_point_of_stack():
+    with pytest.raises(BranchCut) as exc:
+        fc.g_pm(_last_spin_replaced([1.0, 0.0], [-2.0, 0.0]))  # G_1 = -1
+    assert exc.value.index == 1
+
+
+@pytest.mark.parametrize("fn", [dc.guard_tuple, dc.map_m, dc.map_F], ids=["guard", "map_m", "map_F"])
+def test_domain_escape_in_last_point_of_stack(fn):
+    X = _tuple_stack((5,))
+    X[-1, -2 * N :] = 0.8  # last copy of the last tuple: ||a||*||b|| = 3 * 0.64
+    fn(charts.unpack_tuple(X[:-1], N, D))
+    with pytest.raises(DomainEscape):
+        fn(charts.unpack_tuple(X, N, D))
+
+
+def test_spin_tuple_rejects_mixed_batch_axes():
+    with pytest.raises(ValueError):
+        SpinTuple([SpinPoint.zero(2), SpinPoint(np.zeros((3, 2)), np.zeros((3, 2)))])

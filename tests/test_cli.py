@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from plie import suites
 from plie.cli import main, report_to_json
 from plie.verify import VerificationReport
 
@@ -54,12 +55,15 @@ class TestVerify:
         _, second = _verify(tmp_path, "b.json", "--suite", "symplectic", "--seed", "7", *FAST)
         assert first == second
 
-    def test_threads_do_not_change_report(self, tmp_path):
-        _, serial = _verify(tmp_path, "a.json", "--suite", "factorization", "--samples", "6")
-        _, threaded = _verify(
-            tmp_path, "b.json", "--suite", "factorization", "--samples", "6", "--threads", "4"
-        )
-        assert serial == threaded
+    def test_unexpected_exception_exits_4(self, tmp_path, capsys, monkeypatch):
+        def broken(cfg):
+            raise RuntimeError("defect in a suite builder")
+
+        monkeypatch.setitem(suites._BUILDERS, "symplectic", broken)
+        code = main(["verify", "--suite", "symplectic", "--out", str(tmp_path / "r.json")])
+        assert code == 4
+        assert capsys.readouterr().err == "unexpected error: RuntimeError: defect in a suite builder\n"
+        assert not (tmp_path / "r.json").exists()
 
     def test_seed_env_variable(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PLIE_SEED", "99")

@@ -103,7 +103,7 @@ class TestNonFiniteResiduals:
 
 def test_jacobian_fd_polynomial_map():
     def f(x):
-        return np.array([x[0] * x[1], x[0] ** 2 + 3.0 * x[1]])
+        return np.stack([x[..., 0] * x[..., 1], x[..., 0] ** 2 + 3.0 * x[..., 1]], axis=-1)
 
     x = np.array([0.4 + 0.2j, -0.3 + 0.1j])
     J = jacobian_fd(f, x, POLY)
@@ -159,7 +159,7 @@ class TestPoissonMap:
 
         def f(xv):
             p = charts.unpack_spoint(xv, n, 1)
-            return charts.pack_dual(g_pm(SpinPoint(p.A[:, 0], p.B[0, :])))
+            return charts.pack_dual(g_pm(SpinPoint(p.A[..., :, 0], p.B[..., 0, :])))
 
         x = charts.pack_spoint(s.as_spoint())
         assert poisson_map_residual(src, tgt, f, x, FD) < 1e-7
@@ -212,7 +212,7 @@ class TestActions:
         gspec, sspec, g, x = self._setup(n, d)
 
         def act(gv, xv):
-            gm = gv.reshape(n, n)
+            gm = gv.reshape(gv.shape[:-1] + (n, n))
             p = charts.unpack_spoint(xv, n, d)
             return charts.pack_spoint(SPoint(gm @ p.A, p.B @ np.linalg.inv(gm)))
 
@@ -227,7 +227,7 @@ class TestActions:
         x = sampling.sample_vector(4, 3, sspec.dim, 0.3)
 
         def act(gv, xv):
-            gm = gv.reshape(d, d)
+            gm = gv.reshape(gv.shape[:-1] + (d, d))
             p = charts.unpack_spoint(xv, n, d)
             return charts.pack_spoint(SPoint(p.A @ np.linalg.inv(gm), gm @ p.B))
 
@@ -238,7 +238,7 @@ class TestActions:
         gspec, sspec, _, x = self._setup(n, d)
 
         def act(gv, xv):
-            gm = gv.reshape(n, n)
+            gm = gv.reshape(gv.shape[:-1] + (n, n))
             p = charts.unpack_spoint(xv, n, d)
             return charts.pack_spoint(SPoint(gm @ p.A, p.B @ np.linalg.inv(gm)))
 
@@ -249,14 +249,14 @@ class TestBracketCoordFn:
     def test_constant_function(self):
         spec = BracketSpec("S", 1.0, n=2, d=2)
         x = sampling.sample_vector(5, 0, spec.dim, 0.5)
-        assert abs(bracket_coord_fn(spec, x, 0, lambda _x: 1.7 + 0j, POLY)) < 1e-13
+        assert abs(bracket_coord_fn(spec, x, 0, lambda xv: np.full(xv.shape[:-1], 1.7 + 0j), POLY)) < 1e-13
 
     def test_coordinate_function(self):
         spec = BracketSpec("S", 1.0, n=2, d=2)
         x = sampling.sample_vector(5, 1, spec.dim, 0.5)
         Pi = spec.bivector(x)
         for q in (1, 5):
-            val = bracket_coord_fn(spec, x, 2, lambda xv, q=q: xv[q], POLY)
+            val = bracket_coord_fn(spec, x, 2, lambda xv, q=q: xv[..., q], POLY)
             assert abs(val - Pi[2, q]) < 1e-12
 
     def test_leibniz_on_quadratic(self):
@@ -276,7 +276,7 @@ class TestBracketCoordFn:
 
         def f(xv):
             q = charts.unpack_spoint(xv, n, d)
-            return (np.eye(n) + q.A @ q.B)[j, k]
+            return (np.eye(n) + q.A @ q.B)[..., j, k]
 
         assert abs(bracket_coord_fn(spec, x, p_idx, f, POLY) - expected) < 1e-12
 
