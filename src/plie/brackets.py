@@ -142,38 +142,20 @@ def ao_minus_bivector(kappa: complex, point: SPoint) -> np.ndarray:
     return M[..., perm[:, None], perm]
 
 
-def _gl_mult_block(kappa: complex, g: np.ndarray) -> np.ndarray:
-    """{g_ij, g_kl} = (kappa/2)(sgn(j-l) + sgn(i-k)) g_il g_kj."""
-    ell = g.shape[-1]
-    S = kernels.sign_grid(ell)
-    coeff = S[None, :, None, :] + S[:, None, :, None]
-    M = 0.5 * kappa * coeff * g[..., :, None, None, :] * g.swapaxes(-1, -2)[..., None, :, :, None]
-    return M.reshape(g.shape[:-2] + (ell * ell, ell * ell))
-
-
 def gl_mult_bivector(kappa: complex, g: np.ndarray) -> np.ndarray:
-    return antisymmetrize(_gl_mult_block(kappa, np.asarray(g, dtype=complex)))
+    """{g_ij, g_kl} = (kappa/2)(sgn(i-k) + sgn(j-l)) g_il g_kj."""
+    return antisymmetrize(kernels.quadratic(g, g, kappa, 0.0, 1.0, 1.0))
 
 
 def _double_raw(kappa: complex, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    ell = u.shape[-1]
-    S = kernels.sign_grid(ell)
-    uu = _gl_mult_block(kappa, u)
-    vv = _gl_mult_block(kappa, v)
-    ut = u.swapaxes(-1, -2)
-    vt = v.swapaxes(-1, -2)
-    # {u_ij, v_kl} = k [ (1/2)(sgn(j-l)+1) u_il v_kj - (1/2)(sgn(k-i)+1) u_kj v_il ]
-    uv = 0.5 * kappa * (
-        (S[None, :, None, :] + 1.0) * u[..., :, None, None, :] * vt[..., None, :, :, None]
-        - (1.0 - S[:, None, :, None]) * ut[..., None, :, :, None] * v[..., :, None, None, :]
-    )
-    m = ell * ell
-    uvf = uv.reshape(u.shape[:-2] + (m, m))
+    m = u.shape[-1] ** 2
+    # {u_ij, v_kl} = (kappa/2) [ (1 + sgn(j-l)) u_il v_kj - (1 - sgn(i-k)) v_il u_kj ]
+    uv = kernels.quadratic(u, v, kappa, 1.0, 0.0, 1.0) - kernels.quadratic(v, u, kappa, 1.0, -1.0, 0.0)
     M = np.empty(u.shape[:-2] + (2 * m, 2 * m), dtype=complex)
-    M[..., :m, :m] = uu
-    M[..., m:, m:] = vv
-    M[..., :m, m:] = uvf
-    M[..., m:, :m] = -uvf.swapaxes(-1, -2)
+    M[..., :m, :m] = kernels.quadratic(u, u, kappa, 0.0, 1.0, 1.0)
+    M[..., m:, m:] = kernels.quadratic(v, v, kappa, 0.0, 1.0, 1.0)
+    M[..., :m, m:] = uv
+    M[..., m:, :m] = -uv.swapaxes(-1, -2)
     return M
 
 
@@ -203,21 +185,19 @@ def sts_bivector(kappa: complex, h: np.ndarray) -> np.ndarray:
     """Quadratic Semenov-Tian-Shansky-type bracket on GL(l)."""
     h = np.asarray(h, dtype=complex)
     ell = h.shape[-1]
-    S = kernels.sign_grid(ell)
     eye = np.eye(ell)
-    ht = h.swapaxes(-1, -2)
 
     C = np.einsum("...ia,...al->...ila", h, h)  # C[i,l,a] = h_ia h_al
     Ctail = np.flip(np.cumsum(np.flip(C, axis=-1), axis=-1), axis=-1) - C
-    W1 = -Ctail - 0.5 * C  # W1[i,l,j] = sum_a (1/2)(sgn(j-a)-1) h_ia h_al
-    W2 = Ctail + 0.5 * C  # W2[k,j,i] = sum_b (1/2)(sgn(b-i)+1) h_kb h_bj
+    # W[i,l,j] = kappa sum_a (1/2)(1 - sgn(j-a)) h_ia h_al, which is also
+    # kappa sum_b (1/2)(sgn(b-i) + 1) h_kb h_bj at [k,j,i]
+    W = kappa * (Ctail + 0.5 * C)
 
-    M = eye[None, :, :, None] * W1.swapaxes(-1, -2)[..., :, :, None, :]
-    M = M + eye[:, None, None, :] * W2.swapaxes(-1, -3)[..., :, :, :, None]
-    M = M - 0.5 * (S[None, :, None, :] - S[:, None, :, None]) * (
-        h[..., :, None, None, :] * ht[..., None, :, :, None]
-    )
-    return antisymmetrize(kappa * M.reshape(h.shape[:-2] + (ell * ell, ell * ell)))
+    # delta_jk (-W[i,l,j]) + delta_il W[k,j,i]
+    D = eye[:, None, None, :] * W.swapaxes(-1, -3)[..., :, :, :, None]
+    D = D - eye[None, :, :, None] * W.swapaxes(-1, -2)[..., :, :, None, :]
+    M = kernels.quadratic(h, h, kappa, 0.0, 1.0, -1.0) + D.reshape(h.shape[:-2] + (ell * ell, ell * ell))
+    return antisymmetrize(M)
 
 
 def zak_complex_bivector(kappa: complex, F: HoloFn1, G: HoloFn1, point: SpinPoint) -> np.ndarray:
@@ -231,15 +211,16 @@ def zak_complex_bivector(kappa: complex, F: HoloFn1, G: HoloFn1, point: SpinPoin
     t = np.sum(ab, axis=-1)
     Fv, Gv = F.eval(t), G.eval(t)
     S = kernels.sign_grid(n)
-    AA = 0.5 * kappa * S * (a[..., :, None] * a[..., None, :])
-    BB = -0.5 * kappa * S * (b[..., :, None] * b[..., None, :])
-    cross = np.asarray(-0.5 * kappa * Gv)[..., None, None] * (a[..., :, None] * b[..., None, :])
+    # {a_i, a_k} = (kappa/2) sgn(i-k) a_i a_k and {b_i, b_k} = -(kappa/2) sgn(i-k) b_i b_k
+    ac = a[..., :, None]
+    br = b[..., None, :]
+    cross = np.asarray(-0.5 * kappa * Gv)[..., None, None] * (ac * br)
     diag = 0.5 * kappa * (np.asarray(Fv)[..., None] - (S @ ab[..., None])[..., 0])
     r = np.arange(n)
     cross[..., r, r] += diag
     M = np.empty(a.shape[:-1] + (2 * n, 2 * n), dtype=complex)
-    M[..., :n, :n] = AA
-    M[..., n:, n:] = BB
+    M[..., :n, :n] = kernels.quadratic(ac, ac, kappa, 0.0, 1.0, 0.0)
+    M[..., n:, n:] = kernels.quadratic(br, br, kappa, 0.0, 0.0, -1.0)
     M[..., :n, n:] = cross
     M[..., n:, :n] = -cross.swapaxes(-1, -2)
     return antisymmetrize(M)

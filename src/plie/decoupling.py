@@ -5,7 +5,6 @@ auxiliary (anti-)Poisson maps nu, xi, theta and iota.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import ConstraintViolated, DomainEscape
 from .factorization import factor_inv_pair, g_factors
@@ -121,7 +120,7 @@ def map_F_inverse(p: SPoint) -> SpinTuple:
         M = np.eye(n) - P @ np.outer(p.A[:, al], p.B[al, :]) @ R
         pair = factor_inv_pair(M)
         P = pair.hplus @ P
-        R = R @ np.tril(solve_triangular(pair.hminus, np.eye(n), lower=True))
+        R = R @ np.tril(np.linalg.inv(pair.hminus))
         spins[al] = SpinPoint(P @ p.A[:, al], p.B[al, :] @ R)
     return SpinTuple(spins)
 

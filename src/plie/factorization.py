@@ -6,7 +6,6 @@ square-root factorization chi^{-1}, and the closed-form spin factorization
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import BranchCut, SingularMinor, ZeroG
 from .points import DualPair, SPoint, SpinPoint, SpinTuple
@@ -83,7 +82,7 @@ def chi(pair: DualPair) -> np.ndarray:
     hm = pair.hminus
     if np.any(np.diag(hm) == 0):
         raise ValueError("h_- is singular")
-    return solve_triangular(hm.T, pair.hplus.T, lower=False).T
+    return np.linalg.solve(hm.T, pair.hplus.T).T
 
 
 def chi_inverse_local(h: np.ndarray) -> DualPair:
@@ -96,8 +95,7 @@ def chi_inverse_local(h: np.ndarray) -> DualPair:
     g_gt, g_0, g_lt = gauss(h)
     h0 = _principal_sqrt(np.diag(g_0))
     hplus = g_gt * h0[None, :]
-    hminus = solve_triangular(g_lt, np.eye(g_lt.shape[0]), lower=True, unit_diagonal=True)
-    hminus = hminus / h0[None, :]
+    hminus = np.linalg.inv(g_lt) / h0[None, :]
     hplus[np.tril_indices_from(hplus, -1)] = 0.0
     hminus[np.triu_indices_from(hminus, 1)] = 0.0
     return DualPair(hplus, hminus)
@@ -106,10 +104,8 @@ def chi_inverse_local(h: np.ndarray) -> DualPair:
 def factor_inv_pair(m: np.ndarray) -> DualPair:
     """Factor m = g_+^{-1} g_- with (g_+, g_-) a DualPair, branch at m = I."""
     inner = chi_inverse_local(m)
-    ell = inner.ell
-    eye = np.eye(ell)
-    gp = solve_triangular(inner.hplus, eye, lower=False)
-    gm = solve_triangular(inner.hminus, eye, lower=True)
+    gp = np.linalg.inv(inner.hplus)
+    gm = np.linalg.inv(inner.hminus)
     gp[np.tril_indices_from(gp, -1)] = 0.0
     gm[np.triu_indices_from(gm, 1)] = 0.0
     return DualPair(gp, gm)

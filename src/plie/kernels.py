@@ -1,6 +1,8 @@
-"""NumPy fills of the raw (unsymmetrized) coordinate-bracket matrices on S(n,d).
+"""NumPy kernels of the raw (unsymmetrized) coordinate-bracket matrices.
 
-Both fills take stacks: ``A`` of shape ``(..., n, d)`` and ``B`` of shape
+``quadratic`` is the sign-weighted block (kappa/2)(c0 + c_row sgn(i-k) +
+c_col sgn(j-l)) M_il N_kj that every r-matrix bracket is built from.  The
+S(n,d) fills take stacks: ``A`` of shape ``(..., n, d)`` and ``B`` of shape
 ``(..., d, n)`` give a matrix of shape ``(..., 2nd, 2nd)`` per point, in the
 S(n,d) chart: A(i,alpha) row-major, then B(alpha,i) row-major.  A single
 point is the batch shape ``()``.
@@ -12,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["sign_grid", "fill_s", "fill_hat"]
+__all__ = ["sign_grid", "quadratic", "fill_s", "fill_hat"]
 
 
 @lru_cache(maxsize=None)
@@ -22,6 +24,30 @@ def sign_grid(m: int) -> np.ndarray:
     S = np.sign(np.subtract.outer(r, r)).astype(float)
     S.flags.writeable = False
     return S
+
+
+@lru_cache(maxsize=None)
+def _quadratic_grid(r: int, c: int, c0: float, c_row: float, c_col: float) -> np.ndarray:
+    """W[(i,j),(k,l)] = c0 + c_row sgn(i-k) + c_col sgn(j-l) as a read-only (rc, rc) array."""
+    W = c0 + c_row * sign_grid(r)[:, None, :, None] + c_col * sign_grid(c)[None, :, None, :]
+    W = W.reshape(r * c, r * c)
+    W.flags.writeable = False
+    return W
+
+
+def quadratic(M, N, kappa: complex, c0: float, c_row: float, c_col: float) -> np.ndarray:
+    """(kappa/2)(c0 + c_row sgn(i-k) + c_col sgn(j-l)) M_il N_kj at [(i,j), (k,l)].
+
+    ``M`` and ``N`` are stacks of shape ``(..., r, c)``; the result has shape
+    ``(..., r c, r c)`` with rows and columns in row-major (i, j) order.
+    """
+    M = np.asarray(M, dtype=complex)
+    N = np.asarray(N, dtype=complex)
+    r, c = M.shape[-2:]
+    batch = M.shape[:-2]
+    W = _quadratic_grid(r, c, c0, c_row, c_col)
+    P = M[..., :, None, None, :] * N.swapaxes(-1, -2)[..., None, :, :, None]  # axes (i, j, k, l)
+    return (0.5 * kappa) * W * P.reshape(batch + (r * c, r * c))
 
 
 @lru_cache(maxsize=None)
@@ -49,24 +75,14 @@ def _fill(A, B, kappa: complex, hat: bool, cross_const: complex) -> np.ndarray:
     n, d = A.shape[-2:]
     batch = A.shape[:-2]
     nd = n * d
-    Si = sign_grid(n)
-    Sa = sign_grid(d)
     s = -1.0 if hat else 1.0
     half = 0.5 * kappa
-    At = A.swapaxes(-1, -2)
 
     M = np.empty(batch + (2 * nd, 2 * nd), dtype=complex)
-
-    # {A_i^a, A_k^b} = (kappa/2)(s sgn(i-k) - sgn(a-b)) A_k^a A_i^b,  axes (i, a, k, b)
-    coeff = s * Si[:, None, :, None] - Sa[None, :, None, :]
-    AA = half * coeff * At[..., None, :, :, None] * A[..., :, None, None, :]
-    M[..., :nd, :nd] = AA.reshape(batch + (nd, nd))
-
-    # {B_i^a, B_k^b} = -(kappa/2)(s sgn(i-k) - sgn(a-b)) B_k^a B_i^b,  B_i^a = B[a,i],
-    # axes (a, i, b, k)
-    coeffB = s * Si[None, :, None, :] - Sa[:, None, :, None]
-    BB = -half * coeffB * B[..., :, None, None, :] * B.swapaxes(-1, -2)[..., None, :, :, None]
-    M[..., nd:, nd:] = BB.reshape(batch + (nd, nd))
+    # {A_i^a, A_k^b} = (kappa/2)(s sgn(i-k) - sgn(a-b)) A_i^b A_k^a
+    M[..., :nd, :nd] = quadratic(A, A, kappa, 0.0, s, -1.0)
+    # {B_i^a, B_k^b} = (kappa/2)(sgn(a-b) - s sgn(i-k)) B_k^a B_i^b,  B_i^a = B[a,i]
+    M[..., nd:, nd:] = quadratic(B, B, kappa, 0.0, 1.0, -s)
 
     # {A_i^a, B_k^b}, axes (i, a, b, k):
     #   s delta_ik [ (k/2) A_i^a B_i^b + k sum_{t>i} A_t^a B_t^b ]

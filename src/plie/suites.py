@@ -86,6 +86,15 @@ def _fd(cfg: RunConfig) -> DiffScheme:
     return DiffScheme(step=cfg.fd_step, richardson=True)
 
 
+# (F, G) pairs of the Zakrzewski brackets: affine F = 2 + t with G = -1 and
+# linear F = t with G = 0 are admissible; F = 1 with G = 0 is not
+_F_AFF = HoloFn1.affine(2, 1, "F")
+_G_AFF = HoloFn1.affine(-1, 0, "G")
+_F_LIN = HoloFn1.affine(0, 1, "F")
+_F_ONE = HoloFn1.affine(1, 0, "F")
+_G_ZERO = HoloFn1.affine(0, 0, "G")
+
+
 def _tuple_diff(t1, t2) -> float:
     return max(
         max(float(np.max(np.abs(u.a - v.a))), float(np.max(np.abs(u.b - v.b))))
@@ -248,9 +257,7 @@ def _suite_ao_maps(cfg: RunConfig):
     sprod = BracketSpec("Sprod", kap, n=n, d=d)
     iota_f = lambda x: charts.pack_tuple(dc.iota(charts.unpack_tuple(x, n, d)))
     J_iota = _linear_jacobian(iota_f, sprod.dim)
-    F = HoloFn1(lambda t: 2 + t, lambda t: 1 + 0 * t, "F")
-    G = HoloFn1(lambda t: -1 + 0 * t, lambda t: 0 * t, "G")
-    zak = BracketSpec("ZakC", kap, n=n, F=F, G=G)
+    zak = BracketSpec("ZakC", kap, n=n, F=_F_AFF, G=_G_AFF)
     swap = np.zeros((2 * n, 2 * n))
     swap[:n, n:] = np.eye(n)
     swap[n:, :n] = np.eye(n)
@@ -369,15 +376,10 @@ def _suite_zakrzewski(cfg: RunConfig):
         "dichotomy": 1.0,
     }
     params = {"n": n, "kappa": cfg.kappa, "epsilon": cfg.epsilon, "bounds": bounds}
-    F_aff = HoloFn1(lambda t: 2 + t, lambda t: 1 + 0 * t, "F")
-    G_aff = HoloFn1(lambda t: -1 + 0 * t, lambda t: 0 * t, "G")
-    F_lin = HoloFn1(lambda t: t, lambda t: 1 + 0 * t, "F")
-    G_zero = HoloFn1(lambda t: 0 * t, lambda t: 0 * t, "G")
-    F_one = HoloFn1(lambda t: 1 + 0 * t, lambda t: 0 * t, "F")
-    spec_aff = BracketSpec("ZakC", cfg.kappa, n=n, F=F_aff, G=G_aff)
-    spec_lin = BracketSpec("ZakC", cfg.kappa, n=n, F=F_lin, G=G_zero)
-    spec_real = BracketSpec("ZakR", epsilon=cfg.epsilon, n=n, F=F_aff, G=G_aff)
-    spec_bad = BracketSpec("ZakC", cfg.kappa, n=n, F=F_one, G=G_zero)
+    spec_aff = BracketSpec("ZakC", cfg.kappa, n=n, F=_F_AFF, G=_G_AFF)
+    spec_lin = BracketSpec("ZakC", cfg.kappa, n=n, F=_F_LIN, G=_G_ZERO)
+    spec_real = BracketSpec("ZakR", epsilon=cfg.epsilon, n=n, F=_F_AFF, G=_G_AFF)
+    spec_bad = BracketSpec("ZakC", cfg.kappa, n=n, F=_F_ONE, G=_G_ZERO)
 
     def sample(i: int) -> dict:
         x = sampling.sample_vector(cfg.seed, i, 2 * n, 1.0)
@@ -386,8 +388,8 @@ def _suite_zakrzewski(cfg: RunConfig):
             "jacobi_affine": vf.jacobi_residual(spec_aff, x, _POLY) / bounds["jacobi_affine"],
             "jacobi_linear": vf.jacobi_residual(spec_lin, x, _POLY) / bounds["jacobi_linear"],
             "jacobi_affine_real": vf.jacobi_residual(spec_real, x, _POLY) / bounds["jacobi_affine_real"],
-            "condition_affine": vf.zak_condition_residual(F_aff, G_aff, t) / bounds["condition_affine"],
-            "condition_linear": vf.zak_condition_residual(F_lin, G_zero, t) / bounds["condition_linear"],
+            "condition_affine": vf.zak_condition_residual(_F_AFF, _G_AFF, t) / bounds["condition_affine"],
+            "condition_linear": vf.zak_condition_residual(_F_LIN, _G_ZERO, t) / bounds["condition_linear"],
         }
         # inadmissible (F, G): Jacobi must visibly fail at generic points
         bad = vf.jacobi_residual(spec_bad, x, _POLY)
@@ -405,9 +407,7 @@ def _suite_actions(cfg: RunConfig):
     gspec_d = BracketSpec("GLmult", kap, ell=d)
     sspec = BracketSpec("S", kap, n=n, d=d)
     sch = _fd(cfg)
-    F = HoloFn1(lambda t: 2 + t, lambda t: 1 + 0 * t, "F")
-    G = HoloFn1(lambda t: -1 + 0 * t, lambda t: 0 * t, "G")
-    zspec = BracketSpec("ZakC", kap, n=n, F=F, G=G)
+    zspec = BracketSpec("ZakC", kap, n=n, F=_F_AFF, G=_G_AFF)
 
     # group element and point each of shape (..., dim); either may be one point
     def act_n(gv, xv):

@@ -3,12 +3,12 @@ Poisson/anti-Poisson maps, Poisson actions, moment-map relations, the
 h-product bracket identities, symplectic inversion, rank, and the
 admissibility condition of the holomorphic covariant brackets.
 
-All differentiation uses central differences along the real axis of each
-complex coordinate (valid for holomorphic maps), optionally with one
-Richardson extrapolation level; exact Jacobians should be supplied for
-linear maps.  A differentiated map takes points of shape (..., dim) to
-values of shape (..., m), and each Jacobian evaluates all its probe points
-in one call.
+All differentiation goes through one routine: central differences along
+the real axis of each complex coordinate (valid for holomorphic maps),
+optionally with one Richardson extrapolation level; exact Jacobians should
+be supplied for linear maps.  A differentiated map takes points of shape
+(..., dim) to values of shape (..., m), and each Jacobian evaluates all its
+probe points in one call.
 """
 
 from __future__ import annotations
@@ -50,13 +50,10 @@ class DiffScheme:
 
     step: float = 1e-5
     richardson: bool = True
-    direction: str = "real-axis"
 
     def __post_init__(self):
         if not (1e-9 <= self.step <= 1e-2):
             raise ConfigError(f"step {self.step} outside [1e-9, 1e-2]")
-        if self.direction not in ("real-axis", "imag-axis"):
-            raise ConfigError(f"unknown direction {self.direction!r}")
 
 
 @dataclass(frozen=True)
@@ -77,16 +74,46 @@ class VerificationReport:
             raise ValueError("pass flag inconsistent with the failure list")
 
 
-def _probe_stack(x: np.ndarray, deltas) -> np.ndarray:
-    """Rows x + delta e_l for l = 0..dim-1, then x - delta e_l, for each delta in turn."""
+def _central_differences(
+    f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, scheme: DiffScheme, block: int
+) -> np.ndarray:
+    """Derivative stack D[l] = (f(x + h e_l) - f(x - h e_l)) / (2h), shape (dim, ...).
+
+    With ``scheme.richardson`` the differences at h/2 are folded in as
+    (4 D_{h/2} - D_h) / 3.  ``f`` maps a (P, dim) stack of probes to P values;
+    it is called once per block of at most ``block`` consecutive l, on the
+    probes x +- h e_l, then x +- (h/2) e_l, of that block.  ValueError if the
+    values do not come back one per probe.
+    """
     dim = x.size
-    X = np.empty((len(deltas), 2, dim, dim), dtype=complex)
-    X[...] = x
-    r = np.arange(dim)
-    for k, delta in enumerate(deltas):
-        X[k, 0, r, r] += delta
-        X[k, 1, r, r] -= delta
-    return X.reshape(-1, dim)
+    h = scheme.step
+    steps = (h, h / 2) if scheme.richardson else (h,)
+    D = None
+    for l0 in range(0, dim, block):
+        l1 = min(dim, l0 + block)
+        rows = np.arange(l1 - l0)
+        X = np.empty((len(steps), 2, l1 - l0, dim), dtype=complex)
+        X[...] = x
+        for k, step in enumerate(steps):
+            X[k, 0, rows, l0 + rows] += step
+            X[k, 1, rows, l0 + rows] -= step
+        X = X.reshape(-1, dim)
+        Y = np.asarray(f(X))
+        if Y.shape[:1] != X.shape[:1]:
+            raise ValueError(f"map must take (..., {dim}) to (..., m): a {X.shape} stack gave {Y.shape}")
+        Y = Y.reshape((len(steps), 2, l1 - l0) + Y.shape[1:])
+        if D is None:
+            D = np.empty((dim,) + Y.shape[3:], dtype=complex)
+        blk = np.subtract(Y[0, 0], Y[0, 1], out=D[l0:l1])
+        blk /= 2 * h
+        if scheme.richardson:
+            fine = np.subtract(Y[1, 0], Y[1, 1], out=Y[1, 0])
+            fine /= 2 * steps[1]
+            fine *= 4.0
+            fine -= blk
+            fine /= 3.0
+            blk[...] = fine
+    return D
 
 
 def jacobian_fd(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, scheme: DiffScheme = DiffScheme()) -> np.ndarray:
@@ -98,18 +125,10 @@ def jacobian_fd(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, scheme: Di
     back as (P, m), e.g. from a map written for one point only.
     """
     x = np.asarray(x, dtype=complex)
-    dim = x.size
-    unit = 1.0 if scheme.direction == "real-axis" else 1j
-    deltas = [unit * scheme.step] + ([unit * (scheme.step / 2)] if scheme.richardson else [])
-    X = _probe_stack(x, deltas)
-    Y = np.asarray(f(X))
-    if Y.ndim != 2 or Y.shape[0] != X.shape[0]:
-        raise ValueError(f"map must take (..., {dim}) to (..., m): a {X.shape} stack gave {Y.shape}")
-    Y = Y.reshape(len(deltas), 2, dim, -1)
-    J = (Y[0, 0] - Y[0, 1]) / (2 * deltas[0])
-    if scheme.richardson:
-        J = (4.0 * ((Y[1, 0] - Y[1, 1]) / (2 * deltas[1])) - J) / 3.0
-    return J.T
+    D = _central_differences(f, x, scheme, x.size)
+    if D.ndim != 2:
+        raise ValueError(f"map must take (..., {x.size}) to (..., m): its values have shape {D.shape[1:]}")
+    return D.T
 
 
 # Probes of one bivector call in ``jacobi_residual``: at most this many
@@ -117,41 +136,13 @@ def jacobian_fd(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, scheme: Di
 _BLOCK_ENTRIES = 2**18
 
 
-def _bivector_derivatives(spec: BracketSpec, x: np.ndarray, delta: complex, out: np.ndarray) -> np.ndarray:
-    """Central differences out[l] = (Pi(x + delta e_l) - Pi(x - delta e_l)) / (2 delta).
-
-    The probes x +- delta e_l are evaluated in blocks of consecutive l, one
-    bivector call per block.
-    """
-    dim = x.size
-    per_block = max(1, _BLOCK_ENTRIES // (2 * dim * dim))
-    for l0 in range(0, dim, per_block):
-        l1 = min(dim, l0 + per_block)
-        rows = np.arange(l1 - l0)
-        cols = np.arange(l0, l1)
-        X = np.empty((2, l1 - l0, dim), dtype=complex)
-        X[...] = x
-        X[0, rows, cols] += delta
-        X[1, rows, cols] -= delta
-        P = spec.bivector(X)
-        blk = np.subtract(P[0], P[1], out=out[l0:l1])
-        blk /= 2 * delta
-    return out
-
-
 def jacobi_residual(spec: BracketSpec, x: np.ndarray, scheme: DiffScheme = DiffScheme()) -> float:
     """Max over coordinate triples of the cyclic Jacobiator of the bivector."""
     x = np.asarray(x, dtype=complex)
     dim = spec.dim
     Pi0 = spec.bivector(x)
-    unit = 1.0 if scheme.direction == "real-axis" else 1j
-    dPi = _bivector_derivatives(spec, x, unit * scheme.step, np.empty((dim, dim, dim), dtype=complex))
-    if scheme.richardson:
-        fine = _bivector_derivatives(spec, x, unit * (scheme.step / 2), np.empty_like(dPi))
-        fine *= 4.0
-        fine -= dPi
-        fine /= 3.0
-        dPi = fine
+    per_coordinate = (4 if scheme.richardson else 2) * dim * dim  # output entries of one l's probes
+    dPi = _central_differences(spec.bivector, x, scheme, max(1, _BLOCK_ENTRIES // per_coordinate))
     # T[i, j, k] = sum_l Pi0[i, l] d_l Pi[j, k]; the cyclic sum reuses dPi's buffer
     T = (Pi0 @ dPi.reshape(dim, dim * dim)).reshape(dim, dim, dim)
     J = np.add(T, T.transpose(1, 2, 0), out=dPi)
@@ -283,18 +274,15 @@ def moment_residuals(kappa: complex, point: SPoint, scheme: DiffScheme = DiffSch
     b_row = sp.b[None, :]
 
     # S(n, 1) and the spin chart C2n(n) order coordinates alike: a, then b
-    def gplus_flat(xx):
-        return _flat(g_pm(charts.unpack_spin(xx, n)).hplus)
-
-    def gminus_flat(xx):
-        return _flat(g_pm(charts.unpack_spin(xx, n)).hminus)
-
-    def coords(xx):
-        return xx
+    def gpm_flat(xx):
+        pair = g_pm(charts.unpack_spin(xx, n))
+        return np.concatenate([_flat(pair.hplus), _flat(pair.hminus)], axis=-1)
 
     pair = g_pm(sp)
-    Mab_p = bracket_functions(s_spec, xs, coords, gplus_flat, scheme)
-    Mab_m = bracket_functions(s_spec, xs, coords, gminus_flat, scheme)
+    # {x_p, g_q} = sum_c Pi[p, c] d_c g_q: the coordinates' own Jacobian is exactly I
+    Mab = s_spec.bivector(xs) @ jacobian_fd(gpm_flat, xs, scheme).T
+    Mab_p = Mab[:, : n * n]
+    Mab_m = Mab[:, n * n :]
     # {A1, phi+-2} = -kappa r_-+ A1 phi+-2 ; {B1, phi+-2} = kappa B1 r_-+ phi+-2
     rhs = (-kappa * rmn.rmul1(a_col).rmul2(pair.hplus)).array.reshape(n, n * n)
     out["mom1_gplus_a"] = float(np.max(np.abs(Mab_p[:n] - rhs)))

@@ -44,10 +44,6 @@ class TestDiffScheme:
         with pytest.raises(ConfigError):
             DiffScheme(step=1e-12)
 
-    def test_rejects_bad_direction(self):
-        with pytest.raises(ConfigError):
-            DiffScheme(direction="diagonal")
-
 
 def test_report_consistency_enforced():
     with pytest.raises(ValueError):
