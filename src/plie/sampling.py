@@ -21,6 +21,7 @@ __all__ = [
     "sample_double",
     "sample_dual",
     "sample_vector",
+    "sample_vectors",
 ]
 
 def rng_for(seed: int, index: int) -> np.random.Generator:
@@ -36,6 +37,17 @@ def complex_disk(rng: np.random.Generator, shape, radius: float) -> np.ndarray:
 
 def sample_vector(seed: int, index: int, dim: int, radius: float) -> np.ndarray:
     return complex_disk(rng_for(seed, index), dim, radius)
+
+
+def sample_vectors(seed: int, indices, dim: int, radius: float) -> np.ndarray:
+    """The stack of ``sample_vector(seed, i, dim, radius)`` over ``indices``, shape (S, dim)."""
+    u = np.empty((len(indices), dim))
+    v = np.empty((len(indices), dim))
+    for row, i in enumerate(indices):
+        rng = rng_for(seed, i)
+        u[row] = rng.random(dim)
+        v[row] = rng.random(dim)
+    return radius * np.sqrt(u) * np.exp(2j * np.pi * v)
 
 
 def sample_spoint(seed: int, index: int, n: int, d: int, radius: float) -> SPoint:

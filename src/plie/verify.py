@@ -9,6 +9,11 @@ optionally with one Richardson extrapolation level; exact Jacobians should
 be supplied for linear maps.  A differentiated map takes points of shape
 (..., dim) to values of shape (..., m), and each Jacobian evaluates all its
 probe points in one call.
+
+``jacobi_residual`` takes one point of shape (dim,) and returns a float, or
+a stack of S points of shape (S, dim) and returns the (S,) array of their
+residuals; the bivector is called once per block of probes, for all the
+samples of the block together.
 """
 
 from __future__ import annotations
@@ -36,6 +41,8 @@ __all__ = [
     "bracket_coord_fn",
     "bracket_functions",
     "moment_residuals",
+    "moment_gamma_residuals",
+    "moment_factor_residuals",
     "lemma_h_residuals",
     "symplectic_matrix",
     "symplectic_inversion_residual",
@@ -75,45 +82,59 @@ class VerificationReport:
 
 
 def _central_differences(
-    f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, scheme: DiffScheme, block: int
-) -> np.ndarray:
-    """Derivative stack D[l] = (f(x + h e_l) - f(x - h e_l)) / (2h), shape (dim, ...).
+    f: Callable[[np.ndarray], np.ndarray],
+    x: np.ndarray,
+    scheme: DiffScheme,
+    block: int,
+    with_base: bool = False,
+):
+    """Derivative stacks D[s, l] = (f(x_s + h e_l) - f(x_s - h e_l)) / (2h) of
+    the S points x of shape (S, dim); D has shape (S, dim, ...).
 
     With ``scheme.richardson`` the differences at h/2 are folded in as
     (4 D_{h/2} - D_h) / 3.  ``f`` maps a (P, dim) stack of probes to P values;
     it is called once per block of at most ``block`` consecutive l, on the
-    probes x +- h e_l, then x +- (h/2) e_l, of that block.  ValueError if the
-    values do not come back one per probe.
+    probes x_s +- h e_l, then x_s +- (h/2) e_l, of that block for every s.
+    With ``with_base`` the S points themselves go first in the first block's
+    call, and (D, f(x)) is returned.  ValueError if the values do not come
+    back one per probe.
     """
-    dim = x.size
+    S, dim = x.shape
     h = scheme.step
     steps = (h, h / 2) if scheme.richardson else (h,)
-    D = None
+    D = base = None
     for l0 in range(0, dim, block):
         l1 = min(dim, l0 + block)
         rows = np.arange(l1 - l0)
-        X = np.empty((len(steps), 2, l1 - l0, dim), dtype=complex)
-        X[...] = x
+        X = np.empty((S, len(steps), 2, l1 - l0, dim), dtype=complex)
+        X[...] = x[:, None, None, None, :]
         for k, step in enumerate(steps):
-            X[k, 0, rows, l0 + rows] += step
-            X[k, 1, rows, l0 + rows] -= step
+            X[:, k, 0, rows, l0 + rows] += step
+            X[:, k, 1, rows, l0 + rows] -= step
         X = X.reshape(-1, dim)
+        lead = with_base and l0 == 0
+        if lead:
+            X = np.concatenate([x, X])
         Y = np.asarray(f(X))
         if Y.shape[:1] != X.shape[:1]:
             raise ValueError(f"map must take (..., {dim}) to (..., m): a {X.shape} stack gave {Y.shape}")
-        Y = Y.reshape((len(steps), 2, l1 - l0) + Y.shape[1:])
+        if lead:
+            base = Y[:S].copy()  # a copy, so the block's buffer is not kept alive
+            Y = Y[S:]
+        Y = Y.reshape((S, len(steps), 2, l1 - l0) + Y.shape[1:])
         if D is None:
-            D = np.empty((dim,) + Y.shape[3:], dtype=complex)
-        blk = np.subtract(Y[0, 0], Y[0, 1], out=D[l0:l1])
+            D = np.empty((S, dim) + Y.shape[4:], dtype=complex)
+        blk = np.subtract(Y[:, 0, 0], Y[:, 0, 1], out=D[:, l0:l1])
         blk /= 2 * h
         if scheme.richardson:
-            fine = np.subtract(Y[1, 0], Y[1, 1], out=Y[1, 0])
+            fine = np.subtract(Y[:, 1, 0], Y[:, 1, 1], out=Y[:, 1, 0])
             fine /= 2 * steps[1]
             fine *= 4.0
             fine -= blk
             fine /= 3.0
             blk[...] = fine
-    return D
+        del Y  # not alive during the next block's call
+    return (D, base) if with_base else D
 
 
 def jacobian_fd(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, scheme: DiffScheme = DiffScheme()) -> np.ndarray:
@@ -125,29 +146,54 @@ def jacobian_fd(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, scheme: Di
     back as (P, m), e.g. from a map written for one point only.
     """
     x = np.asarray(x, dtype=complex)
-    D = _central_differences(f, x, scheme, x.size)
+    D = _central_differences(f, x[None], scheme, x.size)[0]
     if D.ndim != 2:
         raise ValueError(f"map must take (..., {x.size}) to (..., m): its values have shape {D.shape[1:]}")
     return D.T
 
 
-# Probes of one bivector call in ``jacobi_residual``: at most this many
-# complex entries in the call's (probes, dim, dim) output.
-_BLOCK_ENTRIES = 2**18
+# Entries of one bivector call in ``jacobi_residual``: at most this many
+# complex entries in the call's (samples x probes, dim, dim) output, unless
+# one sample's probes of a single coordinate exceed it.  The bivector's own
+# temporaries are a few times its output, so this sets the peak memory.
+_BLOCK_ENTRIES = 2**16
 
 
-def jacobi_residual(spec: BracketSpec, x: np.ndarray, scheme: DiffScheme = DiffScheme()) -> float:
-    """Max over coordinate triples of the cyclic Jacobiator of the bivector."""
+def jacobi_residual(spec: BracketSpec, x: np.ndarray, scheme: DiffScheme = DiffScheme()):
+    """Max over coordinate triples of the cyclic Jacobiator of the bivector.
+
+    ``x`` is one point of shape (dim,), which gives a float, or a stack of S
+    points of shape (S, dim), which gives the (S,) array of their residuals.
+    The stack is cut into chunks of consecutive samples, and a chunk's
+    probes into blocks of consecutive coordinates, so that one bivector call
+    returns at most ``_BLOCK_ENTRIES`` entries; the chunk's own points go
+    into its first call.  A sample's residual depends only on its point.
+    """
     x = np.asarray(x, dtype=complex)
     dim = spec.dim
-    Pi0 = spec.bivector(x)
+    if x.ndim not in (1, 2) or x.shape[-1] != dim:
+        raise ValueError(f"jacobi_residual takes ({dim},) or (S, {dim}) points, got {x.shape}")
+    X = x.reshape(-1, dim)
     per_coordinate = (4 if scheme.richardson else 2) * dim * dim  # output entries of one l's probes
-    dPi = _central_differences(spec.bivector, x, scheme, max(1, _BLOCK_ENTRIES // per_coordinate))
-    # T[i, j, k] = sum_l Pi0[i, l] d_l Pi[j, k]; the cyclic sum reuses dPi's buffer
-    T = (Pi0 @ dPi.reshape(dim, dim * dim)).reshape(dim, dim, dim)
-    J = np.add(T, T.transpose(1, 2, 0), out=dPi)
-    J += T.transpose(2, 0, 1)
-    return float(np.max(np.abs(J)))
+    per_sample = dim * per_coordinate + dim * dim  # all probes of one sample, and its point
+    if per_sample <= _BLOCK_ENTRIES:
+        chunk, block = _BLOCK_ENTRIES // per_sample, dim
+    else:
+        chunk, block = 1, max(1, _BLOCK_ENTRIES // per_coordinate)
+    parts = [_jacobiator_max(spec, X[s0 : s0 + chunk], scheme, block) for s0 in range(0, len(X), chunk)]
+    out = np.concatenate(parts) if parts else np.empty(0)
+    return float(out[0]) if x.ndim == 1 else out
+
+
+def _jacobiator_max(spec: BracketSpec, X: np.ndarray, scheme: DiffScheme, block: int) -> np.ndarray:
+    """Max |Jacobiator| of each of the S points X, shape (S,); its stacks die on return."""
+    S, dim = X.shape
+    dPi, Pi0 = _central_differences(spec.bivector, X, scheme, block, with_base=True)
+    # T[s, i, j, k] = sum_l Pi0[s, i, l] d_l Pi[s, j, k]; the cyclic sum reuses dPi's buffer
+    T = (Pi0 @ dPi.reshape(S, dim, dim * dim)).reshape(S, dim, dim, dim)
+    J = np.add(T, T.transpose(0, 2, 3, 1), out=dPi)
+    J += T.transpose(0, 3, 1, 2)
+    return np.max(np.abs(J), axis=(1, 2, 3))
 
 
 def poisson_map_residual(
@@ -234,17 +280,22 @@ def _gamma_flat(x: np.ndarray, n: int, d: int) -> np.ndarray:
 
 
 def moment_residuals(kappa: complex, point: SPoint, scheme: DiffScheme = DiffScheme()) -> dict:
-    """Residuals of the quadratic moment-map bracket identities at one point.
+    """Residuals of the quadratic moment-map bracket identities at one point:
+    the union of ``moment_gamma_residuals`` and ``moment_factor_residuals``."""
+    out = moment_gamma_residuals(kappa, point, scheme)
+    out.update(moment_factor_residuals(kappa, point, scheme))
+    return out
 
-    Returns a dict with: the closed bracket relation of Gamma = 1 + AB with
-    itself ('Ga1') and with the coordinates ('Ga2_A', 'Ga2_B'); the per-copy
-    factor relations on the first column/row spin pair ('mom1_*'); and the
-    same set for the hatted structure with Gamma-hat = 1 - AB ('*prime').
-    """
+
+def moment_gamma_residuals(kappa: complex, point: SPoint, scheme: DiffScheme = DiffScheme()) -> dict:
+    """The closed bracket relation of Gamma = 1 + AB with itself ('Ga1') and
+    with the coordinates ('Ga2_A', 'Ga2_B'), and the same set for the hatted
+    structure with Gamma-hat = 1 - AB ('*prime'), at one point.  All maps
+    differentiated here are polynomial."""
     n, d = point.n, point.d
     x = charts.pack_spoint(point)
     spec = BracketSpec("S", kappa, n=n, d=d)
-    rn, rpn, rmn = dj_r(n), r_pm(n, +1), r_pm(n, -1)
+    rpn, rmn = r_pm(n, +1), r_pm(n, -1)
     out: dict[str, float] = {}
 
     # coordinates-and-Gamma in one map so Jacobian blocks share probes
@@ -266,7 +317,36 @@ def moment_residuals(kappa: complex, point: SPoint, scheme: DiffScheme = DiffSch
     out["Ga2_A"] = float(np.max(np.abs(AG - rhs_A)))
     out["Ga2_B"] = float(np.max(np.abs(BG - rhs_B)))
 
-    # factor relations for (g_+, g_-) on the spin pair from the first column/row
+    # hatted counterpart: Gamma-hat = 1 - AB under the primed bracket,
+    # same right-hand sides with an overall minus sign
+    h_spec = BracketSpec("Prime", kappa, n=n, d=d)
+
+    def full_hat(xx):
+        p = charts.unpack_spoint(xx, n, d)
+        gh = np.eye(n, dtype=complex) - p.A @ p.B
+        return np.concatenate([xx, _flat(gh)], axis=-1)
+
+    Gh = np.eye(n, dtype=complex) - point.A @ point.B
+    Mh = bracket_functions(h_spec, x, full_hat, full_hat, scheme)
+    GGh = Mh[2 * nd :, 2 * nd :]
+    AGh = Mh[:nd, 2 * nd :]
+    BGh = Mh[nd : 2 * nd, 2 * nd :]
+    rhs_GGh = -sts_rhs_tensor(kappa, Gh, n).array.reshape(n * n, n * n)
+    out["Ga1prime"] = float(np.max(np.abs(GGh - rhs_GGh)))
+    rhs_Ah = (-kappa * (rpn.lmul2(Gh) - rmn.rmul2(Gh)).rmul1(point.A)).array.reshape(nd, n * n)
+    rhs_Bh = (-kappa * (rmn.rmul2(Gh) - rpn.lmul2(Gh)).lmul1(point.B)).array.reshape(nd, n * n)
+    out["Ga2prime_A"] = float(np.max(np.abs(AGh - rhs_Ah)))
+    out["Ga2prime_B"] = float(np.max(np.abs(BGh - rhs_Bh)))
+    return out
+
+
+def moment_factor_residuals(kappa: complex, point: SPoint, scheme: DiffScheme = DiffScheme()) -> dict:
+    """The factor relations for (g_+, g_-) on the spin pair from the first
+    column/row of the point ('mom1_*'); g+- is rational, so this takes the
+    fine finite-difference scheme."""
+    n = point.n
+    rpn, rmn = r_pm(n, +1), r_pm(n, -1)
+    out: dict[str, float] = {}
     sp = SpinPoint(point.A[:, 0], point.B[0, :])
     s_spec = BracketSpec("S", kappa, n=n, d=1)
     xs = charts.pack_spoint(sp.as_spoint())
@@ -292,27 +372,6 @@ def moment_residuals(kappa: complex, point: SPoint, scheme: DiffScheme = DiffSch
     out["mom1_gminus_a"] = float(np.max(np.abs(Mab_m[:n] - rhs)))
     rhs = (kappa * rpn.lmul1(b_row).rmul2(pair.hminus)).array.reshape(n, n * n)
     out["mom1_gminus_b"] = float(np.max(np.abs(Mab_m[n:] - rhs)))
-
-    # hatted counterpart: Gamma-hat = 1 - AB under the primed bracket,
-    # same right-hand sides with an overall minus sign
-    h_spec = BracketSpec("Prime", kappa, n=n, d=d)
-
-    def full_hat(xx):
-        p = charts.unpack_spoint(xx, n, d)
-        gh = np.eye(n, dtype=complex) - p.A @ p.B
-        return np.concatenate([xx, _flat(gh)], axis=-1)
-
-    Gh = np.eye(n, dtype=complex) - point.A @ point.B
-    Mh = bracket_functions(h_spec, x, full_hat, full_hat, scheme)
-    GGh = Mh[2 * nd :, 2 * nd :]
-    AGh = Mh[:nd, 2 * nd :]
-    BGh = Mh[nd : 2 * nd, 2 * nd :]
-    rhs_GGh = -sts_rhs_tensor(kappa, Gh, n).array.reshape(n * n, n * n)
-    out["Ga1prime"] = float(np.max(np.abs(GGh - rhs_GGh)))
-    rhs_Ah = (-kappa * (rpn.lmul2(Gh) - rmn.rmul2(Gh)).rmul1(point.A)).array.reshape(nd, n * n)
-    rhs_Bh = (-kappa * (rmn.rmul2(Gh) - rpn.lmul2(Gh)).lmul1(point.B)).array.reshape(nd, n * n)
-    out["Ga2prime_A"] = float(np.max(np.abs(AGh - rhs_Ah)))
-    out["Ga2prime_B"] = float(np.max(np.abs(BGh - rhs_Bh)))
     return out
 
 
@@ -484,7 +543,10 @@ def rank_at(spec: BracketSpec, x: np.ndarray, sv_tolerance: float = 1e-10) -> in
     return int(np.count_nonzero(sv > sv_tolerance * max(float(sv[0]), 1.0)))
 
 
-def zak_condition_residual(F: HoloFn1, G: HoloFn1, t: complex) -> float:
-    """|F F' + G (F - F' t) - t|: zero iff the covariant bracket is Poisson for n >= 2."""
+def zak_condition_residual(F: HoloFn1, G: HoloFn1, t):
+    """|F F' + G (F - F' t) - t|: zero iff the covariant bracket is Poisson for n >= 2.
+
+    A scalar t gives a float; an array of t gives the array of residuals."""
     Fv, Fp, Gv = F.eval(t), F.deriv(t), G.eval(t)
-    return float(abs(Fv * Fp + Gv * (Fv - Fp * t) - t))
+    r = np.abs(Fv * Fp + Gv * (Fv - Fp * t) - t)
+    return float(r) if np.ndim(r) == 0 else r

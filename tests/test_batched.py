@@ -1,11 +1,12 @@
 """Tests for the batched evaluation core: stacks of points through every
 bracket kind, the kernel fills, the factorization and decoupling maps, the
-one-call Jacobian and the blocked Jacobi residual."""
+one-call Jacobian, the blocked Jacobi residual on sample stacks, and the
+suites' call counts."""
 
 import numpy as np
 import pytest
 
-from plie import charts, decoupling as dc, factorization as fc, kernels, sampling, verify
+from plie import charts, decoupling as dc, factorization as fc, kernels, sampling, suites, verify
 from plie.brackets import BracketSpec, HoloFn1, s_bivector_tensor
 from plie.errors import BranchCut, DomainEscape, ZeroG
 from plie.points import SPoint, SpinPoint, SpinTuple
@@ -196,6 +197,140 @@ def test_blocked_residual_matches_per_probe_small_blocks(monkeypatch):
     x = sampling.sample_vector(3, 0, spec.dim, 1.0)
     for scheme in (DiffScheme(step=1e-2, richardson=False), DiffScheme(step=1e-3, richardson=True)):
         assert jacobi_residual(spec, x, scheme) == pytest.approx(_jacobi_per_probe(spec, x, scheme), rel=1e-12)
+
+
+# --- the Jacobi residual on sample stacks -------------------------------------
+
+POLY = DiffScheme(step=1e-2, richardson=False)
+RATIONAL = DiffScheme(step=1e-3, richardson=True)
+STACK_SCHEMES = [POLY, RATIONAL]
+STACK_SCHEME_IDS = ["poly", "rational"]
+
+
+def _per_sample_entries(spec, scheme):
+    """Bivector entries of one sample's probes and its point, as jacobi_residual counts them."""
+    return ((4 if scheme.richardson else 2) * spec.dim + 1) * spec.dim**2
+
+
+@pytest.mark.parametrize("scheme", STACK_SCHEMES, ids=STACK_SCHEME_IDS)
+@pytest.mark.parametrize("count", [1, 3, 7])
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
+def test_stacked_residual_equals_per_point(spec, count, scheme):
+    X = _points(spec, count)
+    got = jacobi_residual(spec, X, scheme)
+    assert got.shape == (count,)
+    assert type(jacobi_residual(spec, X[0], scheme)) is float
+    np.testing.assert_array_equal(got, [jacobi_residual(spec, x, scheme) for x in X])
+
+
+@pytest.mark.parametrize("split", ["two-samples", "coordinate-blocks"])
+@pytest.mark.parametrize("scheme", STACK_SCHEMES, ids=STACK_SCHEME_IDS)
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
+def test_stacked_residual_equals_per_point_small_blocks(monkeypatch, spec, scheme, split):
+    X = _points(spec, 7)
+    want = [jacobi_residual(spec, x, scheme) for x in X]
+    per_coordinate = (4 if scheme.richardson else 2) * spec.dim**2
+    if split == "two-samples":  # chunks of two samples, the last one alone, each in one call
+        cap, calls_wanted = 2 * _per_sample_entries(spec, scheme), 4
+    else:  # one sample at a time, in blocks of two coordinates
+        cap, calls_wanted = 2 * per_coordinate, 7 * -(-spec.dim // 2)
+    monkeypatch.setattr(verify, "_BLOCK_ENTRIES", cap)
+    real = type(spec).bivector
+    calls = []
+
+    def counted(self, x):
+        calls.append(len(x))
+        return real(self, x)
+
+    monkeypatch.setattr(type(spec), "bivector", counted)
+    np.testing.assert_array_equal(jacobi_residual(spec, X, scheme), want)
+    assert len(calls) == calls_wanted
+
+
+# the matrix-group charts take any entries; the point containers of the
+# others reject non-finite coordinates
+NAN_CHARTS = ("GLmult", "Double", "STS")
+
+
+@pytest.mark.parametrize("spec", [s for s in SPECS if s.kind in NAN_CHARTS], ids=lambda s: s.kind)
+def test_nan_sample_stays_in_its_row(monkeypatch, spec):
+    # chunks of two samples, so the NaN sample shares its bivector calls with a finite one
+    monkeypatch.setattr(verify, "_BLOCK_ENTRIES", 2 * _per_sample_entries(spec, POLY))
+    X = _points(spec, 5)
+    want = jacobi_residual(spec, X, POLY)
+    X[2, 0] = np.nan
+    got = jacobi_residual(spec, X, POLY)
+    assert np.isnan(got[2])
+    np.testing.assert_array_equal(np.delete(got, 2), np.delete(want, 2))
+
+
+@pytest.mark.parametrize("spec", [s for s in SPECS if s.kind not in NAN_CHARTS], ids=lambda s: s.kind)
+def test_nan_sample_rejected_by_point_chart(spec):
+    X = _points(spec, 3)
+    X[1, 0] = np.nan
+    with pytest.raises(ValueError):
+        jacobi_residual(spec, X, POLY)
+
+
+def test_residual_rejects_wrong_shapes():
+    spec = BracketSpec("S", 1.0, n=2, d=2)
+    for bad in (np.zeros(7), np.zeros((2, 7)), np.zeros((2, 3, 8))):
+        with pytest.raises(ValueError):
+            jacobi_residual(spec, bad, POLY)
+
+
+@pytest.mark.parametrize("dim,radius", [(1, 1.0), (8, 0.3), (32, 1.0)])
+def test_sample_vectors_rows_equal_sample_vector(dim, radius):
+    indices = np.array([0, 5, 1, 99])
+    X = sampling.sample_vectors(42, indices, dim, radius)
+    assert X.shape == (4, dim)
+    for row, i in zip(X, indices):
+        np.testing.assert_array_equal(row, sampling.sample_vector(42, i, dim, radius))
+
+
+# --- call counts of the suites --------------------------------------------------
+
+
+def test_jacobi_suite_bivector_calls_do_not_grow_with_samples(monkeypatch):
+    real = BracketSpec.bivector
+    calls = []
+
+    def counted(self, x):
+        calls.append(self.kind)
+        return real(self, x)
+
+    monkeypatch.setattr(BracketSpec, "bivector", counted)
+    counts = []
+    for samples in (2, 6):
+        calls.clear()
+        assert suites.run_suite(suites.RunConfig("jacobi", n=2, d=2, ell=2, samples=samples)).ok
+        counts.append(len(calls))
+    assert counts[0] > 0
+    assert counts[0] == counts[1], f"bivector calls grow with the sample count: {counts}"
+
+
+def test_moment_suite_takes_three_jacobians_per_sample(monkeypatch):
+    cfg = suites.RunConfig("moment", n=3, d=2, samples=4)
+    params, count, check = suites._BUILDERS["moment"](cfg)
+    real = verify.jacobian_fd
+    calls = []
+
+    def counted(f, x, scheme=DiffScheme()):
+        calls.append(scheme)
+        return real(f, x, scheme)
+
+    monkeypatch.setattr(verify, "jacobian_fd", counted)
+    got = check(np.arange(count))
+    assert len(calls) == 3 * count
+    monkeypatch.setattr(verify, "jacobian_fd", real)
+    # each key as the two whole-set calls, one per scheme, give it
+    fd = DiffScheme(step=cfg.fd_step, richardson=True)
+    for i in range(count):
+        p = sampling.sample_spoint(cfg.seed, i, cfg.n, cfg.d, cfg.radius)
+        exact, fine = verify.moment_residuals(cfg.kappa, p, suites._POLY), verify.moment_residuals(cfg.kappa, p, fd)
+        for key, bound in params["bounds"].items():
+            want = (fine if key.startswith("mom1_") else exact)[key] / bound
+            assert got[key][i] == want, key
 
 
 def test_spoint_stack_validation():

@@ -65,8 +65,11 @@ class TestNonFiniteResiduals:
 
     @staticmethod
     def _run(monkeypatch, residuals):
+        # every sample reports the same checks: 0.1, 0.2, ... except at index 1
+        passing = {k: 0.1 * (j + 1) for j, k in enumerate(residuals)}
+
         def builder(cfg):
-            return {"bounds": {}}, 2, lambda i: dict(residuals) if i == 1 else {"a": 0.1, "b": 0.2}
+            return {"bounds": {}}, 2, suites._each(lambda i: dict(residuals) if i == 1 else dict(passing))
 
         monkeypatch.setitem(suites._BUILDERS, "symplectic", builder)
         return suites.run_suite(suites.RunConfig("symplectic"))
@@ -89,12 +92,25 @@ class TestNonFiniteResiduals:
 
     def test_nan_fails_suite_all(self, monkeypatch):
         def builder(cfg):
-            return {"bounds": {}}, 1, lambda i: {"a": 0.5, "b": float("nan")}
+            return {"bounds": {}}, 1, suites._each(lambda i: {"a": 0.5, "b": float("nan")})
 
         monkeypatch.setattr(suites, "_BUILDERS", {"symplectic": builder, "rank": suites._BUILDERS["rank"]})
         report = suites.run_suite(suites.RunConfig("all"))
         assert report.ok is False
         assert [d for _, _, d in report.failures] == ["symplectic: seed=42 index=0 check=b"]
+
+
+def test_each_stacks_per_sample_checks():
+    check = suites._each(lambda i: {"a": 0.1 * i, "b": float(i)})
+    got = check(np.arange(3))
+    assert list(got) == ["a", "b"]
+    np.testing.assert_array_equal(got["b"], [0.0, 1.0, 2.0])
+
+
+def test_each_rejects_samples_with_different_checks():
+    check = suites._each(lambda i: {"a": 0.1} if i == 0 else {"a": 0.1, "b": 0.2})
+    with pytest.raises(ValueError):
+        check(np.arange(2))
 
 
 def test_jacobian_fd_polynomial_map():
@@ -375,3 +391,10 @@ class TestZakCondition:
 
     def test_constant_violates(self):
         assert abs(zak_condition_residual(F_ONE, G_ZERO, 0.5) - 0.5) < 1e-15
+
+    def test_array_of_t(self):
+        t = np.array([0.3, -1.2 + 0.4j, 0.5])
+        for F, G in ((F_AFF, G_AFF), (F_ONE, G_ZERO)):
+            got = zak_condition_residual(F, G, t)
+            assert got.shape == (3,)
+            np.testing.assert_array_equal(got, [zak_condition_residual(F, G, complex(v)) for v in t])
