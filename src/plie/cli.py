@@ -11,6 +11,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 from typing import Any, Optional
 
 import numpy as np
@@ -62,16 +63,26 @@ def report_to_json(report: VerificationReport) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
 
 
-def _parse_complex(text: str) -> complex:
-    try:
-        parts = [float(p) for p in text.split(",")]
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse complex value {text!r}; use 're,im'") from exc
-    if len(parts) == 1:
-        return complex(parts[0], 0.0)
-    if len(parts) == 2:
-        return complex(parts[0], parts[1])
-    raise ConfigError(f"cannot parse complex value {text!r}; use 're,im'")
+def _complex_value(name: str, value):
+    """A complex setting given as 're,im' or 're' (flag or file) or as [re, im]
+    (file); any other value is left for RunConfig to judge."""
+    if isinstance(value, str):
+        try:
+            parts = [float(p) for p in value.split(",")]
+        except ValueError:
+            parts = []
+        if 1 <= len(parts) <= 2:
+            return complex(*parts)
+    elif isinstance(value, list):
+        if len(value) == 2 and all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in value):
+            return complex(*value)
+    else:
+        return value
+    raise ConfigError(f"{name} must be 're,im' or [re, im], got {value!r}")
+
+
+# every RunConfig field but the suite is a setting: a flag and a config-file key
+_SETTINGS = [f for f in fields(RunConfig) if f.name != "suite"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,18 +91,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run a verification suite and emit a JSON report")
     v.add_argument("--suite", required=True, choices=SUITES)
-    v.add_argument("--n", type=int, default=None)
-    v.add_argument("--d", type=int, default=None)
-    v.add_argument("--ell", type=int, default=None)
-    v.add_argument("--kappa", type=str, default=None, help="complex value as 're,im'")
-    v.add_argument("--epsilon", type=float, default=None)
-    v.add_argument("--seed", type=int, default=None)
-    v.add_argument("--samples", type=int, default=None)
-    v.add_argument("--radius", type=float, default=None)
-    v.add_argument("--tol-exact", type=float, default=None, dest="tol_exact")
-    v.add_argument("--tol-fd", type=float, default=None, dest="tol_fd")
-    v.add_argument("--fd-step", type=float, default=None, dest="fd_step")
-    v.add_argument("--config", type=str, default=None, help="JSON file with defaults (flags win)")
+    for f in _SETTINGS:
+        # a complex value stays a string 're,im' here and is parsed like the config file's
+        kind = {"int": int, "float": float}.get(f.type, str)
+        spelling = " as 're,im'" if f.type == "complex" else ""
+        v.add_argument(f"--{f.name}", type=kind, help=f"{f.type}{spelling}, default {f.default}")
+    v.add_argument("--config", type=str, default=None, help="JSON file with settings (flags win)")
     v.add_argument("--out", type=str, default=None, help="report path (default: stdout)")
 
     g = sub.add_parser("gen-point", help="emit a deterministic sample point as JSON")
@@ -117,52 +122,27 @@ def _env_seed() -> Optional[int]:
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
-    file_cfg: dict = {}
+    values: dict = {}
     if args.config:
         try:
             with open(args.config) as fh:
-                file_cfg = json.load(fh)
+                values = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
-        if not isinstance(file_cfg, dict):
+        if not isinstance(values, dict):
             raise ConfigError("config file must hold a JSON object")
-
-    def pick(name: str, default):
-        flag = getattr(args, name, None)
-        if flag is not None:
-            return flag
-        if name in file_cfg:
-            return file_cfg[name]
-        return default
-
-    kappa = pick("kappa", 1.0 + 0j)
-    if isinstance(kappa, str):
-        kappa = _parse_complex(kappa)
-    elif isinstance(kappa, (list, tuple)):
-        kappa = complex(kappa[0], kappa[1])
-
-    seed = pick("seed", None)
-    if seed is None:
-        seed = _env_seed()
-    if seed is None:
-        seed = 42
-    if seed < 0:
-        raise ConfigError("seed must be a nonnegative integer")
-
-    return RunConfig(
-        suite=args.suite,
-        n=int(pick("n", 2)),
-        d=int(pick("d", 2)),
-        ell=int(pick("ell", 3)),
-        kappa=complex(kappa),
-        epsilon=float(pick("epsilon", 1.0)),
-        seed=int(seed),
-        samples=int(pick("samples", 25)),
-        radius=float(pick("radius", 0.3)),
-        tol_exact=float(pick("tol_exact", 1e-10)),
-        tol_fd=float(pick("tol_fd", 1e-7)),
-        fd_step=float(pick("fd_step", 1e-5)),
-    )
+        unknown = sorted(set(values) - {f.name for f in _SETTINGS})
+        if unknown:
+            raise ConfigError(
+                f"unknown config key(s) {', '.join(unknown)}; use {', '.join(f.name for f in _SETTINGS)}"
+            )
+    values.update((f.name, getattr(args, f.name)) for f in _SETTINGS if getattr(args, f.name) is not None)
+    if "seed" not in values and (env_seed := _env_seed()) is not None:
+        values["seed"] = env_seed
+    for f in _SETTINGS:
+        if f.type == "complex" and f.name in values:
+            values[f.name] = _complex_value(f.name, values[f.name])
+    return RunConfig(suite=args.suite, **values)
 
 
 def _emit(text: str, out: Optional[str]) -> None:

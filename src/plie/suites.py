@@ -1,12 +1,14 @@
 """Verification suites: named bundles of residual checks over seeded samples.
 
-Each suite evaluates a set of identity checks at deterministic sample points
-and reports a single normalized residual per sample: every raw residual is
-divided by its own bound, so the suite passes iff the normalized maximum is
-at most 1.  The per-check bounds appear in the report params.
+Each suite evaluates a set of identity checks at deterministic sample points.
+A check returns raw residuals; ``_execute`` divides each by its bound from
+the suite's ``params["bounds"]`` and reports a single normalized residual
+per sample, so the suite passes iff the normalized maximum is at most 1.
+The bounds are fixed here (``TOL_EXACT``, ``TOL_FD`` and per-check values)
+and appear in the report params.
 
 A suite builder returns (params, sample count, check).  The check takes the
-array of sample indices and returns {check name: (S,) array of normalized
+array of sample indices and returns {check name: (S,) array of raw
 residuals}; the jacobi and zakrzewski suites evaluate each bracket once on
 the stack of all their samples, and the other suites wrap a per-sample
 function with ``_each``.
@@ -16,7 +18,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -44,9 +47,18 @@ SUITES = (
     "all",
 )
 
+# per annotated field type: the numbers it admits (never a bool) and its canonical type
+_KINDS = {
+    "int": (numbers.Integral, int),
+    "float": (numbers.Real, float),
+    "complex": (numbers.Complex, complex),
+}
+
 
 @dataclass(frozen=True)
 class RunConfig:
+    """The settings of one run; ``plie verify`` takes one flag per field."""
+
     suite: str
     n: int = 2
     d: int = 2
@@ -56,40 +68,46 @@ class RunConfig:
     seed: int = 42
     samples: int = 25
     radius: float = 0.3
-    tol_exact: float = 1e-10
-    tol_fd: float = 1e-7
-    fd_step: float = 1e-5
 
     def __post_init__(self):
-        for name in ("kappa", "epsilon", "radius", "tol_exact", "tol_fd", "fd_step"):
-            if not cmath.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.suite not in SUITES:
             raise ConfigError(f"unknown suite {self.suite!r}; choose from {', '.join(SUITES)}")
-        for name in ("n", "d", "ell"):
+        for f in fields(self)[1:]:
+            value = getattr(self, f.name)
+            kind, canonical = _KINDS[f.type]
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
+            try:
+                value = canonical(value)
+            except OverflowError:  # an integer too large for a float
+                value = math.inf
+            if not isinstance(value, int) and not cmath.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
+            object.__setattr__(self, f.name, value)
+        for name in ("n", "d", "ell", "samples"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if self.samples < 1:
-            raise ConfigError("samples must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be a nonnegative integer")
         if self.radius <= 0:
             raise ConfigError("radius must be > 0")
-        if self.tol_exact <= 0 or self.tol_fd <= 0:
-            raise ConfigError("tolerances must be > 0")
         if self.kappa == 0:
             raise ConfigError("kappa must be nonzero")
         if self.epsilon == 0:
             raise ConfigError("epsilon must be nonzero")
 
 
+# bounds: exact-class identities hold to rounding; FD-class ones carry the
+# truncation error of the _FD scheme
+TOL_EXACT = 1e-10
+TOL_FD = 1e-7
+
 # schemes: central differences are exact (up to rounding) for polynomial
 # bivectors at a large step; rational/root-bearing maps get a small step
 # with one Richardson level.
 _POLY = DiffScheme(step=1e-2, richardson=False)
 _RATIONAL = DiffScheme(step=1e-3, richardson=True)
-
-
-def _fd(cfg: RunConfig) -> DiffScheme:
-    return DiffScheme(step=cfg.fd_step, richardson=True)
+_FD = DiffScheme(step=1e-5, richardson=True)
 
 
 # (F, G) pairs of the Zakrzewski brackets: affine F = 2 + t with G = -1 and
@@ -102,8 +120,8 @@ _G_ZERO = HoloFn1.affine(0, 0, "G")
 
 
 def _each(sample: Callable[[int], dict]) -> Callable[[np.ndarray], dict]:
-    """A per-sample function {check: residual} as a check over an index array.
-    Every sample must report the same checks in the same order."""
+    """A per-sample function {check: raw residual} as a check over an index
+    array.  Every sample must report the same checks in the same order."""
 
     def check(indices: np.ndarray) -> dict:
         rows = [sample(int(i)) for i in indices]
@@ -129,7 +147,7 @@ def _tuple_diff(t1, t2) -> float:
 def _suite_jacobi(cfg: RunConfig):
     kinds_s = ("S", "AOplus", "AOminus", "Prime", "Sprod")
     kinds_gl = ("GLmult", "Double", "STS")
-    bounds = {k: cfg.tol_exact for k in kinds_s + kinds_gl + ("DualGroup",)}
+    bounds = {k: TOL_EXACT for k in kinds_s + kinds_gl + ("DualGroup",)}
     params = {
         "kinds": sorted(bounds),
         "n": cfg.n,
@@ -151,20 +169,19 @@ def _suite_jacobi(cfg: RunConfig):
         for spec in specs:
             if spec.dim not in stacks:
                 stacks[spec.dim] = sampling.sample_vectors(cfg.seed, indices, spec.dim, 1.0)
-            out[spec.kind] = vf.jacobi_residual(spec, stacks[spec.dim], _POLY) / bounds[spec.kind]
+            out[spec.kind] = vf.jacobi_residual(spec, stacks[spec.dim], _POLY)
         X = np.stack([charts.pack_dual(sampling.sample_dual(cfg.seed, i, cfg.ell, 0.4)) for i in indices])
-        out["DualGroup"] = vf.jacobi_residual(dual, X, _RATIONAL) / bounds["DualGroup"]
+        out["DualGroup"] = vf.jacobi_residual(dual, X, _RATIONAL)
         return out
 
     return params, cfg.samples, check
 
 
 def _suite_decouple_m(cfg: RunConfig):
-    bounds = {"poisson_map": cfg.tol_fd, "roundtrip": cfg.tol_exact}
+    bounds = {"poisson_map": TOL_FD, "roundtrip": TOL_EXACT}
     params = {"n": cfg.n, "d": cfg.d, "kappa": cfg.kappa, "radius": cfg.radius, "bounds": bounds}
     src = BracketSpec("Sprod", cfg.kappa, n=cfg.n, d=cfg.d)
     tgt = BracketSpec("S", cfg.kappa, n=cfg.n, d=cfg.d)
-    sch = _fd(cfg)
 
     def fmap(x):
         return charts.pack_spoint(dc.map_m(charts.unpack_tuple(x, cfg.n, cfg.d)))
@@ -172,19 +189,20 @@ def _suite_decouple_m(cfg: RunConfig):
     def sample(i: int) -> dict:
         t = sampling.sample_tuple(cfg.seed, i, cfg.n, cfg.d, cfg.radius)
         x = charts.pack_tuple(t)
-        res_map = vf.poisson_map_residual(src, tgt, fmap, x, sch)
-        res_rt = _tuple_diff(t, dc.map_m_inverse(dc.map_m(t)))
-        return {"poisson_map": res_map / bounds["poisson_map"], "roundtrip": res_rt / bounds["roundtrip"]}
+        return {
+            "poisson_map": vf.poisson_map_residual(src, tgt, fmap, x, _FD),
+            "roundtrip": _tuple_diff(t, dc.map_m_inverse(dc.map_m(t))),
+        }
 
     return params, cfg.samples, _each(sample)
 
 
 def _suite_decouple_F(cfg: RunConfig):
     bounds = {
-        "poisson_map_F": cfg.tol_fd,
-        "poisson_map_thetaF": cfg.tol_fd,
-        "roundtrip": cfg.tol_exact,
-        "residue_identity": cfg.tol_exact,
+        "poisson_map_F": TOL_FD,
+        "poisson_map_thetaF": TOL_FD,
+        "roundtrip": TOL_EXACT,
+        "residue_identity": TOL_EXACT,
     }
     params = {"n": cfg.n, "d": cfg.d, "kappa": cfg.kappa, "radius": cfg.radius, "bounds": bounds}
     src = BracketSpec("Sprod", cfg.kappa, n=cfg.n, d=cfg.d)
@@ -192,7 +210,6 @@ def _suite_decouple_F(cfg: RunConfig):
     tgt_ao = BracketSpec("AOplus", cfg.kappa, n=cfg.n, d=cfg.d)
     th_a = 1.0
     th_b = -1.0 / cfg.kappa
-    sch = _fd(cfg)
 
     def fmap(x):
         return charts.pack_spoint(dc.map_F(charts.unpack_tuple(x, cfg.n, cfg.d)))
@@ -205,23 +222,22 @@ def _suite_decouple_F(cfg: RunConfig):
         t = sampling.sample_tuple(cfg.seed, i, cfg.n, cfg.d, cfg.radius)
         x = charts.pack_tuple(t)
         out = {
-            "poisson_map_F": vf.poisson_map_residual(src, tgt_pr, fmap, x, sch) / bounds["poisson_map_F"],
-            "poisson_map_thetaF": vf.poisson_map_residual(src, tgt_ao, thfmap, x, sch)
-            / bounds["poisson_map_thetaF"],
-            "roundtrip": _tuple_diff(t, dc.map_F_inverse(dc.map_F(t))) / bounds["roundtrip"],
+            "poisson_map_F": vf.poisson_map_residual(src, tgt_pr, fmap, x, _FD),
+            "poisson_map_thetaF": vf.poisson_map_residual(src, tgt_ao, thfmap, x, _FD),
+            "roundtrip": _tuple_diff(t, dc.map_F_inverse(dc.map_F(t))),
         }
         q = dc.map_theta(dc.map_F(t), th_a, th_b, cfg.kappa)
         GG = fc.calG_pm(t)
         lhs = np.eye(cfg.n) + cfg.kappa * q.A @ q.B
         rhs = np.linalg.solve(GG.hplus, GG.hminus)
-        out["residue_identity"] = float(np.max(np.abs(lhs - rhs))) / bounds["residue_identity"]
+        out["residue_identity"] = float(np.max(np.abs(lhs - rhs)))
         return out
 
     return params, cfg.samples, _each(sample)
 
 
 def _suite_factorization(cfg: RunConfig):
-    bounds = {"factid1": 1e-12, "factid2": 1e-11, "chi_roundtrip": cfg.tol_exact, "gauss": 1e-12}
+    bounds = {"factid1": 1e-12, "factid2": 1e-11, "chi_roundtrip": TOL_EXACT, "gauss": 1e-12}
     params = {"n": cfg.n, "d": cfg.d, "radius": cfg.radius, "bounds": bounds}
 
     def sample(i: int) -> dict:
@@ -235,12 +251,7 @@ def _suite_factorization(cfg: RunConfig):
         res3 = float(np.max(np.abs(fc.chi(fc.chi_inverse_local(h)) - h)))
         gt, g0, lt = fc.gauss(h)
         res4 = float(np.max(np.abs(gt @ g0 @ lt - h)))
-        return {
-            "factid1": res1 / bounds["factid1"],
-            "factid2": res2 / bounds["factid2"],
-            "chi_roundtrip": res3 / bounds["chi_roundtrip"],
-            "gauss": res4 / bounds["gauss"],
-        }
+        return {"factid1": res1, "factid2": res2, "chi_roundtrip": res3, "gauss": res4}
 
     return params, cfg.samples, _each(sample)
 
@@ -253,7 +264,7 @@ def _linear_jacobian(fmap: Callable[[np.ndarray], np.ndarray], dim: int) -> np.n
 
 def _suite_ao_maps(cfg: RunConfig):
     n, d, kap = cfg.n, cfg.d, cfg.kappa
-    bounds = {k: cfg.tol_exact for k in ("xi", "nu", "theta", "iota", "iota_spin")}
+    bounds = {k: TOL_EXACT for k in ("xi", "nu", "theta", "iota", "iota_spin")}
     params = {"n": n, "d": d, "kappa": kap, "bounds": bounds}
     s_spec = BracketSpec("S", kap, n=n, d=d)
     xi_a = 1.0
@@ -288,13 +299,11 @@ def _suite_ao_maps(cfg: RunConfig):
         out = {}
         for k, (src, tgt, f) in maps.items():
             x = sampling.sample_vector(cfg.seed, i, src.dim, 1.0)
-            out[k] = vf.poisson_map_residual(src, tgt, f, x, jac=lambda _x, k=k: jacs[k]) / bounds[k]
+            out[k] = vf.poisson_map_residual(src, tgt, f, x, jac=jacs[k])
         x = sampling.sample_vector(cfg.seed, i, sprod.dim, 1.0)
-        out["iota"] = vf.anti_poisson_residual(sprod, iota_f, x, jac=lambda _x: J_iota) / bounds["iota"]
+        out["iota"] = vf.anti_poisson_residual(sprod, iota_f, x, jac=J_iota)
         xz = sampling.sample_vector(cfg.seed, i, 2 * n, 1.0)
-        out["iota_spin"] = (
-            vf.anti_poisson_residual(zak, lambda xx: swap @ xx, xz, jac=lambda _x: swap) / bounds["iota_spin"]
-        )
+        out["iota_spin"] = vf.anti_poisson_residual(zak, lambda xx: swap @ xx, xz, jac=swap)
         return out
 
     return params, cfg.samples, _each(sample)
@@ -303,17 +312,16 @@ def _suite_ao_maps(cfg: RunConfig):
 def _suite_moment(cfg: RunConfig):
     exact_keys = ("Ga1", "Ga2_A", "Ga2_B", "Ga1prime", "Ga2prime_A", "Ga2prime_B")
     fd_keys = ("mom1_gplus_a", "mom1_gplus_b", "mom1_gminus_a", "mom1_gminus_b")
-    bounds = {k: cfg.tol_exact for k in exact_keys}
+    bounds = {k: TOL_EXACT for k in exact_keys}
     bounds.update({k: 1e-6 for k in fd_keys})
     params = {"n": cfg.n, "d": cfg.d, "kappa": cfg.kappa, "radius": cfg.radius, "bounds": bounds}
-    sch_fd = _fd(cfg)
 
     def sample(i: int) -> dict:
         p = sampling.sample_spoint(cfg.seed, i, cfg.n, cfg.d, cfg.radius)
         # the Gamma relations are polynomial; only g+- needs the fine FD scheme
         res = vf.moment_gamma_residuals(cfg.kappa, p, _POLY)
-        res.update(vf.moment_factor_residuals(cfg.kappa, p, sch_fd))
-        return {k: res[k] / bounds[k] for k in exact_keys + fd_keys}
+        res.update(vf.moment_factor_residuals(cfg.kappa, p, _FD))
+        return {k: res[k] for k in exact_keys + fd_keys}
 
     return params, cfg.samples, _each(sample)
 
@@ -330,23 +338,22 @@ def _suite_lemma4(cfg: RunConfig):
     )
     bounds = {k: 1e-6 for k in keys}
     params = {"n": cfg.n, "d": cfg.d, "kappa": cfg.kappa, "radius": cfg.radius, "bounds": bounds}
-    sch = _fd(cfg)
 
     def sample(i: int) -> dict:
         t = sampling.sample_tuple(cfg.seed, i, cfg.n, cfg.d, cfg.radius)
-        res = vf.lemma_h_residuals(cfg.kappa, t, sch)
-        return {k: res[k] / bounds[k] for k in keys}
+        res = vf.lemma_h_residuals(cfg.kappa, t, _FD)
+        return {k: res[k] for k in keys}
 
     return params, cfg.samples, _each(sample)
 
 
 def _suite_symplectic(cfg: RunConfig):
-    bounds = {"inversion": cfg.tol_exact}
+    bounds = {"inversion": TOL_EXACT}
     params = {"n": cfg.n, "kappa": cfg.kappa, "radius": cfg.radius, "bounds": bounds}
 
     def sample(i: int) -> dict:
         p = sampling.sample_spin(cfg.seed, i, cfg.n, cfg.radius)
-        return {"inversion": vf.symplectic_inversion_residual(cfg.kappa, p) / bounds["inversion"]}
+        return {"inversion": vf.symplectic_inversion_residual(cfg.kappa, p)}
 
     return params, cfg.samples, _each(sample)
 
@@ -381,7 +388,7 @@ def _suite_rank(cfg: RunConfig):
         spec = BracketSpec("S", cfg.kappa, n=cfg.n, d=cfg.d)
         r = vf.rank_at(spec, np.zeros(spec.dim, dtype=complex), 1e-8)
         worst = max(worst, float(abs(r - 2 * cfg.n * cfg.d)))
-        return {"rank_mismatch": worst / 0.5}
+        return {"rank_mismatch": worst}
 
     return params, 1, _each(sample)
 
@@ -406,11 +413,11 @@ def _suite_zakrzewski(cfg: RunConfig):
         x = sampling.sample_vectors(cfg.seed, indices, 2 * n, 1.0)
         t = np.sum(x[:, :n] * x[:, n:], axis=-1)
         out = {
-            "jacobi_affine": vf.jacobi_residual(spec_aff, x, _POLY) / bounds["jacobi_affine"],
-            "jacobi_linear": vf.jacobi_residual(spec_lin, x, _POLY) / bounds["jacobi_linear"],
-            "jacobi_affine_real": vf.jacobi_residual(spec_real, x, _POLY) / bounds["jacobi_affine_real"],
-            "condition_affine": vf.zak_condition_residual(_F_AFF, _G_AFF, t) / bounds["condition_affine"],
-            "condition_linear": vf.zak_condition_residual(_F_LIN, _G_ZERO, t) / bounds["condition_linear"],
+            "jacobi_affine": vf.jacobi_residual(spec_aff, x, _POLY),
+            "jacobi_linear": vf.jacobi_residual(spec_lin, x, _POLY),
+            "jacobi_affine_real": vf.jacobi_residual(spec_real, x, _POLY),
+            "condition_affine": vf.zak_condition_residual(_F_AFF, _G_AFF, t),
+            "condition_linear": vf.zak_condition_residual(_F_LIN, _G_ZERO, t),
         }
         # inadmissible (F, G): Jacobi must visibly fail at generic points
         bad = vf.jacobi_residual(spec_bad, x, _POLY)
@@ -422,12 +429,11 @@ def _suite_zakrzewski(cfg: RunConfig):
 
 def _suite_actions(cfg: RunConfig):
     n, d, kap = cfg.n, cfg.d, cfg.kappa
-    bounds = {"gl_n_action": cfg.tol_fd, "gl_d_action": cfg.tol_fd, "spin_action": cfg.tol_fd}
+    bounds = {"gl_n_action": TOL_FD, "gl_d_action": TOL_FD, "spin_action": TOL_FD}
     params = {"n": n, "d": d, "kappa": kap, "radius": cfg.radius, "bounds": bounds}
     gspec_n = BracketSpec("GLmult", kap, ell=n)
     gspec_d = BracketSpec("GLmult", kap, ell=d)
     sspec = BracketSpec("S", kap, n=n, d=d)
-    sch = _fd(cfg)
     zspec = BracketSpec("ZakC", kap, n=n, F=_F_AFF, G=_G_AFF)
 
     # group element and point each of shape (..., dim); either may be one point
@@ -456,9 +462,9 @@ def _suite_actions(cfg: RunConfig):
         )
         xz = sampling.complex_disk(rng, 2 * n, cfg.radius)
         return {
-            "gl_n_action": vf.action_residual(gspec_n, sspec, act_n, gn.ravel(), x, sch) / bounds["gl_n_action"],
-            "gl_d_action": vf.action_residual(gspec_d, sspec, act_d, gd.ravel(), x, sch) / bounds["gl_d_action"],
-            "spin_action": vf.action_residual(gspec_n, zspec, act_z, gn.ravel(), xz, sch) / bounds["spin_action"],
+            "gl_n_action": vf.action_residual(gspec_n, sspec, act_n, gn.ravel(), x, _FD),
+            "gl_d_action": vf.action_residual(gspec_d, sspec, act_d, gd.ravel(), x, _FD),
+            "spin_action": vf.action_residual(gspec_n, zspec, act_z, gn.ravel(), xz, _FD),
         }
 
     return params, cfg.samples, _each(sample)
@@ -479,29 +485,34 @@ _BUILDERS = {
 }
 
 
-def _worst(res: dict):
-    """(residual, check) of a sample's worst check; a non-finite one comes first
-    and is reported as NaN or +inf."""
-    for key, value in res.items():
-        if not math.isfinite(value):
-            return abs(float(value)), key
-    key = max(res, key=lambda k: res[k])
-    return float(res[key]), key
-
-
 def _execute(cfg: RunConfig, suite: str) -> VerificationReport:
     params, count, check = _BUILDERS[suite](cfg)
     res = check(np.arange(count))
+    bounds = params["bounds"]
+    if set(res) != set(bounds):
+        raise ValueError(
+            f"{suite}: checks without a bound {sorted(set(res) - set(bounds))}, "
+            f"bounds without a check {sorted(set(bounds) - set(res))}"
+        )
     for key, values in res.items():
         if np.shape(values) != (count,):
             raise ValueError(f"{suite}: check {key} gave shape {np.shape(values)}, expected ({count},)")
 
-    results = [(i,) + _worst({k: v[i] for k, v in res.items()}) for i in range(count)]
+    keys = list(res)
+    raw = np.array([res[k] for k in keys], dtype=float)  # (checks, samples)
+    norm = raw / np.array([bounds[k] for k in keys])[:, None]
+    finite = np.isfinite(norm)
+    # per sample: its first non-finite check, else its first largest one
+    pick = np.where(finite.all(axis=0), np.argmax(norm, axis=0), np.argmin(finite, axis=0))
+    worst = norm[pick, np.arange(count)]
+    worst = np.where(np.isfinite(worst), worst, np.abs(worst))  # -inf is reported as +inf
 
-    max_res = float(np.max([r[1] for r in results]))  # NaN if any residual is NaN
+    max_res = float(np.max(worst))  # NaN if any residual is NaN
     failures = tuple(
         # "not r <= 1" also holds for NaN, which compares false with everything
-        (i, r, f"seed={cfg.seed} index={i} check={key}") for i, r, key in results if not r <= 1.0
+        (i, float(worst[i]), f"seed={cfg.seed} index={i} check={keys[pick[i]]}")
+        for i in range(count)
+        if not worst[i] <= 1.0
     )
     return VerificationReport(
         suite=suite,

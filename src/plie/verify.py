@@ -202,11 +202,12 @@ def poisson_map_residual(
     f: Callable[[np.ndarray], np.ndarray],
     x: np.ndarray,
     scheme: DiffScheme = DiffScheme(),
-    jac: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    jac: Optional[np.ndarray] = None,
 ) -> float:
-    """max |J Pi_src(x) J^T - Pi_tgt(f(x))| with J the Jacobian of f at x."""
+    """max |J Pi_src(x) J^T - Pi_tgt(f(x))| with J the Jacobian of f at x:
+    ``jac`` if given (the constant Jacobian of a linear f), else by ``scheme``."""
     x = np.asarray(x, dtype=complex)
-    J = jac(x) if jac is not None else jacobian_fd(f, x, scheme)
+    J = jac if jac is not None else jacobian_fd(f, x, scheme)
     return float(np.max(np.abs(J @ src.bivector(x) @ J.T - tgt.bivector(np.asarray(f(x))))))
 
 
@@ -215,11 +216,11 @@ def anti_poisson_residual(
     f: Callable[[np.ndarray], np.ndarray],
     x: np.ndarray,
     scheme: DiffScheme = DiffScheme(),
-    jac: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    jac: Optional[np.ndarray] = None,
 ) -> float:
     """max |J Pi(x) J^T + Pi(f(x))|."""
     x = np.asarray(x, dtype=complex)
-    J = jac(x) if jac is not None else jacobian_fd(f, x, scheme)
+    J = jac if jac is not None else jacobian_fd(f, x, scheme)
     return float(np.max(np.abs(J @ spec.bivector(x) @ J.T + spec.bivector(np.asarray(f(x))))))
 
 

@@ -1,11 +1,12 @@
 """Tests for the command-line interface: exit codes, determinism, precedence."""
 
+import dataclasses
 import json
 
 import pytest
 
 from plie import suites
-from plie.cli import main, report_to_json
+from plie.cli import build_parser, main, report_to_json
 from plie.verify import VerificationReport
 
 FAST = ["--samples", "3"]
@@ -40,11 +41,10 @@ class TestVerify:
         assert code == 2
         assert "d must be >= 1" in capsys.readouterr().err
 
-    def test_failing_suite_exits_1(self, tmp_path):
+    def test_failing_suite_exits_1(self, tmp_path, monkeypatch):
         # an absurdly small exact tolerance turns rounding noise into a failure
-        code, text = _verify(
-            tmp_path, "r.json", "--suite", "jacobi", "--tol-exact", "1e-300", *FAST,
-        )
+        monkeypatch.setattr(suites, "TOL_EXACT", 1e-300)
+        code, text = _verify(tmp_path, "r.json", "--suite", "jacobi", *FAST)
         assert code == 1
         report = json.loads(text)
         assert report["pass"] is False
@@ -102,19 +102,71 @@ class TestVerify:
             ("--kappa", "1,-inf"),
             ("--epsilon", "nan"),
             ("--radius", "inf"),
-            ("--tol-exact", "nan"),
-            ("--tol-fd", "inf"),
-            ("--fd-step", "nan"),
         ],
     )
     def test_non_finite_value_exits_2(self, capsys, flag, value):
         assert main(["verify", "--suite", "jacobi", flag, value]) == 2
         assert "must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag,value", [("--tol-exact", "nan"), ("--tol-fd", "inf"), ("--fd-step", "nan")]
+    )
+    def test_removed_setting_flag_exits_2(self, capsys, flag, value):
+        # the bounds and the FD step are fixed in code; no flag can loosen them
+        assert main(["verify", "--suite", "jacobi", flag, value]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_non_finite_in_config_file_exits_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"kappa": [Infinity, 0]}')
         assert main(["verify", "--suite", "jacobi", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize(
+        "content,key",
+        [
+            ('{"samples": "many"}', "samples"),
+            ('{"kappa": [1]}', "kappa"),
+            ('{"kappa": ["a", 1]}', "kappa"),
+            ('{"radius": null}', "radius"),
+            ('{"seed": "7"}', "seed"),
+            ('{"n": 2.7}', "n"),
+            ('{"d": true}', "d"),
+            ('{"sample": 3}', "sample"),
+            ('{"tol_exact": 1e-3}', "tol_exact"),
+            ('{"tol_fd": 1e-3}', "tol_fd"),
+            ('{"fd_step": 1e-3}', "fd_step"),
+            ('{"radius": 1' + "0" * 400 + "}", "radius"),
+            ('{"kappa": 1' + "0" * 400 + "}", "kappa"),
+        ],
+    )
+    def test_invalid_config_key_or_value_exits_2(self, tmp_path, capsys, content, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(content)
+        assert main(["verify", "--suite", "symplectic", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert key in err
+
+    @pytest.mark.parametrize("kappa", ['"0,1"', "[0, 1]", "[0.0, 1.0]"])
+    def test_config_kappa_spellings(self, tmp_path, kappa):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"kappa": {kappa}, "samples": 2, "radius": 1}}')
+        _, text = _verify(tmp_path, "r.json", "--suite", "symplectic", "--config", str(cfg))
+        report = json.loads(text)
+        assert report["params"]["kappa"] == [0.0, 1.0]
+        assert report["params"]["radius"] == 1.0 and isinstance(report["params"]["radius"], float)
+
+    def test_negative_env_seed_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("PLIE_SEED", "-3")
+        assert main(["verify", "--suite", "symplectic"]) == 2
+        assert "seed must be a nonnegative integer" in capsys.readouterr().err
+
+    def test_verify_flags_are_the_run_settings(self):
+        parser = build_parser()
+        verify = parser._subparsers._group_actions[0].choices["verify"]
+        flags = {a.dest for a in verify._actions if a.dest != "help"}
+        settings = {f.name for f in dataclasses.fields(suites.RunConfig)}
+        assert flags == settings | {"config", "out"}
 
 
 def test_report_with_nan_residual_is_strict_json():

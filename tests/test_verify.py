@@ -69,7 +69,8 @@ class TestNonFiniteResiduals:
         passing = {k: 0.1 * (j + 1) for j, k in enumerate(residuals)}
 
         def builder(cfg):
-            return {"bounds": {}}, 2, suites._each(lambda i: dict(residuals) if i == 1 else dict(passing))
+            bounds = {k: 1.0 for k in residuals}
+            return {"bounds": bounds}, 2, suites._each(lambda i: dict(residuals) if i == 1 else dict(passing))
 
         monkeypatch.setitem(suites._BUILDERS, "symplectic", builder)
         return suites.run_suite(suites.RunConfig("symplectic"))
@@ -92,12 +93,85 @@ class TestNonFiniteResiduals:
 
     def test_nan_fails_suite_all(self, monkeypatch):
         def builder(cfg):
-            return {"bounds": {}}, 1, suites._each(lambda i: {"a": 0.5, "b": float("nan")})
+            return {"bounds": {"a": 1.0, "b": 1.0}}, 1, suites._each(lambda i: {"a": 0.5, "b": float("nan")})
 
         monkeypatch.setattr(suites, "_BUILDERS", {"symplectic": builder, "rank": suites._BUILDERS["rank"]})
         report = suites.run_suite(suites.RunConfig("all"))
         assert report.ok is False
         assert [d for _, _, d in report.failures] == ["symplectic: seed=42 index=0 check=b"]
+
+
+class TestBounds:
+    """``_execute`` applies every bound, and only declared ones."""
+
+    @staticmethod
+    def _run(monkeypatch, bounds, raw):
+        def builder(cfg):
+            return {"bounds": bounds}, 2, suites._each(raw)
+
+        monkeypatch.setitem(suites._BUILDERS, "symplectic", builder)
+        return suites.run_suite(suites.RunConfig("symplectic"))
+
+    def test_check_without_bound_raises(self, monkeypatch):
+        with pytest.raises(ValueError, match="symplectic: checks without a bound \\['b'\\]"):
+            self._run(monkeypatch, {"a": 1.0}, lambda i: {"a": 0.1, "b": 0.1})
+
+    def test_bound_without_check_raises(self, monkeypatch):
+        with pytest.raises(ValueError, match="symplectic: .*bounds without a check \\['b'\\]"):
+            self._run(monkeypatch, {"a": 1.0, "b": 1.0}, lambda i: {"a": 0.1})
+
+    def test_residuals_are_divided_by_their_bounds(self, monkeypatch):
+        report = self._run(monkeypatch, {"a": 1e-3, "b": 4.0}, lambda i: {"a": 2e-3 * i, "b": 4.0})
+        # normalized: sample 0 has a = 0, b = 1 and passes; sample 1 has a = 2, b = 1
+        assert report.max_residual == 2.0
+        assert report.failures == ((1, 2.0, "seed=42 index=1 check=a"),)
+
+    def test_worst_check_matches_per_sample_reference(self, monkeypatch):
+        # ties, NaN and both infinities among a few checks; the reference is the
+        # per-sample rule: the first non-finite check (as |value|), else the first largest
+        rng = np.random.default_rng(5)
+        values, weights = [0.5, 2.0, 3.0, np.nan, np.inf, -np.inf], [0.3, 0.3, 0.25, 0.05, 0.05, 0.05]
+        raw = rng.choice(values, size=(40, 4), p=weights)
+        keys = ["a", "b", "c", "d"]
+        want = []
+        for i, row in enumerate(raw):
+            bad = [j for j, v in enumerate(row) if not np.isfinite(v)]
+            j = bad[0] if bad else int(np.argmax(row))
+            want.append((i, abs(row[j]) if bad else row[j], f"seed=42 index={i} check={keys[j]}"))
+        bounds = dict.fromkeys(keys, 1.0)
+
+        def builder(cfg):
+            return {"bounds": bounds}, len(raw), suites._each(lambda i: dict(zip(keys, raw[i])))
+
+        monkeypatch.setitem(suites._BUILDERS, "symplectic", builder)
+        report = suites.run_suite(suites.RunConfig("symplectic"))
+        np.testing.assert_equal(list(report.failures), [w for w in want if not w[1] <= 1.0])
+
+
+class TestRunConfig:
+    @pytest.mark.parametrize("name", ["n", "d", "ell", "seed", "samples"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, "2", True, None])
+    def test_integer_fields_reject_other_types(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be of type int"):
+            suites.RunConfig("symplectic", **{name: value})
+
+    @pytest.mark.parametrize("name", ["kappa", "epsilon", "radius"])
+    @pytest.mark.parametrize("value", ["1", None, True, [1.0]])
+    def test_number_fields_reject_other_types(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be of type"):
+            suites.RunConfig("symplectic", **{name: value})
+
+    def test_real_fields_reject_complex(self):
+        with pytest.raises(ConfigError, match="^radius must be of type float"):
+            suites.RunConfig("symplectic", radius=0.3 + 0j)
+
+    def test_negative_seed_is_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be a nonnegative integer"):
+            suites.RunConfig("symplectic", seed=-1)
+
+    def test_values_take_their_field_type(self):
+        cfg = suites.RunConfig("symplectic", kappa=2, radius=1, seed=np.int64(7))
+        assert type(cfg.kappa) is complex and type(cfg.radius) is float and type(cfg.seed) is int
 
 
 def test_each_stacks_per_sample_checks():
@@ -192,12 +266,12 @@ class TestAntiPoisson:
             off = 2 * n * a
             J[off : off + n, off + n : off + 2 * n] = np.eye(n)
             J[off + n : off + 2 * n, off : off + n] = np.eye(n)
-        assert anti_poisson_residual(spec, f, x, jac=lambda _x: J) < 1e-10
+        assert anti_poisson_residual(spec, f, x, jac=J) < 1e-10
 
     def test_identity_is_not_anti_poisson(self):
         spec = BracketSpec("S", 1.0, n=2, d=2)
         x = sampling.sample_vector(3, 1, spec.dim, 0.5)
-        res = anti_poisson_residual(spec, lambda v: v, x, jac=lambda _x: np.eye(spec.dim))
+        res = anti_poisson_residual(spec, lambda v: v, x, jac=np.eye(spec.dim))
         assert abs(res - 2.0 * np.max(np.abs(spec.bivector(x)))) < 1e-14
 
     def test_spin_swap_on_zak(self):
@@ -207,7 +281,7 @@ class TestAntiPoisson:
         swap = np.zeros((2 * n, 2 * n))
         swap[:n, n:] = np.eye(n)
         swap[n:, :n] = np.eye(n)
-        assert anti_poisson_residual(spec, lambda v: swap @ v, x, jac=lambda _x: swap) < 1e-10
+        assert anti_poisson_residual(spec, lambda v: swap @ v, x, jac=swap) < 1e-10
 
 
 class TestActions:
