@@ -23,7 +23,6 @@ from .tensors import Tensor4, c12, dj_r, r_pm
 __all__ = [
     "HoloFn1",
     "BracketSpec",
-    "Bivector",
     "antisymmetrize",
     "s_bivector",
     "s_bivector_tensor",
@@ -76,12 +75,6 @@ class HoloFn1:
         return cls(lambda t: c0 + c1 * t, lambda t: c1 + 0 * t, name)
 
 
-@dataclass(frozen=True)
-class Bivector:
-    chart: charts.Chart
-    matrix: np.ndarray
-
-
 # --- componentwise evaluators ----------------------------------------------
 #
 # Every evaluator takes points (or arrays) with leading batch axes and returns
@@ -89,12 +82,8 @@ class Bivector:
 # shape ().
 
 
-def s_bivector_raw(kappa: complex, point: SPoint) -> np.ndarray:
-    return kernels.fill_s(point.A, point.B, kappa)
-
-
 def s_bivector(kappa: complex, point: SPoint) -> np.ndarray:
-    return antisymmetrize(s_bivector_raw(kappa, point))
+    return antisymmetrize(kernels.fill_s(point.A, point.B, kappa))
 
 
 def s1_product_bivector(kappa: complex, t: SpinTuple) -> np.ndarray:
@@ -361,20 +350,6 @@ class BracketSpec:
             return self.ell * self.ell
         return 2 * self.n  # ZakC / ZakR
 
-    def chart(self) -> charts.Chart:
-        k = self.kind
-        if k in _S_KINDS:
-            return charts.s_chart(self.n, self.d)
-        if k == "Sprod":
-            return charts.sprod_chart(self.n, self.d)
-        if k == "GLmult" or k == "STS":
-            return charts.gl_chart(self.ell)
-        if k == "Double":
-            return charts.double_chart(self.ell)
-        if k == "DualGroup":
-            return charts.glstar_chart(self.ell)
-        return charts.c2n_chart(self.n)
-
     def bivector(self, x: np.ndarray) -> np.ndarray:
         """Evaluate the bracket matrix at flat coordinates.
 
@@ -407,25 +382,3 @@ class BracketSpec:
             return zak_complex_bivector(self.kappa, self.F, self.G, charts.unpack_spin(x, self.n))
         n = self.n
         return zak_real_bivector(self.epsilon, self.F, self.G, x[..., :n], x[..., n:])
-
-    def bivector_at(self, point) -> Bivector:
-        """Evaluate at a structured point, returning a chart-tagged Bivector."""
-        return Bivector(self.chart(), self.bivector(self.pack(point)))
-
-    def pack(self, point) -> np.ndarray:
-        k = self.kind
-        if k in _S_KINDS:
-            if point.n != self.n or point.d != self.d:
-                raise ValueError("point dimensions do not match spec")
-            return charts.pack_spoint(point)
-        if k == "Sprod":
-            return charts.pack_tuple(point)
-        if k in ("GLmult", "STS"):
-            return charts.pack_gl(point)
-        if k == "Double":
-            return charts.pack_double(*point)
-        if k == "DualGroup":
-            return charts.pack_dual(point)
-        if k in ("ZakC",):
-            return charts.pack_spin(point)
-        return np.asarray(point, dtype=complex)

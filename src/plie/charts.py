@@ -2,7 +2,7 @@
 
 Every bracket evaluator works on a flat complex coordinate vector; the
 functions here translate between structured points and those vectors.
-Orderings (all row-major, 1-based in labels):
+Orderings (all row-major, indices 1-based):
 
 * ``S(n,d)``       -- A(i,alpha) for i=1..n, alpha=1..d, then B(alpha,i).
 * ``Sprod(n,d)``   -- per copy alpha: a^alpha_1..n then b^alpha_1..n.
@@ -16,20 +16,11 @@ Orderings (all row-major, 1-based in labels):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .points import DualPair, SPoint, SpinPoint, SpinTuple
 
 __all__ = [
-    "Chart",
-    "s_chart",
-    "sprod_chart",
-    "gl_chart",
-    "double_chart",
-    "glstar_chart",
-    "c2n_chart",
     "pack_spoint",
     "unpack_spoint",
     "pack_tuple",
@@ -44,50 +35,6 @@ __all__ = [
     "unpack_spin",
     "glstar_free_indices",
 ]
-
-
-@dataclass(frozen=True)
-class Chart:
-    space: str
-    dim: int
-    labels: tuple
-
-
-def s_chart(n: int, d: int) -> Chart:
-    labels = tuple(f"A({i},{a})" for i in range(1, n + 1) for a in range(1, d + 1))
-    labels += tuple(f"B({a},{i})" for a in range(1, d + 1) for i in range(1, n + 1))
-    return Chart("S(n,d)", 2 * n * d, labels)
-
-
-def sprod_chart(n: int, d: int) -> Chart:
-    labels = []
-    for a in range(1, d + 1):
-        labels += [f"a{a}({i})" for i in range(1, n + 1)]
-        labels += [f"b{a}({i})" for i in range(1, n + 1)]
-    return Chart("Sprod(n,d)", 2 * n * d, tuple(labels))
-
-
-def gl_chart(ell: int) -> Chart:
-    labels = tuple(f"g({i},{j})" for i in range(1, ell + 1) for j in range(1, ell + 1))
-    return Chart("GL(l)", ell * ell, labels)
-
-
-def double_chart(ell: int) -> Chart:
-    labels = tuple(f"u({i},{j})" for i in range(1, ell + 1) for j in range(1, ell + 1))
-    labels += tuple(f"v({i},{j})" for i in range(1, ell + 1) for j in range(1, ell + 1))
-    return Chart("D(l)", 2 * ell * ell, labels)
-
-
-def glstar_chart(ell: int) -> Chart:
-    labels = [f"h+({i},{j})" for i in range(1, ell + 1) for j in range(i + 1, ell + 1)]
-    labels += [f"h+({j},{j})" for j in range(1, ell + 1)]
-    labels += [f"h-({i},{j})" for i in range(2, ell + 1) for j in range(1, i)]
-    return Chart("GLstar(l)", ell * ell, tuple(labels))
-
-
-def c2n_chart(n: int) -> Chart:
-    labels = tuple(f"a({i})" for i in range(1, n + 1)) + tuple(f"b({i})" for i in range(1, n + 1))
-    return Chart("C2n(n)", 2 * n, labels)
 
 
 # packing ------------------------------------------------------------------

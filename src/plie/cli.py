@@ -18,7 +18,7 @@ import numpy as np
 
 from . import sampling
 from .errors import ConfigError, PlieError
-from .suites import SUITES, RunConfig, run_suite
+from .suites import SUITES, RunConfig, check_dims, run_suite
 from .verify import VerificationReport
 
 __all__ = ["main", "build_parser", "report_to_json"]
@@ -171,6 +171,9 @@ def _cmd_gen_point(args: argparse.Namespace) -> int:
     n, d, ell, r, i = args.n, args.d, args.ell, args.radius, args.index
     if min(n, d, ell) < 1 or not 0 < r < math.inf or i < 0:
         raise ConfigError("sizes must be >= 1, radius finite and > 0, index >= 0")
+    if seed < 0:
+        raise ConfigError("seed must be a nonnegative integer")
+    check_dims({"2*n*d": 2 * n * d, "2*ell*ell": 2 * ell * ell})
     if args.space == "spoint":
         p = sampling.sample_spoint(seed, i, n, d, r)
         payload = {"space": "spoint", "n": n, "d": d, "A": p.A, "B": p.B}

@@ -70,13 +70,16 @@ def map_m(t: SpinTuple) -> SPoint:
 
 
 def map_m_inverse(p: SPoint) -> SpinTuple:
-    """Inductive inverse: recover copy al, refactor it, undress copy al+1."""
+    """Inductive inverse: recover copy al, refactor it, undress copy al+1.
+
+    A stack of points gives copies with the same leading axes.
+    """
     n, d = p.n, p.d
     hp_inv = np.eye(n, dtype=complex)
     hm_inv = np.eye(n, dtype=complex)
     spins = []
     for al in range(d):
-        s = SpinPoint(hp_inv @ p.A[:, al], p.B[al, :] @ hm_inv)
+        s = SpinPoint(_dress(hp_inv, p.A[..., :, al]), _dress_row(p.B[..., al, :], hm_inv))
         spins.append(s)
         if al < d - 1:
             _, gm, gp_inv, _ = g_factors(s)
@@ -110,18 +113,19 @@ def map_F_inverse(p: SPoint) -> SpinTuple:
     """Iterative inverse of map_F via successive local factorizations.
 
     For al = d down to 1: factor 1 - P (A-hat^al B-hat^al) R = g_+^{-1} g_-
-    with (P, R) the accumulated conjugators, then undress the copy.
+    with (P, R) the accumulated conjugators, then undress the copy.  A stack
+    of points gives copies with the same leading axes.
     """
     n, d = p.n, p.d
     P = np.eye(n, dtype=complex)
     R = np.eye(n, dtype=complex)
     spins = [None] * d
     for al in range(d - 1, -1, -1):
-        M = np.eye(n) - P @ np.outer(p.A[:, al], p.B[al, :]) @ R
-        pair = factor_inv_pair(M)
+        a, b = p.A[..., :, al], p.B[..., al, :]
+        pair = factor_inv_pair(np.eye(n) - P @ (a[..., :, None] * b[..., None, :]) @ R)
         P = pair.hplus @ P
         R = R @ np.tril(np.linalg.inv(pair.hminus))
-        spins[al] = SpinPoint(P @ p.A[:, al], p.B[al, :] @ R)
+        spins[al] = SpinPoint(_dress(P, a), _dress_row(b, R))
     return SpinTuple(spins)
 
 

@@ -9,7 +9,6 @@ import numpy as np
 
 from .errors import BranchCut, SingularMinor, ZeroG
 from .points import DualPair, SPoint, SpinPoint, SpinTuple
-from .tensors import as_cmat
 
 __all__ = [
     "gauss",
@@ -44,45 +43,53 @@ def gauss(g: np.ndarray):
     Elimination proceeds from the bottom-right corner; the pivots are ratios
     of trailing principal minors.  SingularMinor(k) reports a vanishing
     trailing k x k minor.  Triangular factors carry exact zeros off their
-    triangles.
+    triangles.  A stack of matrices (..., l, l) gives stacks of factors; a
+    singular minor of any matrix of the stack raises.
     """
-    g = as_cmat(g)
-    ell = g.shape[0]
-    if ell != g.shape[1]:
-        raise ValueError("matrix must be square")
-    scale = max(1.0, float(np.max(np.abs(g))))
+    g = np.asarray(g, dtype=complex)
+    if g.ndim < 2 or g.shape[-1] != g.shape[-2]:
+        raise ValueError(f"expected square matrices (..., l, l), got shape {g.shape}")
+    if not np.all(np.isfinite(g)):
+        raise ValueError("matrix has non-finite entries")
+    ell = g.shape[-1]
+    r = np.arange(ell)
+    scale = np.maximum(1.0, np.max(np.abs(g), axis=(-2, -1)))
+
+    def pivot(m, k):
+        piv = m[..., k, k]
+        small = np.abs(piv) <= _MINOR_RTOL * scale
+        if np.any(small):
+            raise SingularMinor(k + 1, complex(np.ravel(piv)[np.argmax(small)]))
+        return piv
 
     # LDU of the anti-transposed matrix = UDL of g.
-    m = g[::-1, ::-1].copy()
-    lower = np.eye(ell, dtype=complex)
+    m = g[..., ::-1, ::-1].copy()
+    lower = np.zeros_like(m)
+    lower[..., r, r] = 1.0
     for k in range(ell - 1):
-        piv = m[k, k]
-        if abs(piv) <= _MINOR_RTOL * scale:
-            raise SingularMinor(k + 1, piv)
-        f = m[k + 1 :, k] / piv
-        lower[k + 1 :, k] = f
-        m[k + 1 :, k:] -= np.outer(f, m[k, k:])
-        m[k + 1 :, k] = 0.0
-    if abs(m[ell - 1, ell - 1]) <= _MINOR_RTOL * scale:
-        raise SingularMinor(ell, m[ell - 1, ell - 1])
+        f = m[..., k + 1 :, k] / pivot(m, k)[..., None]
+        lower[..., k + 1 :, k] = f
+        m[..., k + 1 :, k:] -= f[..., :, None] * m[..., None, k, k:]
+        m[..., k + 1 :, k] = 0.0
+    pivot(m, ell - 1)
 
-    diag = np.diag(m).copy()
-    upper = m / diag[:, None]
-    np.fill_diagonal(upper, 1.0)
+    diag = np.diagonal(m, axis1=-2, axis2=-1)
+    upper = m / diag[..., :, None]
+    upper[..., r, r] = 1.0
 
-    g_gt = lower[::-1, ::-1]  # unit upper triangular
-    g_0 = np.zeros((ell, ell), dtype=complex)
-    np.fill_diagonal(g_0, diag[::-1])
-    g_lt = upper[::-1, ::-1]  # unit lower triangular
+    g_gt = lower[..., ::-1, ::-1]  # unit upper triangular
+    g_0 = np.zeros_like(m)
+    g_0[..., r, r] = diag[..., ::-1]
+    g_lt = upper[..., ::-1, ::-1]  # unit lower triangular
     return g_gt, g_0, g_lt
 
 
 def chi(pair: DualPair) -> np.ndarray:
     """The product h_+ h_-^{-1}."""
     hm = pair.hminus
-    if np.any(np.diag(hm) == 0):
+    if np.any(np.diagonal(hm, axis1=-2, axis2=-1) == 0):
         raise ValueError("h_- is singular")
-    return np.linalg.solve(hm.T, pair.hplus.T).T
+    return np.linalg.solve(hm.swapaxes(-1, -2), pair.hplus.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
 def chi_inverse_local(h: np.ndarray) -> DualPair:
@@ -90,25 +97,18 @@ def chi_inverse_local(h: np.ndarray) -> DualPair:
 
     Uses the Gauss decomposition and the principal square root of each
     diagonal entry; BranchCut(j) is raised when that entry is a negative
-    real number.
+    real number.  A stack of matrices (..., l, l) gives a stack of pairs.
     """
     g_gt, g_0, g_lt = gauss(h)
-    h0 = _principal_sqrt(np.diag(g_0))
-    hplus = g_gt * h0[None, :]
-    hminus = np.linalg.inv(g_lt) / h0[None, :]
-    hplus[np.tril_indices_from(hplus, -1)] = 0.0
-    hminus[np.triu_indices_from(hminus, 1)] = 0.0
-    return DualPair(hplus, hminus)
+    h0 = _principal_sqrt(np.diagonal(g_0, axis1=-2, axis2=-1))[..., None, :]
+    return DualPair(np.triu(g_gt * h0), np.tril(np.linalg.inv(g_lt) / h0))
 
 
 def factor_inv_pair(m: np.ndarray) -> DualPair:
-    """Factor m = g_+^{-1} g_- with (g_+, g_-) a DualPair, branch at m = I."""
+    """Factor m = g_+^{-1} g_- with (g_+, g_-) a DualPair, branch at m = I;
+    a stack of matrices (..., l, l) gives a stack of pairs."""
     inner = chi_inverse_local(m)
-    gp = np.linalg.inv(inner.hplus)
-    gm = np.linalg.inv(inner.hminus)
-    gp[np.tril_indices_from(gp, -1)] = 0.0
-    gm[np.triu_indices_from(gm, 1)] = 0.0
-    return DualPair(gp, gm)
+    return DualPair(np.triu(np.linalg.inv(inner.hplus)), np.tril(np.linalg.inv(inner.hminus)))
 
 
 def g_functions(p: SpinPoint) -> np.ndarray:
@@ -119,6 +119,18 @@ def g_functions(p: SpinPoint) -> np.ndarray:
     ab = p.a * p.b
     G = np.ones(ab.shape[:-1] + (p.n + 2,), dtype=complex)
     G[..., 1 : p.n + 1] += np.cumsum(ab[..., ::-1], axis=-1)[..., ::-1]
+    return G
+
+
+def _nonvanishing_g(p: SpinPoint) -> np.ndarray:
+    """``g_functions(p)``; ZeroG(j) reports a G_j, 1 <= j <= n, that vanishes
+    relative to the largest |G| of its point."""
+    G = g_functions(p)
+    scale = np.maximum(1.0, np.max(np.abs(G), axis=-1, keepdims=True))
+    small = np.abs(G[..., 1 : p.n + 1]) <= 1e-12 * scale
+    if np.any(small):
+        at = tuple(np.argwhere(small)[0])
+        raise ZeroG(int(at[-1]) + 1, complex(G[at[:-1] + (at[-1] + 1,)]))
     return G
 
 
@@ -135,12 +147,7 @@ def g_factors(p: SpinPoint):
     reports a vanishing G_j, BranchCut(j) a G_j on the negative real axis.
     """
     n = p.n
-    G = g_functions(p)
-    scale = np.maximum(1.0, np.max(np.abs(G), axis=-1, keepdims=True))
-    small = np.abs(G[..., 1 : n + 1]) <= 1e-12 * scale
-    if np.any(small):
-        at = tuple(np.argwhere(small)[0])
-        raise ZeroG(int(at[-1]) + 1, complex(G[at[:-1] + (at[-1] + 1,)]))
+    G = _nonvanishing_g(p)
     s = _principal_sqrt(G[..., 1 : n + 2])  # s[..., j-1] = sqrt(G_j), j = 1..n+1
 
     ss = s[..., :n] * s[..., 1:]

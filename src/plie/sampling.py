@@ -3,6 +3,11 @@
 Every sample is derived from an integer pair (seed, index) through
 ``numpy.random.default_rng``, so sweeps are reproducible and order-independent
 regardless of how the samples are scheduled.
+
+Every ``sample_*`` function takes one index, which gives one point, or an
+array of indices, which gives the stack of those points with the index
+array's shape as leading batch axes.  A stacked point is bitwise equal to
+the points drawn one index at a time.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from .points import DualPair, SPoint, SpinPoint, SpinTuple
 __all__ = [
     "rng_for",
     "complex_disk",
+    "draw_disks",
     "sample_spoint",
     "sample_spin",
     "sample_tuple",
@@ -21,70 +27,81 @@ __all__ = [
     "sample_double",
     "sample_dual",
     "sample_vector",
-    "sample_vectors",
 ]
+
 
 def rng_for(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(index)])
+
+
+def _disk(u: np.ndarray, v: np.ndarray, radius: float) -> np.ndarray:
+    return radius * np.sqrt(u) * np.exp(2j * np.pi * v)
 
 
 def complex_disk(rng: np.random.Generator, shape, radius: float) -> np.ndarray:
     """Entries uniform on the closed complex disk of the given radius."""
     u = rng.random(shape)
     v = rng.random(shape)
-    return radius * np.sqrt(u) * np.exp(2j * np.pi * v)
+    return _disk(u, v, radius)
 
 
-def sample_vector(seed: int, index: int, dim: int, radius: float) -> np.ndarray:
-    return complex_disk(rng_for(seed, index), dim, radius)
+def draw_disks(seed: int, index, parts) -> list:
+    """The arrays ``complex_disk(rng, shape, radius)`` for each (shape, radius)
+    of ``parts``, drawn in that order from ``rng_for(seed, i)``.
 
-
-def sample_vectors(seed: int, indices, dim: int, radius: float) -> np.ndarray:
-    """The stack of ``sample_vector(seed, i, dim, radius)`` over ``indices``, shape (S, dim)."""
-    u = np.empty((len(indices), dim))
-    v = np.empty((len(indices), dim))
-    for row, i in enumerate(indices):
+    A scalar ``index`` gives arrays of the parts' shapes; an index array
+    gives them with its shape as leading axes, one row per index.
+    """
+    index = np.asarray(index)
+    shapes = [tuple(np.atleast_1d(shape)) for shape, _ in parts]
+    u = [np.empty((index.size,) + shape) for shape in shapes]
+    v = [np.empty((index.size,) + shape) for shape in shapes]
+    for row, i in enumerate(index.ravel()):
         rng = rng_for(seed, i)
-        u[row] = rng.random(dim)
-        v[row] = rng.random(dim)
-    return radius * np.sqrt(u) * np.exp(2j * np.pi * v)
+        for k, shape in enumerate(shapes):
+            u[k][row] = rng.random(shape)
+            v[k][row] = rng.random(shape)
+    return [
+        _disk(uk, vk, radius).reshape(index.shape + shape)
+        for uk, vk, shape, (_, radius) in zip(u, v, shapes, parts)
+    ]
 
 
-def sample_spoint(seed: int, index: int, n: int, d: int, radius: float) -> SPoint:
-    rng = rng_for(seed, index)
-    return SPoint(complex_disk(rng, (n, d), radius), complex_disk(rng, (d, n), radius))
+def sample_vector(seed: int, index, dim: int, radius: float) -> np.ndarray:
+    """A flat point of shape (dim,), or (..., dim) for an index array."""
+    return draw_disks(seed, index, [(dim, radius)])[0]
 
 
-def sample_spin(seed: int, index: int, n: int, radius: float) -> SpinPoint:
-    rng = rng_for(seed, index)
-    return SpinPoint(complex_disk(rng, n, radius), complex_disk(rng, n, radius))
+def sample_spoint(seed: int, index, n: int, d: int, radius: float) -> SPoint:
+    return SPoint(*draw_disks(seed, index, [((n, d), radius), ((d, n), radius)]))
 
 
-def sample_tuple(seed: int, index: int, n: int, d: int, radius: float) -> SpinTuple:
-    rng = rng_for(seed, index)
-    return SpinTuple(
-        SpinPoint(complex_disk(rng, n, radius), complex_disk(rng, n, radius)) for _ in range(d)
-    )
+def sample_spin(seed: int, index, n: int, radius: float) -> SpinPoint:
+    return SpinPoint(*draw_disks(seed, index, [(n, radius), (n, radius)]))
 
 
-def sample_gl(seed: int, index: int, ell: int, radius: float, near_identity: bool = False) -> np.ndarray:
-    """A square matrix; with near_identity, I plus a disk perturbation (invertible)."""
-    rng = rng_for(seed, index)
-    m = complex_disk(rng, (ell, ell), radius)
-    return np.eye(ell) + m if near_identity else m
+def sample_tuple(seed: int, index, n: int, d: int, radius: float) -> SpinTuple:
+    vs = draw_disks(seed, index, [(n, radius)] * (2 * d))
+    return SpinTuple(SpinPoint(vs[2 * k], vs[2 * k + 1]) for k in range(d))
 
 
-def sample_double(seed: int, index: int, ell: int, radius: float):
-    rng = rng_for(seed, index)
-    return complex_disk(rng, (ell, ell), radius), complex_disk(rng, (ell, ell), radius)
+def sample_gl(seed: int, index, ell: int, radius: float) -> np.ndarray:
+    """A square matrix of disk entries."""
+    return draw_disks(seed, index, [((ell, ell), radius)])[0]
 
 
-def sample_dual(seed: int, index: int, ell: int, radius: float) -> DualPair:
+def sample_double(seed: int, index, ell: int, radius: float):
+    u, v = draw_disks(seed, index, [((ell, ell), radius)] * 2)
+    return u, v
+
+
+def sample_dual(seed: int, index, ell: int, radius: float) -> DualPair:
     """A dual-group element with diagonal kept away from zero."""
-    rng = rng_for(seed, index)
-    hp = np.triu(complex_disk(rng, (ell, ell), radius), 1)
-    hm = np.tril(complex_disk(rng, (ell, ell), radius), -1)
-    diag = 1.0 + complex_disk(rng, ell, min(radius, 0.5))
-    hp[np.diag_indices(ell)] = diag
-    hm[np.diag_indices(ell)] = 1.0 / diag
+    up, lo, diag = draw_disks(seed, index, [((ell, ell), radius)] * 2 + [(ell, min(radius, 0.5))])
+    diag += 1.0
+    r = np.arange(ell)
+    hp = np.triu(up, 1)
+    hm = np.tril(lo, -1)
+    hp[..., r, r] = diag
+    hm[..., r, r] = 1.0 / diag
     return DualPair(hp, hm)

@@ -8,10 +8,13 @@ The bounds are fixed here (``TOL_EXACT``, ``TOL_FD`` and per-check values)
 and appear in the report params.
 
 A suite builder returns (params, sample count, check).  The check takes the
-array of sample indices and returns {check name: (S,) array of raw
-residuals}; the jacobi and zakrzewski suites evaluate each bracket once on
-the stack of all their samples, and the other suites wrap a per-sample
-function with ``_each``.
+array of S sample indices and returns {check name: (S,) array of raw
+residuals}.  It evaluates each of its checks once, on the (S, ...) stack of
+its samples: the sampling functions draw that stack from the index array,
+and every residual below them takes it.  ``_execute`` hands a check all of
+a run's samples at once unless they would make its arrays too large, and
+then in chunks (``_STACK_ENTRIES``).  The rank suite's check does not
+depend on the sample; it is evaluated once and repeated per index.
 """
 
 from __future__ import annotations
@@ -28,9 +31,9 @@ from . import charts, decoupling as dc, factorization as fc, sampling, verify as
 from .brackets import BracketSpec, HoloFn1
 from .errors import ConfigError
 from .points import SPoint
-from .verify import DiffScheme, VerificationReport
+from .verify import DiffScheme, VerificationReport, max_abs
 
-__all__ = ["RunConfig", "SUITES", "run_suite"]
+__all__ = ["MAX_DIM", "RunConfig", "SUITES", "check_dims", "run_suite"]
 
 SUITES = (
     "jacobi",
@@ -46,6 +49,19 @@ SUITES = (
     "actions",
     "all",
 )
+
+# The largest coordinate dimension a run may ask for: at dim 256 one jacobi
+# (dim, dim, dim) complex stack is 268 MB.
+MAX_DIM = 256
+
+
+def check_dims(dims: dict) -> None:
+    """ConfigError naming the first dimension above MAX_DIM; ``dims`` maps a
+    formula such as '2*n*d' to its value."""
+    for formula, value in dims.items():
+        if value > MAX_DIM:
+            raise ConfigError(f"{formula} must be <= MAX_DIM = {MAX_DIM}")
+
 
 # per annotated field type: the numbers it admits (never a bool) and its canonical type
 _KINDS = {
@@ -87,6 +103,9 @@ class RunConfig:
         for name in ("n", "d", "ell", "samples"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        # the spaces S(n,d), GL(n), GL(d) and GL(ell) x GL(ell) of the suites
+        n, d, ell = self.n, self.d, self.ell
+        check_dims({"2*n*d": 2 * n * d, "n*n": n * n, "d*d": d * d, "2*ell*ell": 2 * ell * ell})
         if self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
         if self.radius <= 0:
@@ -119,26 +138,9 @@ _F_ONE = HoloFn1.affine(1, 0, "F")
 _G_ZERO = HoloFn1.affine(0, 0, "G")
 
 
-def _each(sample: Callable[[int], dict]) -> Callable[[np.ndarray], dict]:
-    """A per-sample function {check: raw residual} as a check over an index
-    array.  Every sample must report the same checks in the same order."""
-
-    def check(indices: np.ndarray) -> dict:
-        rows = [sample(int(i)) for i in indices]
-        keys = list(rows[0]) if rows else []
-        for i, row in zip(indices, rows):
-            if list(row) != keys:
-                raise ValueError(f"sample {i} reports checks {list(row)}, expected {keys}")
-        return {k: np.array([row[k] for row in rows], dtype=float) for k in keys}
-
-    return check
-
-
-def _tuple_diff(t1, t2) -> float:
-    return max(
-        max(float(np.max(np.abs(u.a - v.a))), float(np.max(np.abs(u.b - v.b))))
-        for u, v in zip(t1, t2)
-    )
+def _tuple_diff(t1, t2) -> np.ndarray:
+    """Per point of two stacks of spin tuples: the largest entry difference."""
+    return np.max(np.abs(charts.pack_tuple(t1) - charts.pack_tuple(t2)), axis=-1)
 
 
 # --- individual suites -------------------------------------------------------
@@ -168,9 +170,9 @@ def _suite_jacobi(cfg: RunConfig):
         out = {}
         for spec in specs:
             if spec.dim not in stacks:
-                stacks[spec.dim] = sampling.sample_vectors(cfg.seed, indices, spec.dim, 1.0)
+                stacks[spec.dim] = sampling.sample_vector(cfg.seed, indices, spec.dim, 1.0)
             out[spec.kind] = vf.jacobi_residual(spec, stacks[spec.dim], _POLY)
-        X = np.stack([charts.pack_dual(sampling.sample_dual(cfg.seed, i, cfg.ell, 0.4)) for i in indices])
+        X = charts.pack_dual(sampling.sample_dual(cfg.seed, indices, cfg.ell, 0.4))
         out["DualGroup"] = vf.jacobi_residual(dual, X, _RATIONAL)
         return out
 
@@ -186,15 +188,14 @@ def _suite_decouple_m(cfg: RunConfig):
     def fmap(x):
         return charts.pack_spoint(dc.map_m(charts.unpack_tuple(x, cfg.n, cfg.d)))
 
-    def sample(i: int) -> dict:
-        t = sampling.sample_tuple(cfg.seed, i, cfg.n, cfg.d, cfg.radius)
-        x = charts.pack_tuple(t)
+    def check(indices: np.ndarray) -> dict:
+        t = sampling.sample_tuple(cfg.seed, indices, cfg.n, cfg.d, cfg.radius)
         return {
-            "poisson_map": vf.poisson_map_residual(src, tgt, fmap, x, _FD),
+            "poisson_map": vf.poisson_map_residual(src, tgt, fmap, charts.pack_tuple(t), _FD),
             "roundtrip": _tuple_diff(t, dc.map_m_inverse(dc.map_m(t))),
         }
 
-    return params, cfg.samples, _each(sample)
+    return params, cfg.samples, check
 
 
 def _suite_decouple_F(cfg: RunConfig):
@@ -218,42 +219,40 @@ def _suite_decouple_F(cfg: RunConfig):
         p = dc.map_F(charts.unpack_tuple(x, cfg.n, cfg.d))
         return charts.pack_spoint(dc.map_theta(p, th_a, th_b, cfg.kappa))
 
-    def sample(i: int) -> dict:
-        t = sampling.sample_tuple(cfg.seed, i, cfg.n, cfg.d, cfg.radius)
+    def check(indices: np.ndarray) -> dict:
+        t = sampling.sample_tuple(cfg.seed, indices, cfg.n, cfg.d, cfg.radius)
         x = charts.pack_tuple(t)
-        out = {
-            "poisson_map_F": vf.poisson_map_residual(src, tgt_pr, fmap, x, _FD),
-            "poisson_map_thetaF": vf.poisson_map_residual(src, tgt_ao, thfmap, x, _FD),
-            "roundtrip": _tuple_diff(t, dc.map_F_inverse(dc.map_F(t))),
-        }
         q = dc.map_theta(dc.map_F(t), th_a, th_b, cfg.kappa)
         GG = fc.calG_pm(t)
         lhs = np.eye(cfg.n) + cfg.kappa * q.A @ q.B
-        rhs = np.linalg.solve(GG.hplus, GG.hminus)
-        out["residue_identity"] = float(np.max(np.abs(lhs - rhs)))
-        return out
+        return {
+            "poisson_map_F": vf.poisson_map_residual(src, tgt_pr, fmap, x, _FD),
+            "poisson_map_thetaF": vf.poisson_map_residual(src, tgt_ao, thfmap, x, _FD),
+            "roundtrip": _tuple_diff(t, dc.map_F_inverse(dc.map_F(t))),
+            "residue_identity": max_abs(lhs - np.linalg.solve(GG.hplus, GG.hminus)),
+        }
 
-    return params, cfg.samples, _each(sample)
+    return params, cfg.samples, check
 
 
 def _suite_factorization(cfg: RunConfig):
     bounds = {"factid1": 1e-12, "factid2": 1e-11, "chi_roundtrip": TOL_EXACT, "gauss": 1e-12}
     params = {"n": cfg.n, "d": cfg.d, "radius": cfg.radius, "bounds": bounds}
 
-    def sample(i: int) -> dict:
-        s = sampling.sample_spin(cfg.seed, i, cfg.n, cfg.radius)
-        pair = fc.g_pm(s)
-        res1 = float(np.max(np.abs(np.eye(cfg.n) + np.outer(s.a, s.b) - fc.chi(pair))))
-        t = sampling.sample_tuple(cfg.seed, i, cfg.n, cfg.d, cfg.radius)
-        p = dc.map_m(t)
-        res2 = float(np.max(np.abs(fc.gamma(p) - fc.chi(fc.calG_pm(t)))))
-        h = np.eye(cfg.n) + sampling.complex_disk(sampling.rng_for(cfg.seed, i), (cfg.n, cfg.n), cfg.radius)
-        res3 = float(np.max(np.abs(fc.chi(fc.chi_inverse_local(h)) - h)))
+    def check(indices: np.ndarray) -> dict:
+        n = cfg.n
+        s = sampling.sample_spin(cfg.seed, indices, n, cfg.radius)
+        t = sampling.sample_tuple(cfg.seed, indices, n, cfg.d, cfg.radius)
+        h = np.eye(n) + sampling.sample_gl(cfg.seed, indices, n, cfg.radius)
         gt, g0, lt = fc.gauss(h)
-        res4 = float(np.max(np.abs(gt @ g0 @ lt - h)))
-        return {"factid1": res1, "factid2": res2, "chi_roundtrip": res3, "gauss": res4}
+        return {
+            "factid1": max_abs(np.eye(n) + s.a[..., :, None] * s.b[..., None, :] - fc.chi(fc.g_pm(s))),
+            "factid2": max_abs(fc.gamma(dc.map_m(t)) - fc.chi(fc.calG_pm(t))),
+            "chi_roundtrip": max_abs(fc.chi(fc.chi_inverse_local(h)) - h),
+            "gauss": max_abs(gt @ g0 @ lt - h),
+        }
 
-    return params, cfg.samples, _each(sample)
+    return params, cfg.samples, check
 
 
 def _linear_jacobian(fmap: Callable[[np.ndarray], np.ndarray], dim: int) -> np.ndarray:
@@ -295,18 +294,16 @@ def _suite_ao_maps(cfg: RunConfig):
     swap[:n, n:] = np.eye(n)
     swap[n:, :n] = np.eye(n)
 
-    def sample(i: int) -> dict:
-        out = {}
-        for k, (src, tgt, f) in maps.items():
-            x = sampling.sample_vector(cfg.seed, i, src.dim, 1.0)
-            out[k] = vf.poisson_map_residual(src, tgt, f, x, jac=jacs[k])
-        x = sampling.sample_vector(cfg.seed, i, sprod.dim, 1.0)
+    def check(indices: np.ndarray) -> dict:
+        # every source chart has dim 2nd, so the maps share one stack of points
+        x = sampling.sample_vector(cfg.seed, indices, sprod.dim, 1.0)
+        out = {k: vf.poisson_map_residual(src, tgt, f, x, jac=jacs[k]) for k, (src, tgt, f) in maps.items()}
         out["iota"] = vf.anti_poisson_residual(sprod, iota_f, x, jac=J_iota)
-        xz = sampling.sample_vector(cfg.seed, i, 2 * n, 1.0)
-        out["iota_spin"] = vf.anti_poisson_residual(zak, lambda xx: swap @ xx, xz, jac=swap)
+        xz = sampling.sample_vector(cfg.seed, indices, zak.dim, 1.0)
+        out["iota_spin"] = vf.anti_poisson_residual(zak, lambda xx: xx @ swap.T, xz, jac=swap)
         return out
 
-    return params, cfg.samples, _each(sample)
+    return params, cfg.samples, check
 
 
 def _suite_moment(cfg: RunConfig):
@@ -316,14 +313,14 @@ def _suite_moment(cfg: RunConfig):
     bounds.update({k: 1e-6 for k in fd_keys})
     params = {"n": cfg.n, "d": cfg.d, "kappa": cfg.kappa, "radius": cfg.radius, "bounds": bounds}
 
-    def sample(i: int) -> dict:
-        p = sampling.sample_spoint(cfg.seed, i, cfg.n, cfg.d, cfg.radius)
+    def check(indices: np.ndarray) -> dict:
+        p = sampling.sample_spoint(cfg.seed, indices, cfg.n, cfg.d, cfg.radius)
         # the Gamma relations are polynomial; only g+- needs the fine FD scheme
         res = vf.moment_gamma_residuals(cfg.kappa, p, _POLY)
         res.update(vf.moment_factor_residuals(cfg.kappa, p, _FD))
         return {k: res[k] for k in exact_keys + fd_keys}
 
-    return params, cfg.samples, _each(sample)
+    return params, cfg.samples, check
 
 
 def _suite_lemma4(cfg: RunConfig):
@@ -339,23 +336,23 @@ def _suite_lemma4(cfg: RunConfig):
     bounds = {k: 1e-6 for k in keys}
     params = {"n": cfg.n, "d": cfg.d, "kappa": cfg.kappa, "radius": cfg.radius, "bounds": bounds}
 
-    def sample(i: int) -> dict:
-        t = sampling.sample_tuple(cfg.seed, i, cfg.n, cfg.d, cfg.radius)
+    def check(indices: np.ndarray) -> dict:
+        t = sampling.sample_tuple(cfg.seed, indices, cfg.n, cfg.d, cfg.radius)
         res = vf.lemma_h_residuals(cfg.kappa, t, _FD)
         return {k: res[k] for k in keys}
 
-    return params, cfg.samples, _each(sample)
+    return params, cfg.samples, check
 
 
 def _suite_symplectic(cfg: RunConfig):
     bounds = {"inversion": TOL_EXACT}
     params = {"n": cfg.n, "kappa": cfg.kappa, "radius": cfg.radius, "bounds": bounds}
 
-    def sample(i: int) -> dict:
-        p = sampling.sample_spin(cfg.seed, i, cfg.n, cfg.radius)
+    def check(indices: np.ndarray) -> dict:
+        p = sampling.sample_spin(cfg.seed, indices, cfg.n, cfg.radius)
         return {"inversion": vf.symplectic_inversion_residual(cfg.kappa, p)}
 
-    return params, cfg.samples, _each(sample)
+    return params, cfg.samples, check
 
 
 def _degenerate_spoint(n: int, d: int) -> SPoint:
@@ -379,18 +376,17 @@ def _suite_rank(cfg: RunConfig):
         "bounds": {"rank_mismatch": 0.5},
     }
 
-    def sample(i: int) -> dict:
+    def check(indices: np.ndarray) -> dict:
         worst = 0.0
         for n, d in sizes:
             spec = BracketSpec("S", cfg.kappa, n=n, d=d)
             r = vf.rank_at(spec, charts.pack_spoint(_degenerate_spoint(n, d)), 1e-8)
             worst = max(worst, float(abs(r - 2 * (n - 1) * (d - 1))))
-        spec = BracketSpec("S", cfg.kappa, n=cfg.n, d=cfg.d)
-        r = vf.rank_at(spec, np.zeros(spec.dim, dtype=complex), 1e-8)
+        r = vf.rank_at(spec0, np.zeros(spec0.dim, dtype=complex), 1e-8)
         worst = max(worst, float(abs(r - 2 * cfg.n * cfg.d)))
-        return {"rank_mismatch": worst}
+        return {"rank_mismatch": np.full(len(indices), worst)}
 
-    return params, 1, _each(sample)
+    return params, 1, check
 
 
 def _suite_zakrzewski(cfg: RunConfig):
@@ -410,7 +406,7 @@ def _suite_zakrzewski(cfg: RunConfig):
     spec_bad = BracketSpec("ZakC", cfg.kappa, n=n, F=_F_ONE, G=_G_ZERO)
 
     def check(indices: np.ndarray) -> dict:
-        x = sampling.sample_vectors(cfg.seed, indices, 2 * n, 1.0)
+        x = sampling.sample_vector(cfg.seed, indices, 2 * n, 1.0)
         t = np.sum(x[:, :n] * x[:, n:], axis=-1)
         out = {
             "jacobi_affine": vf.jacobi_residual(spec_aff, x, _POLY),
@@ -453,21 +449,20 @@ def _suite_actions(cfg: RunConfig):
         b = (xv[..., None, n:] @ np.linalg.inv(g))[..., 0, :]
         return np.concatenate([a, b], axis=-1)
 
-    def sample(i: int) -> dict:
-        rng = sampling.rng_for(cfg.seed, i)
-        gn = np.eye(n) + sampling.complex_disk(rng, (n, n), 0.2)
-        gd = np.eye(d) + sampling.complex_disk(rng, (d, d), 0.2)
-        x = np.concatenate(
-            [sampling.complex_disk(rng, n * d, cfg.radius), sampling.complex_disk(rng, n * d, cfg.radius)]
-        )
-        xz = sampling.complex_disk(rng, 2 * n, cfg.radius)
+    def check(indices: np.ndarray) -> dict:
+        r = cfg.radius
+        parts = [((n, n), 0.2), ((d, d), 0.2), (n * d, r), (n * d, r), (2 * n, r)]
+        un, ud, xa, xb, xz = sampling.draw_disks(cfg.seed, indices, parts)
+        gn = charts.pack_gl(np.eye(n) + un)
+        gd = charts.pack_gl(np.eye(d) + ud)
+        x = np.concatenate([xa, xb], axis=-1)
         return {
-            "gl_n_action": vf.action_residual(gspec_n, sspec, act_n, gn.ravel(), x, _FD),
-            "gl_d_action": vf.action_residual(gspec_d, sspec, act_d, gd.ravel(), x, _FD),
-            "spin_action": vf.action_residual(gspec_n, zspec, act_z, gn.ravel(), xz, _FD),
+            "gl_n_action": vf.action_residual(gspec_n, sspec, act_n, gn, x, _FD),
+            "gl_d_action": vf.action_residual(gspec_d, sspec, act_d, gd, x, _FD),
+            "spin_action": vf.action_residual(gspec_n, zspec, act_z, gn, xz, _FD),
         }
 
-    return params, cfg.samples, _each(sample)
+    return params, cfg.samples, check
 
 
 _BUILDERS = {
@@ -485,21 +480,34 @@ _BUILDERS = {
 }
 
 
+# A check's arrays grow with the samples it is handed, so _execute hands it
+# chunks of samples: a chunk times the entries of the largest per-sample
+# matrix of any suite, lemma4's brackets of its m = 2nd(1 + n) functions,
+# stays under this.  Every benchmark-sized run is one chunk.
+_STACK_ENTRIES = 2**20
+
+
 def _execute(cfg: RunConfig, suite: str) -> VerificationReport:
     params, count, check = _BUILDERS[suite](cfg)
-    res = check(np.arange(count))
     bounds = params["bounds"]
-    if set(res) != set(bounds):
-        raise ValueError(
-            f"{suite}: checks without a bound {sorted(set(res) - set(bounds))}, "
-            f"bounds without a check {sorted(set(bounds) - set(res))}"
-        )
-    for key, values in res.items():
-        if np.shape(values) != (count,):
-            raise ValueError(f"{suite}: check {key} gave shape {np.shape(values)}, expected ({count},)")
+    m = 2 * cfg.n * cfg.d * (1 + cfg.n)
+    chunk = max(1, _STACK_ENTRIES // (m * m))
+    parts = []
+    for start in range(0, count, chunk):
+        indices = np.arange(start, min(count, start + chunk))
+        res = check(indices)
+        if set(res) != set(bounds):
+            raise ValueError(
+                f"{suite}: checks without a bound {sorted(set(res) - set(bounds))}, "
+                f"bounds without a check {sorted(set(bounds) - set(res))}"
+            )
+        for key, values in res.items():
+            if np.shape(values) != indices.shape:
+                raise ValueError(f"{suite}: check {key} gave shape {np.shape(values)}, expected {indices.shape}")
+        parts.append(res)
 
-    keys = list(res)
-    raw = np.array([res[k] for k in keys], dtype=float)  # (checks, samples)
+    keys = list(parts[0])
+    raw = np.array([np.concatenate([p[k] for p in parts]) for k in keys], dtype=float)  # (checks, samples)
     norm = raw / np.array([bounds[k] for k in keys])[:, None]
     finite = np.isfinite(norm)
     # per sample: its first non-finite check, else its first largest one

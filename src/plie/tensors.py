@@ -13,7 +13,6 @@ import numpy as np
 
 __all__ = [
     "Tensor4",
-    "as_cmat",
     "elementary",
     "dj_r",
     "r_pm",
@@ -23,71 +22,60 @@ __all__ = [
 ]
 
 
-def as_cmat(entries, rows: int | None = None, cols: int | None = None) -> np.ndarray:
-    """Validate and return a complex 2-D array (finite entries required)."""
-    m = np.asarray(entries, dtype=complex)
-    if m.ndim != 2:
-        raise ValueError(f"expected a matrix, got ndim={m.ndim}")
-    if rows is not None and m.shape != (rows, cols):
-        raise ValueError(f"expected shape {(rows, cols)}, got {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix has non-finite entries")
-    return m
-
-
 class Tensor4:
     """A 4-index complex tensor with dims ``(p, q, r, s)``.
 
     Leg 1 carries the index pair ``(p, q)`` and leg 2 the pair ``(r, s)``.
+    The array may carry leading batch axes, ``(..., p, q, r, s)``: a stack
+    of tensors.  The leg products broadcast batch axes between the tensor
+    and the matrix, so a constant tensor times a stack of matrices is a
+    stack of tensors.
     """
 
     __slots__ = ("array",)
 
     def __init__(self, array):
         a = np.asarray(array, dtype=complex)
-        if a.ndim != 4:
+        if a.ndim < 4:
             raise ValueError("Tensor4 requires a 4-index array")
         self.array = a
 
     @property
     def dims(self) -> tuple[int, int, int, int]:
-        return self.array.shape
-
-    @classmethod
-    def zeros(cls, p: int, q: int, r: int, s: int) -> "Tensor4":
-        return cls(np.zeros((p, q, r, s), dtype=complex))
+        return self.array.shape[-4:]
 
     def flatten(self) -> np.ndarray:
         """Flatten to a (p*r) x (q*s) matrix, leg-1 index major."""
         p, q, r, s = self.dims
-        return self.array.transpose(0, 2, 1, 3).reshape(p * r, q * s)
+        return self.array.swapaxes(-3, -2).reshape(self.array.shape[:-4] + (p * r, q * s))
 
     @classmethod
     def unflatten(cls, mat: np.ndarray, dims: tuple[int, int, int, int]) -> "Tensor4":
         p, q, r, s = dims
-        return cls(np.asarray(mat, dtype=complex).reshape(p, r, q, s).transpose(0, 2, 1, 3))
+        mat = np.asarray(mat, dtype=complex)
+        return cls(mat.reshape(mat.shape[:-2] + (p, r, q, s)).swapaxes(-3, -2))
 
     def swap_legs(self) -> "Tensor4":
         """Exchange leg 1 and leg 2."""
-        return Tensor4(self.array.transpose(2, 3, 0, 1))
+        return Tensor4(self.array.swapaxes(-4, -2).swapaxes(-3, -1))
 
     # matrix-on-one-leg products -------------------------------------------
 
     def lmul1(self, m) -> "Tensor4":
         """Left-multiply leg 1: (M T)[i,j,k,l] = sum_a M[i,a] T[a,j,k,l]."""
-        return Tensor4(np.einsum("ia,ajkl->ijkl", np.asarray(m, dtype=complex), self.array))
+        return Tensor4(np.einsum("...ia,...ajkl->...ijkl", np.asarray(m, dtype=complex), self.array))
 
     def rmul1(self, m) -> "Tensor4":
         """Right-multiply leg 1: (T M)[i,j,k,l] = sum_a T[i,a,k,l] M[a,j]."""
-        return Tensor4(np.einsum("iakl,aj->ijkl", self.array, np.asarray(m, dtype=complex)))
+        return Tensor4(np.einsum("...iakl,...aj->...ijkl", self.array, np.asarray(m, dtype=complex)))
 
     def lmul2(self, m) -> "Tensor4":
         """Left-multiply leg 2: (M T)[i,j,k,l] = sum_a M[k,a] T[i,j,a,l]."""
-        return Tensor4(np.einsum("ka,ijal->ijkl", np.asarray(m, dtype=complex), self.array))
+        return Tensor4(np.einsum("...ka,...ijal->...ijkl", np.asarray(m, dtype=complex), self.array))
 
     def rmul2(self, m) -> "Tensor4":
         """Right-multiply leg 2: (T M)[i,j,k,l] = sum_a T[i,j,k,a] M[a,l]."""
-        return Tensor4(np.einsum("ijka,al->ijkl", self.array, np.asarray(m, dtype=complex)))
+        return Tensor4(np.einsum("...ijka,...al->...ijkl", self.array, np.asarray(m, dtype=complex)))
 
     def __add__(self, other: "Tensor4") -> "Tensor4":
         return Tensor4(self.array + other.array)

@@ -10,10 +10,12 @@ be supplied for linear maps.  A differentiated map takes points of shape
 (..., dim) to values of shape (..., m), and each Jacobian evaluates all its
 probe points in one call.
 
-``jacobi_residual`` takes one point of shape (dim,) and returns a float, or
-a stack of S points of shape (S, dim) and returns the (S,) array of their
-residuals; the bivector is called once per block of probes, for all the
-samples of the block together.
+Every residual takes one point and returns a float (a dict of floats for
+the identity families), or a stack of S points and returns the (S,) array
+of their residuals (a dict of such arrays).  Points are flat coordinates of
+shape (dim,) or (S, dim), or point containers whose arrays carry the
+leading axis S.  ``jacobi_residual`` calls the bivector once per block of
+probes, for all the samples of the block together.
 """
 
 from __future__ import annotations
@@ -24,15 +26,16 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import charts
-from .brackets import BracketSpec, HoloFn1, sts_rhs_tensor
-from .errors import ConfigError, ZeroG
-from .factorization import g_factors, g_functions, g_pm, gamma
+from .brackets import BracketSpec, HoloFn1, s_bivector, sts_rhs_tensor
+from .errors import ConfigError
+from .factorization import _nonvanishing_g, g_factors, g_pm, gamma
 from .points import SPoint, SpinPoint, SpinTuple
-from .tensors import dj_r, r_pm
+from .tensors import Tensor4, dj_r, r_pm
 
 __all__ = [
     "DiffScheme",
     "VerificationReport",
+    "max_abs",
     "jacobian_fd",
     "jacobi_residual",
     "poisson_map_residual",
@@ -138,18 +141,21 @@ def _central_differences(
 
 
 def jacobian_fd(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, scheme: DiffScheme = DiffScheme()) -> np.ndarray:
-    """Central-difference Jacobian of a holomorphic map at x, shape (m, dim).
+    """Central-difference Jacobian of a holomorphic map: shape (m, dim) at one
+    point x of shape (dim,), and (..., m, dim) at a stack of shape (..., dim).
 
     ``f`` maps points of shape (..., dim) to values of shape (..., m).  All
-    probes x +- delta e_l (and x +- (delta/2) e_l with Richardson) go to ``f``
-    in one call on a (P, dim) stack; ValueError if the values do not come
-    back as (P, m), e.g. from a map written for one point only.
+    probes x +- delta e_l (and x +- (delta/2) e_l with Richardson) of all the
+    points go to ``f`` in one call on a (P, dim) stack; ValueError if the
+    values do not come back as (P, m), e.g. from a map written for one point
+    only.
     """
     x = np.asarray(x, dtype=complex)
-    D = _central_differences(f, x[None], scheme, x.size)[0]
-    if D.ndim != 2:
-        raise ValueError(f"map must take (..., {x.size}) to (..., m): its values have shape {D.shape[1:]}")
-    return D.T
+    dim = x.shape[-1]
+    D = _central_differences(f, x.reshape(-1, dim), scheme, dim)
+    if D.ndim != 3:
+        raise ValueError(f"map must take (..., {dim}) to (..., m): its values have shape {D.shape[2:]}")
+    return D.swapaxes(-1, -2).reshape(x.shape[:-1] + (D.shape[2], dim))
 
 
 # Entries of one bivector call in ``jacobi_residual``: at most this many
@@ -196,6 +202,22 @@ def _jacobiator_max(spec: BracketSpec, X: np.ndarray, scheme: DiffScheme, block:
     return np.max(np.abs(J), axis=(1, 2, 3))
 
 
+def max_abs(m: np.ndarray):
+    """max |m| over each matrix of a stack (..., r, c); a float for one matrix."""
+    r = np.max(np.abs(m), axis=(-2, -1))
+    return float(r) if r.ndim == 0 else r
+
+
+def _t(m: np.ndarray) -> np.ndarray:
+    """The transposes of a stack of matrices."""
+    return np.swapaxes(m, -1, -2)
+
+
+def _pushforward(J: np.ndarray, Pi: np.ndarray) -> np.ndarray:
+    """J Pi J^T for stacks of Jacobians and bivectors."""
+    return J @ Pi @ _t(J)
+
+
 def poisson_map_residual(
     src: BracketSpec,
     tgt: BracketSpec,
@@ -203,12 +225,14 @@ def poisson_map_residual(
     x: np.ndarray,
     scheme: DiffScheme = DiffScheme(),
     jac: Optional[np.ndarray] = None,
-) -> float:
+):
     """max |J Pi_src(x) J^T - Pi_tgt(f(x))| with J the Jacobian of f at x:
-    ``jac`` if given (the constant Jacobian of a linear f), else by ``scheme``."""
+    ``jac`` if given (the constant Jacobian of a linear f), else by ``scheme``.
+
+    One point (dim,) gives a float, a stack (S, dim) the (S,) residuals."""
     x = np.asarray(x, dtype=complex)
     J = jac if jac is not None else jacobian_fd(f, x, scheme)
-    return float(np.max(np.abs(J @ src.bivector(x) @ J.T - tgt.bivector(np.asarray(f(x))))))
+    return max_abs(_pushforward(J, src.bivector(x)) - tgt.bivector(np.asarray(f(x))))
 
 
 def anti_poisson_residual(
@@ -217,11 +241,11 @@ def anti_poisson_residual(
     x: np.ndarray,
     scheme: DiffScheme = DiffScheme(),
     jac: Optional[np.ndarray] = None,
-) -> float:
-    """max |J Pi(x) J^T + Pi(f(x))|."""
+):
+    """max |J Pi(x) J^T + Pi(f(x))|, per point as in ``poisson_map_residual``."""
     x = np.asarray(x, dtype=complex)
     J = jac if jac is not None else jacobian_fd(f, x, scheme)
-    return float(np.max(np.abs(J @ spec.bivector(x) @ J.T + spec.bivector(np.asarray(f(x))))))
+    return max_abs(_pushforward(J, spec.bivector(x)) + spec.bivector(np.asarray(f(x))))
 
 
 def action_residual(
@@ -231,14 +255,18 @@ def action_residual(
     g: np.ndarray,
     x: np.ndarray,
     scheme: DiffScheme = DiffScheme(),
-) -> float:
-    """Poisson-action defect: |J_g Pi_G(g) J_g^T + J_x Pi_S(x) J_x^T - Pi_S(g.x)|."""
+):
+    """Poisson-action defect |J diag(Pi_G(g), Pi_S(x)) J^T - Pi_S(g.x)|, with J
+    the Jacobian of the joint map (g, x) -> g.x.
+
+    ``g`` and ``x`` are one group element and one point, which give a float,
+    or stacks with the same leading axis S, which give the (S,) residuals."""
     g = np.asarray(g, dtype=complex)
     x = np.asarray(x, dtype=complex)
-    Jg = jacobian_fd(lambda gg: action(gg, x), g, scheme)
-    Jx = jacobian_fd(lambda xx: action(g, xx), x, scheme)
-    lhs = Jg @ group_spec.bivector(g) @ Jg.T + Jx @ space_spec.bivector(x) @ Jx.T
-    return float(np.max(np.abs(lhs - space_spec.bivector(np.asarray(action(g, x))))))
+    k = g.shape[-1]
+    J = jacobian_fd(lambda z: action(z[..., :k], z[..., k:]), np.concatenate([g, x], axis=-1), scheme)
+    lhs = _pushforward(J[..., :k], group_spec.bivector(g)) + _pushforward(J[..., k:], space_spec.bivector(x))
+    return max_abs(lhs - space_spec.bivector(np.asarray(action(g, x))))
 
 
 def bracket_functions(
@@ -248,11 +276,12 @@ def bracket_functions(
     g: Callable[[np.ndarray], np.ndarray],
     scheme: DiffScheme = DiffScheme(),
 ) -> np.ndarray:
-    """Matrix of brackets {f_p, g_q} at x via the chain rule Jf Pi Jg^T."""
+    """Matrix of brackets {f_p, g_q} at x via the chain rule Jf Pi Jg^T;
+    one matrix per point of a stack of shape (..., dim)."""
     x = np.asarray(x, dtype=complex)
     Jf = jacobian_fd(f, x, scheme)
     Jg = Jf if g is f else jacobian_fd(g, x, scheme)
-    return Jf @ spec.bivector(x) @ Jg.T
+    return Jf @ spec.bivector(x) @ _t(Jg)
 
 
 def bracket_coord_fn(
@@ -276,13 +305,19 @@ def _flat(m: np.ndarray) -> np.ndarray:
     return m.reshape(m.shape[:-2] + (-1,))
 
 
+def _matrix(t: Tensor4, rows: int, cols: int) -> np.ndarray:
+    """The entries of a (stack of) Tensor4 in index order as (..., rows, cols)."""
+    return t.array.reshape(t.array.shape[:-4] + (rows, cols))
+
+
 def _gamma_flat(x: np.ndarray, n: int, d: int) -> np.ndarray:
     return _flat(gamma(charts.unpack_spoint(x, n, d)))
 
 
 def moment_residuals(kappa: complex, point: SPoint, scheme: DiffScheme = DiffScheme()) -> dict:
-    """Residuals of the quadratic moment-map bracket identities at one point:
-    the union of ``moment_gamma_residuals`` and ``moment_factor_residuals``."""
+    """Residuals of the quadratic moment-map bracket identities at a point (or
+    a stack of points): the union of ``moment_gamma_residuals`` and
+    ``moment_factor_residuals``."""
     out = moment_gamma_residuals(kappa, point, scheme)
     out.update(moment_factor_residuals(kappa, point, scheme))
     return out
@@ -291,13 +326,13 @@ def moment_residuals(kappa: complex, point: SPoint, scheme: DiffScheme = DiffSch
 def moment_gamma_residuals(kappa: complex, point: SPoint, scheme: DiffScheme = DiffScheme()) -> dict:
     """The closed bracket relation of Gamma = 1 + AB with itself ('Ga1') and
     with the coordinates ('Ga2_A', 'Ga2_B'), and the same set for the hatted
-    structure with Gamma-hat = 1 - AB ('*prime'), at one point.  All maps
-    differentiated here are polynomial."""
+    structure with Gamma-hat = 1 - AB ('*prime'), at a point or a stack of
+    points.  All maps differentiated here are polynomial."""
     n, d = point.n, point.d
     x = charts.pack_spoint(point)
     spec = BracketSpec("S", kappa, n=n, d=d)
     rpn, rmn = r_pm(n, +1), r_pm(n, -1)
-    out: dict[str, float] = {}
+    out = {}
 
     # coordinates-and-Gamma in one map so Jacobian blocks share probes
     def full(xx):
@@ -306,17 +341,17 @@ def moment_gamma_residuals(kappa: complex, point: SPoint, scheme: DiffScheme = D
     Gm = gamma(point)
     nd = n * d
     M = bracket_functions(spec, x, full, full, scheme)
-    GG = M[2 * nd :, 2 * nd :]
-    AG = M[:nd, 2 * nd :]
-    BG = M[nd : 2 * nd, 2 * nd :]
+    GG = M[..., 2 * nd :, 2 * nd :]
+    AG = M[..., :nd, 2 * nd :]
+    BG = M[..., nd : 2 * nd, 2 * nd :]
 
-    rhs_GG = sts_rhs_tensor(kappa, Gm, n).array.reshape(n * n, n * n)
-    out["Ga1"] = float(np.max(np.abs(GG - rhs_GG)))
+    rhs_GG = _matrix(sts_rhs_tensor(kappa, Gm, n), n * n, n * n)
+    out["Ga1"] = max_abs(GG - rhs_GG)
     # {A1, G2} = kappa (G2 r+ - r- G2) A1 ; {B1, G2} = kappa B1 (r- G2 - G2 r+)
-    rhs_A = (kappa * (rpn.lmul2(Gm) - rmn.rmul2(Gm)).rmul1(point.A)).array.reshape(nd, n * n)
-    rhs_B = (kappa * (rmn.rmul2(Gm) - rpn.lmul2(Gm)).lmul1(point.B)).array.reshape(nd, n * n)
-    out["Ga2_A"] = float(np.max(np.abs(AG - rhs_A)))
-    out["Ga2_B"] = float(np.max(np.abs(BG - rhs_B)))
+    rhs_A = _matrix(kappa * (rpn.lmul2(Gm) - rmn.rmul2(Gm)).rmul1(point.A), nd, n * n)
+    rhs_B = _matrix(kappa * (rmn.rmul2(Gm) - rpn.lmul2(Gm)).lmul1(point.B), nd, n * n)
+    out["Ga2_A"] = max_abs(AG - rhs_A)
+    out["Ga2_B"] = max_abs(BG - rhs_B)
 
     # hatted counterpart: Gamma-hat = 1 - AB under the primed bracket,
     # same right-hand sides with an overall minus sign
@@ -329,15 +364,15 @@ def moment_gamma_residuals(kappa: complex, point: SPoint, scheme: DiffScheme = D
 
     Gh = np.eye(n, dtype=complex) - point.A @ point.B
     Mh = bracket_functions(h_spec, x, full_hat, full_hat, scheme)
-    GGh = Mh[2 * nd :, 2 * nd :]
-    AGh = Mh[:nd, 2 * nd :]
-    BGh = Mh[nd : 2 * nd, 2 * nd :]
-    rhs_GGh = -sts_rhs_tensor(kappa, Gh, n).array.reshape(n * n, n * n)
-    out["Ga1prime"] = float(np.max(np.abs(GGh - rhs_GGh)))
-    rhs_Ah = (-kappa * (rpn.lmul2(Gh) - rmn.rmul2(Gh)).rmul1(point.A)).array.reshape(nd, n * n)
-    rhs_Bh = (-kappa * (rmn.rmul2(Gh) - rpn.lmul2(Gh)).lmul1(point.B)).array.reshape(nd, n * n)
-    out["Ga2prime_A"] = float(np.max(np.abs(AGh - rhs_Ah)))
-    out["Ga2prime_B"] = float(np.max(np.abs(BGh - rhs_Bh)))
+    GGh = Mh[..., 2 * nd :, 2 * nd :]
+    AGh = Mh[..., :nd, 2 * nd :]
+    BGh = Mh[..., nd : 2 * nd, 2 * nd :]
+    rhs_GGh = -_matrix(sts_rhs_tensor(kappa, Gh, n), n * n, n * n)
+    out["Ga1prime"] = max_abs(GGh - rhs_GGh)
+    rhs_Ah = _matrix(-kappa * (rpn.lmul2(Gh) - rmn.rmul2(Gh)).rmul1(point.A), nd, n * n)
+    rhs_Bh = _matrix(-kappa * (rmn.rmul2(Gh) - rpn.lmul2(Gh)).lmul1(point.B), nd, n * n)
+    out["Ga2prime_A"] = max_abs(AGh - rhs_Ah)
+    out["Ga2prime_B"] = max_abs(BGh - rhs_Bh)
     return out
 
 
@@ -347,12 +382,12 @@ def moment_factor_residuals(kappa: complex, point: SPoint, scheme: DiffScheme = 
     fine finite-difference scheme."""
     n = point.n
     rpn, rmn = r_pm(n, +1), r_pm(n, -1)
-    out: dict[str, float] = {}
-    sp = SpinPoint(point.A[:, 0], point.B[0, :])
+    out = {}
+    sp = SpinPoint(point.A[..., :, 0], point.B[..., 0, :])
     s_spec = BracketSpec("S", kappa, n=n, d=1)
     xs = charts.pack_spoint(sp.as_spoint())
-    a_col = sp.a[:, None]
-    b_row = sp.b[None, :]
+    a_col = sp.a[..., :, None]
+    b_row = sp.b[..., None, :]
 
     # S(n, 1) and the spin chart C2n(n) order coordinates alike: a, then b
     def gpm_flat(xx):
@@ -361,18 +396,18 @@ def moment_factor_residuals(kappa: complex, point: SPoint, scheme: DiffScheme = 
 
     pair = g_pm(sp)
     # {x_p, g_q} = sum_c Pi[p, c] d_c g_q: the coordinates' own Jacobian is exactly I
-    Mab = s_spec.bivector(xs) @ jacobian_fd(gpm_flat, xs, scheme).T
-    Mab_p = Mab[:, : n * n]
-    Mab_m = Mab[:, n * n :]
+    Mab = s_spec.bivector(xs) @ _t(jacobian_fd(gpm_flat, xs, scheme))
+    Mab_p = Mab[..., : n * n]
+    Mab_m = Mab[..., n * n :]
     # {A1, phi+-2} = -kappa r_-+ A1 phi+-2 ; {B1, phi+-2} = kappa B1 r_-+ phi+-2
-    rhs = (-kappa * rmn.rmul1(a_col).rmul2(pair.hplus)).array.reshape(n, n * n)
-    out["mom1_gplus_a"] = float(np.max(np.abs(Mab_p[:n] - rhs)))
-    rhs = (kappa * rmn.lmul1(b_row).rmul2(pair.hplus)).array.reshape(n, n * n)
-    out["mom1_gplus_b"] = float(np.max(np.abs(Mab_p[n:] - rhs)))
-    rhs = (-kappa * rpn.rmul1(a_col).rmul2(pair.hminus)).array.reshape(n, n * n)
-    out["mom1_gminus_a"] = float(np.max(np.abs(Mab_m[:n] - rhs)))
-    rhs = (kappa * rpn.lmul1(b_row).rmul2(pair.hminus)).array.reshape(n, n * n)
-    out["mom1_gminus_b"] = float(np.max(np.abs(Mab_m[n:] - rhs)))
+    rhs = _matrix(-kappa * rmn.rmul1(a_col).rmul2(pair.hplus), n, n * n)
+    out["mom1_gplus_a"] = max_abs(Mab_p[..., :n, :] - rhs)
+    rhs = _matrix(kappa * rmn.lmul1(b_row).rmul2(pair.hplus), n, n * n)
+    out["mom1_gplus_b"] = max_abs(Mab_p[..., n:, :] - rhs)
+    rhs = _matrix(-kappa * rpn.rmul1(a_col).rmul2(pair.hminus), n, n * n)
+    out["mom1_gminus_a"] = max_abs(Mab_m[..., :n, :] - rhs)
+    rhs = _matrix(kappa * rpn.lmul1(b_row).rmul2(pair.hminus), n, n * n)
+    out["mom1_gminus_b"] = max_abs(Mab_m[..., n:, :] - rhs)
     return out
 
 
@@ -406,8 +441,7 @@ def _h_map(x: np.ndarray, n: int, d: int) -> np.ndarray:
 
 def _h_range(factors, al: int, gm: int) -> np.ndarray:
     """h+^{al;gm} = g(al)...g(gm) for a list of per-copy factors (1-based, empty = I)."""
-    n = factors[0].shape[0] if factors else 1
-    out = np.eye(n, dtype=complex)
+    out = np.eye(factors[0].shape[-1], dtype=complex)
     for g in range(al, gm + 1):
         out = out @ factors[g - 1]
     return out
@@ -415,8 +449,7 @@ def _h_range(factors, al: int, gm: int) -> np.ndarray:
 
 def _hm_range(gminus_inv, al: int, gm: int) -> np.ndarray:
     """h-^{al;gm} = g_-(gm)^-1 ... g_-(al)^-1 (1-based, empty = I)."""
-    n = gminus_inv[0].shape[0]
-    out = np.eye(n, dtype=complex)
+    out = np.eye(gminus_inv[0].shape[-1], dtype=complex)
     for g in range(gm, al - 1, -1):
         out = out @ gminus_inv[g - 1]
     return out
@@ -425,7 +458,7 @@ def _hm_range(gminus_inv, al: int, gm: int) -> np.ndarray:
 def lemma_h_residuals(kappa: complex, t: SpinTuple, scheme: DiffScheme = DiffScheme()) -> dict:
     """Residuals of the seven bracket identities between the spin coordinates,
     the cumulative products h+-^beta, and among the h's themselves, maximized
-    over all index pairs (alpha, beta).
+    over all index pairs (alpha, beta), at a tuple or a stack of tuples.
     """
     n, d = t.n, t.d
     spec = BracketSpec("Sprod", kappa, n=n, d=d)
@@ -459,46 +492,46 @@ def lemma_h_residuals(kappa: complex, t: SpinTuple, scheme: DiffScheme = DiffSch
     keys = ["a_hplus", "b_hplus", "a_hminus", "b_hminus", "hplus_hplus", "hplus_hminus_le", "hplus_hminus_ge"]
     out = {k: 0.0 for k in keys}
 
-    def upd(key, lhs, rhs_t4, rows_shape):
-        rhs = rhs_t4.array.reshape(rows_shape)
-        out[key] = max(out[key], float(np.max(np.abs(lhs - rhs))))
+    def upd(key, lhs, rhs_t4=None):
+        diff = lhs if rhs_t4 is None else lhs - _matrix(rhs_t4, *lhs.shape[-2:])
+        out[key] = np.maximum(out[key], max_abs(diff))
 
     for al in range(1, d + 1):
-        a_col = t[al - 1].a[:, None]
-        b_row = t[al - 1].b[None, :]
+        a_col = t[al - 1].a[..., :, None]
+        b_row = t[al - 1].b[..., None, :]
         for be in range(1, d + 1):
-            lhs_ap = M[a_rows(al), hp_cols(be)]
-            lhs_bp = M[b_rows(al), hp_cols(be)]
-            lhs_am = M[a_rows(al), hm_cols(be)]
-            lhs_bm = M[b_rows(al), hm_cols(be)]
+            lhs_ap = M[..., a_rows(al), hp_cols(be)]
+            lhs_bp = M[..., b_rows(al), hp_cols(be)]
+            lhs_am = M[..., a_rows(al), hm_cols(be)]
+            lhs_bm = M[..., b_rows(al), hm_cols(be)]
             if al <= be:
                 hpr = _h_range(gp_list, al, be)  # h+^{al;be}
                 hmr = _hm_range(gminus_inv, al, be)
-                upd("a_hplus", lhs_ap, -kappa * rm.rmul1(a_col).lmul2(hp[al - 1]).rmul2(hpr), (n, n2))
-                upd("b_hplus", lhs_bp, kappa * rm.lmul1(b_row).lmul2(hp[al - 1]).rmul2(hpr), (n, n2))
-                upd("a_hminus", lhs_am, kappa * rp.rmul1(a_col).lmul2(hmr).rmul2(hm[al - 1]), (n, n2))
-                upd("b_hminus", lhs_bm, -kappa * rp.lmul1(b_row).lmul2(hmr).rmul2(hm[al - 1]), (n, n2))
+                upd("a_hplus", lhs_ap, -kappa * rm.rmul1(a_col).lmul2(hp[al - 1]).rmul2(hpr))
+                upd("b_hplus", lhs_bp, kappa * rm.lmul1(b_row).lmul2(hp[al - 1]).rmul2(hpr))
+                upd("a_hminus", lhs_am, kappa * rp.rmul1(a_col).lmul2(hmr).rmul2(hm[al - 1]))
+                upd("b_hminus", lhs_bm, -kappa * rp.lmul1(b_row).lmul2(hmr).rmul2(hm[al - 1]))
             else:
                 for key, lhs in (("a_hplus", lhs_ap), ("b_hplus", lhs_bp), ("a_hminus", lhs_am), ("b_hminus", lhs_bm)):
-                    out[key] = max(out[key], float(np.max(np.abs(lhs))))
+                    upd(key, lhs)
 
-    hph = M[dim : dim + n2 * d, dim : dim + n2 * d]
-    hphm = M[dim : dim + n2 * d, dim + n2 * d :]
+    hph = M[..., dim : dim + n2 * d, dim : dim + n2 * d]
+    hphm = M[..., dim : dim + n2 * d, dim + n2 * d :]
     for al in range(1, d + 1):
         for be in range(1, d + 1):
-            blk_pp = hph[n2 * (al - 1) : n2 * al, n2 * (be - 1) : n2 * be]
-            blk_pm = hphm[n2 * (al - 1) : n2 * al, n2 * (be - 1) : n2 * be]
+            blk_pp = hph[..., n2 * (al - 1) : n2 * al, n2 * (be - 1) : n2 * be]
+            blk_pm = hphm[..., n2 * (al - 1) : n2 * al, n2 * (be - 1) : n2 * be]
             if al <= be:
                 mid = _h_range(gp_list, al + 1, be)  # h+^{al+1;be}
                 rhs = kappa * (rn.lmul1(hp[al]).lmul2(hp[al]).rmul2(mid) - rn.rmul1(hp[al]).rmul2(hp[be]))
-                upd("hplus_hplus", blk_pp, rhs, (n2, n2))
+                upd("hplus_hplus", blk_pp, rhs)
                 midm = _hm_range(gminus_inv, al + 1, be)  # h-^{al+1;be}
                 rhs = kappa * (rp.lmul2(hm[be]).rmul1(hp[al]) - rp.lmul1(hp[al]).lmul2(midm).rmul2(hm[al]))
-                upd("hplus_hminus_le", blk_pm, rhs, (n2, n2))
+                upd("hplus_hminus_le", blk_pm, rhs)
             if al >= be:
                 midp = _h_range(gp_list, be + 1, al)  # h+^{be+1;al}
                 rhs = kappa * (rp.lmul2(hm[be]).rmul1(hp[al]) - rp.lmul1(hp[be]).rmul1(midp).rmul2(hm[be]))
-                upd("hplus_hminus_ge", blk_pm, rhs, (n2, n2))
+                upd("hplus_hminus_ge", blk_pm, rhs)
     return out
 
 
@@ -506,34 +539,30 @@ def lemma_h_residuals(kappa: complex, t: SpinTuple, scheme: DiffScheme = DiffSch
 
 
 def symplectic_matrix(kappa: complex, p: SpinPoint) -> np.ndarray:
-    """Matrix of the local symplectic 2-form in the chart (a_1..a_n, b_1..b_n)."""
+    """Matrix of the local symplectic 2-form in the chart (a_1..a_n, b_1..b_n);
+    spins of shape (..., n) give a stack of matrices (..., 2n, 2n)."""
     n = p.n
-    G = g_functions(p)
-    scale = max(1.0, float(np.max(np.abs(G))))
-    for j in range(1, n + 1):
-        if abs(G[j]) <= 1e-12 * scale:
-            raise ZeroG(j, G[j])
-    a, b = p.a, p.b
-    Om = np.zeros((2 * n, 2 * n), dtype=complex)
-    for i in range(1, n + 1):
-        Om[i - 1, n + i - 1] += -1.0 / (kappa * G[i])
-        c = 1.0 / (2 * kappa * G[i] * G[i + 1])
-        for s in range(i + 1, n + 1):
-            Om[i - 1, s - 1] += c * b[i - 1] * b[s - 1]
-            Om[i - 1, n + s - 1] += c * b[i - 1] * a[s - 1]
-            Om[n + i - 1, s - 1] += -c * a[i - 1] * b[s - 1]
-            Om[n + i - 1, n + s - 1] += -c * a[i - 1] * a[s - 1]
-    # each wedge term was placed once; folding produces the antisymmetric matrix
-    return Om - Om.T
+    G = _nonvanishing_g(p)
+    a, b = p.a[..., :, None], p.b[..., :, None]  # row index i
+    a_s, b_s = p.a[..., None, :], p.b[..., None, :]  # column index s
+    # each wedge term sits once, at row i < column s; folding antisymmetrizes
+    c = 1.0 / (2 * kappa * G[..., 1 : n + 1, None] * G[..., 2 : n + 2, None])
+    r = np.arange(n)
+    Om = np.empty(G.shape[:-1] + (2 * n, 2 * n), dtype=complex)
+    Om[..., :n, :n] = np.triu(c * b * b_s, 1)
+    Om[..., :n, n:] = np.triu(c * b * a_s, 1)
+    Om[..., r, n + r] = -1.0 / (kappa * G[..., 1 : n + 1])
+    Om[..., n:, :n] = np.triu(-c * a * b_s, 1)
+    Om[..., n:, n:] = np.triu(-c * a * a_s, 1)
+    return Om - _t(Om)
 
 
-def symplectic_inversion_residual(kappa: complex, p: SpinPoint) -> float:
-    """|Omega Pi - I| with Pi the bracket matrix of the spin space at p."""
-    from .brackets import s_bivector
-
+def symplectic_inversion_residual(kappa: complex, p: SpinPoint):
+    """|Omega Pi - I| with Pi the bracket matrix of the spin space at p; one
+    spin gives a float, a stack of spins (..., n) their residuals."""
     Om = symplectic_matrix(kappa, p)
     Pi = s_bivector(kappa, p.as_spoint())
-    return float(np.max(np.abs(Om @ Pi - np.eye(2 * p.n))))
+    return max_abs(Om @ Pi - np.eye(2 * p.n))
 
 
 def rank_at(spec: BracketSpec, x: np.ndarray, sv_tolerance: float = 1e-10) -> int:

@@ -55,13 +55,13 @@ def test_criterion_01_jacobi(capsys):
             for d in (1, 2, 3):
                 for kappa in KAPPAS:
                     spec = BracketSpec(kind, kappa, n=n, d=d)
-                    X = sampling.sample_vectors(seed, indices, spec.dim, 1.0)
+                    X = sampling.sample_vector(seed, indices, spec.dim, 1.0)
                     residuals.append(vf.jacobi_residual(spec, X, POLY))
     for kind in ("GLmult", "Double", "STS"):
         for ell in (1, 2, 3, 4):
             for kappa in KAPPAS:
                 spec = BracketSpec(kind, kappa, ell=ell)
-                X = sampling.sample_vectors(seed, indices, spec.dim, 1.0)
+                X = sampling.sample_vector(seed, indices, spec.dim, 1.0)
                 residuals.append(vf.jacobi_residual(spec, X, POLY))
     for ell in (2, 3, 4):
         for kappa in KAPPAS:
@@ -214,14 +214,14 @@ def test_criterion_08_zakrzewski_dichotomy(capsys):
     good, bad = [], []
     indices = np.arange(10)
     for n in (2, 3):
-        X = sampling.sample_vectors(42, indices, 2 * n, 1.0)
+        X = sampling.sample_vector(42, indices, 2 * n, 1.0)
         for F, G in ((F_AFF, G_AFF), (F_LIN, G_ZERO)):
             spec_c = BracketSpec("ZakC", 1.0, n=n, F=F, G=G)
             spec_r = BracketSpec("ZakR", epsilon=1.0, n=n, F=F, G=G)
             good.append(vf.jacobi_residual(spec_c, X, POLY))
             good.append(vf.jacobi_residual(spec_r, X, POLY))
         spec_bad = BracketSpec("ZakC", 1.0, n=n, F=F_ONE, G=G_ZERO)
-        bad.append(vf.jacobi_residual(spec_bad, sampling.sample_vectors(43, indices, 2 * n, 1.0), POLY))
+        bad.append(vf.jacobi_residual(spec_bad, sampling.sample_vector(43, indices, 2 * n, 1.0), POLY))
     # NaN if any residual is NaN, so a NaN fails the criterion
     worst_good = float(np.max(np.concatenate(good)))
     min_bad = float(np.min(np.concatenate(bad)))

@@ -10,6 +10,7 @@ from plie import charts, decoupling as dc, factorization as fc, kernels, samplin
 from plie.brackets import BracketSpec, HoloFn1, s_bivector_tensor
 from plie.errors import BranchCut, DomainEscape, ZeroG
 from plie.points import SPoint, SpinPoint, SpinTuple
+from plie.tensors import r_pm
 from plie.verify import DiffScheme, jacobi_residual, jacobian_fd
 
 F_AFF = HoloFn1(lambda t: 2 + t, lambda t: 1 + 0 * t, "F")
@@ -282,10 +283,67 @@ def test_residual_rejects_wrong_shapes():
 @pytest.mark.parametrize("dim,radius", [(1, 1.0), (8, 0.3), (32, 1.0)])
 def test_sample_vectors_rows_equal_sample_vector(dim, radius):
     indices = np.array([0, 5, 1, 99])
-    X = sampling.sample_vectors(42, indices, dim, radius)
+    X = sampling.sample_vector(42, indices, dim, radius)
     assert X.shape == (4, dim)
     for row, i in zip(X, indices):
         np.testing.assert_array_equal(row, sampling.sample_vector(42, i, dim, radius))
+
+
+def _reference_dual(rng):
+    hp = np.triu(sampling.complex_disk(rng, (3, 3), 0.4), 1)
+    hm = np.tril(sampling.complex_disk(rng, (3, 3), 0.4), -1)
+    diag = 1.0 + sampling.complex_disk(rng, 3, 0.4)
+    hp[np.diag_indices(3)] = diag
+    hm[np.diag_indices(3)] = 1.0 / diag
+    return [hp, hm]
+
+
+# each sampler at one index array, its output as a list of arrays, and the
+# per-index draw it replaces, written out from rng_for and complex_disk
+SAMPLERS = {
+    "vector": (
+        lambda i: [sampling.sample_vector(42, i, 5, 0.3)],
+        lambda rng: [sampling.complex_disk(rng, 5, 0.3)],
+    ),
+    "spoint": (
+        lambda i: (lambda p: [p.A, p.B])(sampling.sample_spoint(42, i, 2, 3, 0.3)),
+        lambda rng: [sampling.complex_disk(rng, (2, 3), 0.3), sampling.complex_disk(rng, (3, 2), 0.3)],
+    ),
+    "spin": (
+        lambda i: (lambda s: [s.a, s.b])(sampling.sample_spin(42, i, 3, 0.3)),
+        lambda rng: [sampling.complex_disk(rng, 3, 0.3), sampling.complex_disk(rng, 3, 0.3)],
+    ),
+    "tuple": (
+        lambda i: [v for s in sampling.sample_tuple(42, i, 2, 3, 0.3) for v in (s.a, s.b)],
+        lambda rng: [sampling.complex_disk(rng, 2, 0.3) for _ in range(6)],
+    ),
+    "gl": (
+        lambda i: [sampling.sample_gl(42, i, 3, 0.3)],
+        lambda rng: [sampling.complex_disk(rng, (3, 3), 0.3)],
+    ),
+    "double": (
+        lambda i: list(sampling.sample_double(42, i, 3, 0.3)),
+        lambda rng: [sampling.complex_disk(rng, (3, 3), 0.3), sampling.complex_disk(rng, (3, 3), 0.3)],
+    ),
+    "dual": (
+        lambda i: (lambda p: [p.hplus, p.hminus])(sampling.sample_dual(42, i, 3, 0.4)),
+        _reference_dual,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", SAMPLERS)
+@pytest.mark.parametrize("indices", [np.array([0, 5, 1, 99]), np.arange(6).reshape(2, 3)], ids=["flat", "2x3"])
+def test_sampler_rows_equal_per_index_draws(name, indices):
+    sample, reference = SAMPLERS[name]
+    stacked = sample(indices)
+    for idx in np.ndindex(*indices.shape):
+        i = int(indices[idx])
+        want = reference(sampling.rng_for(42, i))
+        for got, one, ref in zip(stacked, sample(i), want):
+            assert got.shape == indices.shape + ref.shape and one.shape == ref.shape
+            np.testing.assert_array_equal(got[idx], ref)
+            np.testing.assert_array_equal(one, ref)
 
 
 # --- call counts of the suites --------------------------------------------------
@@ -310,18 +368,19 @@ def test_jacobi_suite_bivector_calls_do_not_grow_with_samples(monkeypatch):
 
 
 def test_moment_suite_takes_three_jacobians_per_sample(monkeypatch):
+    # the three Jacobians of every sample are taken together, on the stack of all samples
     cfg = suites.RunConfig("moment", n=3, d=2, samples=4)
     params, count, check = suites._BUILDERS["moment"](cfg)
     real = verify.jacobian_fd
     calls = []
 
     def counted(f, x, scheme=DiffScheme()):
-        calls.append(scheme)
+        calls.append(np.shape(x)[0])
         return real(f, x, scheme)
 
     monkeypatch.setattr(verify, "jacobian_fd", counted)
     got = check(np.arange(count))
-    assert len(calls) == 3 * count
+    assert calls == [count] * 3
     monkeypatch.setattr(verify, "jacobian_fd", real)
     # each key as the two whole-set calls, one per scheme, give it
     for i in range(count):
@@ -474,3 +533,133 @@ def test_domain_escape_in_last_point_of_stack(fn):
 def test_spin_tuple_rejects_mixed_batch_axes():
     with pytest.raises(ValueError):
         SpinTuple([SpinPoint.zero(2), SpinPoint(np.zeros((3, 2)), np.zeros((3, 2)))])
+
+
+# --- every suite's check on a stack ------------------------------------------------
+
+RESTACKED = ("decouple-m", "decouple-F", "factorization", "ao-maps", "moment", "lemma4", "symplectic", "rank", "actions")
+
+
+def test_every_builder_is_covered():
+    assert set(RESTACKED) | {"jacobi", "zakrzewski"} == set(suites._BUILDERS)
+
+
+@pytest.mark.parametrize("suite", RESTACKED)
+def test_suite_check_on_stack_equals_one_sample_calls(suite):
+    cfg = suites.RunConfig(suite, n=3, d=2, kappa=2.0 - 1.0j, samples=3, seed=7)
+    params, _, check = suites._BUILDERS[suite](cfg)
+    got = check(np.arange(3))
+    singles = [check(np.array([i])) for i in range(3)]
+    assert list(got) == list(singles[0])
+    for key, values in got.items():
+        assert values.shape == (3,), key
+        want = np.concatenate([one[key] for one in singles])
+        # up to rounding: a thousandth of the check's bound
+        np.testing.assert_allclose(values, want, rtol=0, atol=1e-3 * params["bounds"][key], err_msg=key)
+
+
+def test_chunked_run_equals_one_chunk(monkeypatch):
+    cfg = suites.RunConfig("lemma4", n=2, d=2, samples=5)
+    whole = suites.run_suite(cfg)
+    calls = []
+    real = suites._BUILDERS["lemma4"]
+
+    def builder(c):
+        params, count, check = real(c)
+        return params, count, lambda indices: calls.append(len(indices)) or check(indices)
+
+    monkeypatch.setitem(suites._BUILDERS, "lemma4", builder)
+    m = 2 * 2 * 2 * 3  # lemma4's functions at n = d = 2
+    monkeypatch.setattr(suites, "_STACK_ENTRIES", 2 * m * m)
+    chunked = suites.run_suite(cfg)
+    assert calls == [2, 2, 1]
+    assert chunked == whole
+
+
+def _indices(batch):
+    return np.arange(int(np.prod(batch))).reshape(batch)
+
+
+MATRIX_MAPS = {
+    "gauss": lambda h: np.concatenate(fc.gauss(h), axis=-1),
+    "chi_inverse_local": lambda h: _pair(fc.chi_inverse_local(h)),
+    "factor_inv_pair": lambda h: _pair(fc.factor_inv_pair(h)),
+}
+
+
+@pytest.mark.parametrize("name", MATRIX_MAPS)
+@pytest.mark.parametrize("batch", [(4,), (2, 3)])
+def test_factorization_stack_equals_points_stacked(name, batch):
+    f = MATRIX_MAPS[name]
+    H = np.eye(N) + sampling.sample_gl(3, _indices(batch), N, 0.3)
+    got = f(H)
+    for idx in np.ndindex(*batch):
+        np.testing.assert_allclose(got[idx], f(H[idx]), rtol=0, atol=1e-15)
+
+
+POINT_MAPS = {
+    "map_m_inverse": lambda X: charts.pack_tuple(dc.map_m_inverse(charts.unpack_spoint(X, N, D))),
+    "map_F_inverse": lambda X: charts.pack_tuple(dc.map_F_inverse(charts.unpack_spoint(X, N, D))),
+    "symplectic_matrix": lambda X: verify.symplectic_matrix(2.0 - 1.0j, charts.unpack_spin(X[..., : 2 * N], N)),
+}
+
+
+@pytest.mark.parametrize("name", POINT_MAPS)
+@pytest.mark.parametrize("batch", [(4,), (2, 3)])
+def test_inverse_and_symplectic_stack_equals_points_stacked(name, batch):
+    f = POINT_MAPS[name]
+    X = sampling.sample_vector(4, _indices(batch), 2 * N * D, 0.3)
+    got = f(X)
+    for idx in np.ndindex(*batch):
+        np.testing.assert_allclose(got[idx], f(X[idx]), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("product", ["lmul1", "rmul1", "lmul2", "rmul2"])
+@pytest.mark.parametrize("batch", [(4,), (2, 3)])
+def test_tensor4_products_on_stacks(product, batch):
+    t = r_pm(N, +1)
+    M = sampling.sample_gl(6, _indices(batch), N, 1.0)
+    T = t.rmul2(M)  # a constant tensor times a stack of matrices: a stack of tensors
+    assert T.array.shape == batch + (N,) * 4
+    P = getattr(T, product)(M)  # a stack of tensors times a stack of matrices
+    for idx in np.ndindex(*batch):
+        one = t.rmul2(M[idx])
+        np.testing.assert_allclose(T.array[idx], one.array, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(P.array[idx], getattr(one, product)(M[idx]).array, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(T.flatten()[idx], one.flatten())
+        np.testing.assert_array_equal(T.swap_legs().array[idx], one.swap_legs().array)
+
+
+def test_zero_g_in_last_point_of_symplectic_stack():
+    s = _last_spin_replaced([0.5, 1.0], [0.1, -1.0])  # G_2 = 0
+    verify.symplectic_matrix(1.0, SpinPoint(s.a[:-1], s.b[:-1]))
+    with pytest.raises(ZeroG) as exc:
+        verify.symplectic_matrix(1.0, s)
+    assert exc.value.index == 2
+
+
+def test_branch_cut_in_last_matrix_of_stack():
+    H = np.eye(2) + sampling.sample_gl(3, np.arange(4), 2, 0.3)
+    H[-1] = np.diag([-1.0, 1.0])
+    fc.chi_inverse_local(H[:-1])
+    with pytest.raises(BranchCut):
+        fc.chi_inverse_local(H)
+
+
+def test_domain_escape_in_last_sample_of_suite_stack():
+    # at radius 1 some samples leave the domain of map_m, others do not
+    _, _, check = suites._BUILDERS["decouple-m"](suites.RunConfig("decouple-m", n=3, d=2, radius=1.0))
+
+    def escapes(i):
+        try:
+            check(np.array([i]))
+        except DomainEscape:
+            return True
+        return False
+
+    flags = [escapes(i) for i in range(30)]
+    good = [i for i, bad in enumerate(flags) if not bad][:3]
+    bad = flags.index(True)
+    check(np.array(good))
+    with pytest.raises(DomainEscape):
+        check(np.array(good + [bad]))

@@ -319,14 +319,6 @@ class TestBracketSpec:
     )
     def test_dim(self, spec, dim):
         assert spec.dim == dim
-        assert spec.chart().dim == dim
-
-    def test_pack_bivector_roundtrip(self):
-        spec = BracketSpec("S", 1.0, n=2, d=2)
-        p = _spoint(17, 2, 2)
-        bv = spec.bivector_at(p)
-        np.testing.assert_array_equal(bv.matrix, s_bivector(1.0, p))
-        assert bv.chart.dim == 8
 
     def test_every_bivector_is_antisymmetric(self):
         specs = [

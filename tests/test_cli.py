@@ -137,6 +137,7 @@ class TestVerify:
             ('{"fd_step": 1e-3}', "fd_step"),
             ('{"radius": 1' + "0" * 400 + "}", "radius"),
             ('{"kappa": 1' + "0" * 400 + "}", "kappa"),
+            ('{"n": 1' + "0" * 400 + "}", "n"),
         ],
     )
     def test_invalid_config_key_or_value_exits_2(self, tmp_path, capsys, content, key):
@@ -160,6 +161,23 @@ class TestVerify:
         monkeypatch.setenv("PLIE_SEED", "-3")
         assert main(["verify", "--suite", "symplectic"]) == 2
         assert "seed must be a nonnegative integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args,formula",
+        [
+            (["--n", "1000", "--d", "1000"], "2*n*d"),
+            (["--n", "17", "--d", "1"], "n*n"),
+            (["--n", "1", "--d", "17"], "d*d"),
+            (["--ell", "12"], "2*ell*ell"),
+        ],
+    )
+    def test_sizes_above_max_dim_exit_2(self, capsys, args, formula):
+        assert main(["verify", "--suite", "jacobi", *args]) == 2
+        assert f"{formula} must be <= MAX_DIM = {suites.MAX_DIM}" in capsys.readouterr().err
+
+    def test_largest_sizes_are_accepted(self):
+        cfg = suites.RunConfig("jacobi", n=16, d=8, ell=11)
+        assert 2 * cfg.n * cfg.d == suites.MAX_DIM
 
     def test_verify_flags_are_the_run_settings(self):
         parser = build_parser()
@@ -208,6 +226,25 @@ class TestGenPoint:
 
     def test_invalid_sizes_exit_2(self, capsys):
         assert main(["gen-point", "--space", "spin", "--n", "0"]) == 2
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["--space", "gl", "--ell", "100000"], "2*ell*ell must be <= MAX_DIM"),
+            (["--space", "spoint", "--n", "1000", "--d", "1000"], "2*n*d must be <= MAX_DIM"),
+            (["--space", "spin", "--seed", "-1"], "seed must be a nonnegative integer"),
+            (["--space", "spin", "--index", "-1"], "index >= 0"),
+        ],
+    )
+    def test_invalid_input_exits_2(self, capsys, args, message):
+        assert main(["gen-point", *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and message in err
+
+    def test_negative_env_seed_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("PLIE_SEED", "-3")
+        assert main(["gen-point", "--space", "spin"]) == 2
+        assert "seed must be a nonnegative integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize("radius", ["nan", "inf"])
     def test_non_finite_radius_exits_2(self, radius):

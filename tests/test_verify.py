@@ -68,9 +68,12 @@ class TestNonFiniteResiduals:
         # every sample reports the same checks: 0.1, 0.2, ... except at index 1
         passing = {k: 0.1 * (j + 1) for j, k in enumerate(residuals)}
 
+        def check(indices):
+            return {k: np.where(indices == 1, residuals[k], passing[k]) for k in residuals}
+
         def builder(cfg):
             bounds = {k: 1.0 for k in residuals}
-            return {"bounds": bounds}, 2, suites._each(lambda i: dict(residuals) if i == 1 else dict(passing))
+            return {"bounds": bounds}, 2, check
 
         monkeypatch.setitem(suites._BUILDERS, "symplectic", builder)
         return suites.run_suite(suites.RunConfig("symplectic"))
@@ -92,8 +95,11 @@ class TestNonFiniteResiduals:
         assert not np.isfinite(report.failures[0][1])
 
     def test_nan_fails_suite_all(self, monkeypatch):
+        def check(indices):
+            return {"a": np.full(len(indices), 0.5), "b": np.full(len(indices), np.nan)}
+
         def builder(cfg):
-            return {"bounds": {"a": 1.0, "b": 1.0}}, 1, suites._each(lambda i: {"a": 0.5, "b": float("nan")})
+            return {"bounds": {"a": 1.0, "b": 1.0}}, 1, check
 
         monkeypatch.setattr(suites, "_BUILDERS", {"symplectic": builder, "rank": suites._BUILDERS["rank"]})
         report = suites.run_suite(suites.RunConfig("all"))
@@ -105,23 +111,23 @@ class TestBounds:
     """``_execute`` applies every bound, and only declared ones."""
 
     @staticmethod
-    def _run(monkeypatch, bounds, raw):
+    def _run(monkeypatch, bounds, check):
         def builder(cfg):
-            return {"bounds": bounds}, 2, suites._each(raw)
+            return {"bounds": bounds}, 2, check
 
         monkeypatch.setitem(suites._BUILDERS, "symplectic", builder)
         return suites.run_suite(suites.RunConfig("symplectic"))
 
     def test_check_without_bound_raises(self, monkeypatch):
         with pytest.raises(ValueError, match="symplectic: checks without a bound \\['b'\\]"):
-            self._run(monkeypatch, {"a": 1.0}, lambda i: {"a": 0.1, "b": 0.1})
+            self._run(monkeypatch, {"a": 1.0}, lambda idx: {"a": np.full(len(idx), 0.1), "b": np.full(len(idx), 0.1)})
 
     def test_bound_without_check_raises(self, monkeypatch):
         with pytest.raises(ValueError, match="symplectic: .*bounds without a check \\['b'\\]"):
-            self._run(monkeypatch, {"a": 1.0, "b": 1.0}, lambda i: {"a": 0.1})
+            self._run(monkeypatch, {"a": 1.0, "b": 1.0}, lambda idx: {"a": np.full(len(idx), 0.1)})
 
     def test_residuals_are_divided_by_their_bounds(self, monkeypatch):
-        report = self._run(monkeypatch, {"a": 1e-3, "b": 4.0}, lambda i: {"a": 2e-3 * i, "b": 4.0})
+        report = self._run(monkeypatch, {"a": 1e-3, "b": 4.0}, lambda idx: {"a": 2e-3 * idx, "b": np.full(len(idx), 4.0)})
         # normalized: sample 0 has a = 0, b = 1 and passes; sample 1 has a = 2, b = 1
         assert report.max_residual == 2.0
         assert report.failures == ((1, 2.0, "seed=42 index=1 check=a"),)
@@ -141,7 +147,7 @@ class TestBounds:
         bounds = dict.fromkeys(keys, 1.0)
 
         def builder(cfg):
-            return {"bounds": bounds}, len(raw), suites._each(lambda i: dict(zip(keys, raw[i])))
+            return {"bounds": bounds}, len(raw), lambda idx: {k: raw[idx, j] for j, k in enumerate(keys)}
 
         monkeypatch.setitem(suites._BUILDERS, "symplectic", builder)
         report = suites.run_suite(suites.RunConfig("symplectic"))
@@ -172,19 +178,6 @@ class TestRunConfig:
     def test_values_take_their_field_type(self):
         cfg = suites.RunConfig("symplectic", kappa=2, radius=1, seed=np.int64(7))
         assert type(cfg.kappa) is complex and type(cfg.radius) is float and type(cfg.seed) is int
-
-
-def test_each_stacks_per_sample_checks():
-    check = suites._each(lambda i: {"a": 0.1 * i, "b": float(i)})
-    got = check(np.arange(3))
-    assert list(got) == ["a", "b"]
-    np.testing.assert_array_equal(got["b"], [0.0, 1.0, 2.0])
-
-
-def test_each_rejects_samples_with_different_checks():
-    check = suites._each(lambda i: {"a": 0.1} if i == 0 else {"a": 0.1, "b": 0.2})
-    with pytest.raises(ValueError):
-        check(np.arange(2))
 
 
 def test_jacobian_fd_polynomial_map():
