@@ -33,7 +33,7 @@ from .errors import ConfigError
 from .points import SPoint
 from .verify import DiffScheme, VerificationReport, max_abs
 
-__all__ = ["MAX_DIM", "RunConfig", "SUITES", "check_dims", "run_suite"]
+__all__ = ["MAX_DIM", "MAX_SAMPLES", "RunConfig", "SUITES", "check_dims", "run_suite"]
 
 SUITES = (
     "jacobi",
@@ -53,6 +53,10 @@ SUITES = (
 # The largest coordinate dimension a run may ask for: at dim 256 one jacobi
 # (dim, dim, dim) complex stack is 268 MB.
 MAX_DIM = 256
+
+# The most samples a run may ask for: _execute keeps a few (checks x samples)
+# float arrays, each 8 MB at the moment suite's ten checks.
+MAX_SAMPLES = 10**5
 
 
 def check_dims(dims: dict) -> None:
@@ -103,6 +107,8 @@ class RunConfig:
         for name in ("n", "d", "ell", "samples"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if self.samples > MAX_SAMPLES:
+            raise ConfigError(f"samples must be <= MAX_SAMPLES = {MAX_SAMPLES}")
         # the spaces S(n,d), GL(n), GL(d) and GL(ell) x GL(ell) of the suites
         n, d, ell = self.n, self.d, self.ell
         check_dims({"2*n*d": 2 * n * d, "n*n": n * n, "d*d": d * d, "2*ell*ell": 2 * ell * ell})

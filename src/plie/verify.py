@@ -4,18 +4,26 @@ h-product bracket identities, symplectic inversion, rank, and the
 admissibility condition of the holomorphic covariant brackets.
 
 All differentiation goes through one routine: central differences along
-the real axis of each complex coordinate (valid for holomorphic maps),
+real directions of the complex coordinates (valid for holomorphic maps),
 optionally with one Richardson extrapolation level; exact Jacobians should
 be supplied for linear maps.  A differentiated map takes points of shape
 (..., dim) to values of shape (..., m), and each Jacobian evaluates all its
-probe points in one call.
+probe points, along the coordinate axes, in one call.
 
 Every residual takes one point and returns a float (a dict of floats for
 the identity families), or a stack of S points and returns the (S,) array
 of their residuals (a dict of such arrays).  Points are flat coordinates of
 shape (dim,) or (S, dim), or point containers whose arrays carry the
-leading axis S.  ``jacobi_residual`` calls the bivector once per block of
-probes, for all the samples of the block together.
+leading axis S.
+
+``jacobi_residual`` needs T[i,j,k] = sum_l Pi_il d_l Pi_jk, the derivative
+of the bivector along its own rows, and has two regimes.  While one
+sample's probes fit in one bivector call (``_BLOCK_ENTRIES``), the probes
+of a chunk of samples and their points go into one call along the
+coordinate axes, and T is a batched product of Pi with the derivatives.
+Beyond that, each sample's point gets a call of its own and its probes run
+along the rows of Pi(x), block by block, so the differences are T itself.
+The cyclic sum over T is then maximised in blocks of rows.
 """
 
 from __future__ import annotations
@@ -90,30 +98,36 @@ def _central_differences(
     scheme: DiffScheme,
     block: int,
     with_base: bool = False,
+    directions: Optional[np.ndarray] = None,
 ):
-    """Derivative stacks D[s, l] = (f(x_s + h e_l) - f(x_s - h e_l)) / (2h) of
-    the S points x of shape (S, dim); D has shape (S, dim, ...).
+    """Derivative stacks D[s, l] = (f(x_s + h v_sl) - f(x_s - h v_sl)) / (2h) of
+    the S points x of shape (S, dim) along directions v; D has shape
+    (S, m, ...).  ``directions`` has shape (S, m, dim), or (1, m, dim) for
+    the same directions at every point; by default they are the coordinate
+    vectors e_l (m = dim).
 
     With ``scheme.richardson`` the differences at h/2 are folded in as
     (4 D_{h/2} - D_h) / 3.  ``f`` maps a (P, dim) stack of probes to P values;
     it is called once per block of at most ``block`` consecutive l, on the
-    probes x_s +- h e_l, then x_s +- (h/2) e_l, of that block for every s.
+    probes x_s +- h v_sl, then x_s +- (h/2) v_sl, of that block for every s.
     With ``with_base`` the S points themselves go first in the first block's
     call, and (D, f(x)) is returned.  ValueError if the values do not come
     back one per probe.
     """
     S, dim = x.shape
+    if directions is None:
+        directions = np.eye(dim)[None]
+    m = directions.shape[1]
     h = scheme.step
     steps = (h, h / 2) if scheme.richardson else (h,)
     D = base = None
-    for l0 in range(0, dim, block):
-        l1 = min(dim, l0 + block)
-        rows = np.arange(l1 - l0)
+    for l0 in range(0, m, block):
+        l1 = min(m, l0 + block)
         X = np.empty((S, len(steps), 2, l1 - l0, dim), dtype=complex)
         X[...] = x[:, None, None, None, :]
         for k, step in enumerate(steps):
-            X[:, k, 0, rows, l0 + rows] += step
-            X[:, k, 1, rows, l0 + rows] -= step
+            X[:, k, 0] += step * directions[:, l0:l1]
+            X[:, k, 1] -= step * directions[:, l0:l1]
         X = X.reshape(-1, dim)
         lead = with_base and l0 == 0
         if lead:
@@ -126,7 +140,7 @@ def _central_differences(
             Y = Y[S:]
         Y = Y.reshape((S, len(steps), 2, l1 - l0) + Y.shape[1:])
         if D is None:
-            D = np.empty((S, dim) + Y.shape[4:], dtype=complex)
+            D = np.empty((S, m) + Y.shape[4:], dtype=complex)
         blk = np.subtract(Y[:, 0, 0], Y[:, 0, 1], out=D[:, l0:l1])
         blk /= 2 * h
         if scheme.richardson:
@@ -160,8 +174,8 @@ def jacobian_fd(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, scheme: Di
 
 # Entries of one bivector call in ``jacobi_residual``: at most this many
 # complex entries in the call's (samples x probes, dim, dim) output, unless
-# one sample's probes of a single coordinate exceed it.  The bivector's own
-# temporaries are a few times its output, so this sets the peak memory.
+# one sample's probes along a single direction exceed it.  The bivector's
+# own temporaries are a few times its output, so this sets the peak memory.
 _BLOCK_ENTRIES = 2**16
 
 
@@ -170,36 +184,70 @@ def jacobi_residual(spec: BracketSpec, x: np.ndarray, scheme: DiffScheme = DiffS
 
     ``x`` is one point of shape (dim,), which gives a float, or a stack of S
     points of shape (S, dim), which gives the (S,) array of their residuals.
-    The stack is cut into chunks of consecutive samples, and a chunk's
-    probes into blocks of consecutive coordinates, so that one bivector call
-    returns at most ``_BLOCK_ENTRIES`` entries; the chunk's own points go
-    into its first call.  A sample's residual depends only on its point.
+    The Jacobiator is J[i,j,k] = T[i,j,k] + T[k,i,j] + T[j,k,i] with
+    T[i,j,k] = sum_l Pi_il d_l Pi_jk, the derivative of Pi along row i of
+    Pi, and T is found in one of two regimes, by the entries
+    ``per_sample`` of the bivector calls one sample's probes need:
+
+    - single call (``per_sample <= _BLOCK_ENTRIES``): the stack is cut into
+      chunks of consecutive samples whose probes along the coordinate axes
+      e_l, and the samples' own points, fit in one bivector call; T is the
+      batched product of Pi(x) with the derivative stack, about
+      ``_BLOCK_ENTRIES * dim / 2`` multiply-adds per call.
+    - multi-call: one sample at a time, its point in its own bivector call,
+      then its probes along the rows Pi(x) e_i (unnormalised) in blocks of
+      consecutive rows of at most ``_BLOCK_ENTRIES`` entries a call.  These
+      differences are T itself, so no dim^4 product is formed.
+
+    Either way the cyclic sum is taken in blocks of rows i and only its
+    running max is kept.  A sample's residual depends only on its point.
     """
     x = np.asarray(x, dtype=complex)
     dim = spec.dim
     if x.ndim not in (1, 2) or x.shape[-1] != dim:
         raise ValueError(f"jacobi_residual takes ({dim},) or (S, {dim}) points, got {x.shape}")
     X = x.reshape(-1, dim)
-    per_coordinate = (4 if scheme.richardson else 2) * dim * dim  # output entries of one l's probes
-    per_sample = dim * per_coordinate + dim * dim  # all probes of one sample, and its point
+    per_direction = (4 if scheme.richardson else 2) * dim * dim  # output entries of one direction's probes
+    per_sample = dim * per_direction + dim * dim  # all probes of one sample, and its point
     if per_sample <= _BLOCK_ENTRIES:
-        chunk, block = _BLOCK_ENTRIES // per_sample, dim
+        chunk = _BLOCK_ENTRIES // per_sample
+        parts = [_coordinate_jacobiator_max(spec, X[s0 : s0 + chunk], scheme) for s0 in range(0, len(X), chunk)]
     else:
-        chunk, block = 1, max(1, _BLOCK_ENTRIES // per_coordinate)
-    parts = [_jacobiator_max(spec, X[s0 : s0 + chunk], scheme, block) for s0 in range(0, len(X), chunk)]
+        block = max(1, _BLOCK_ENTRIES // per_direction)
+        parts = [_hamiltonian_jacobiator_max(spec, X[s : s + 1], scheme, block) for s in range(len(X))]
     out = np.concatenate(parts) if parts else np.empty(0)
     return float(out[0]) if x.ndim == 1 else out
 
 
-def _jacobiator_max(spec: BracketSpec, X: np.ndarray, scheme: DiffScheme, block: int) -> np.ndarray:
-    """Max |Jacobiator| of each of the S points X, shape (S,); its stacks die on return."""
+def _coordinate_jacobiator_max(spec: BracketSpec, X: np.ndarray, scheme: DiffScheme) -> np.ndarray:
+    """Max |Jacobiator| of each of the S points X from one bivector call on
+    the points and their coordinate probes; shape (S,)."""
     S, dim = X.shape
-    dPi, Pi0 = _central_differences(spec.bivector, X, scheme, block, with_base=True)
-    # T[s, i, j, k] = sum_l Pi0[s, i, l] d_l Pi[s, j, k]; the cyclic sum reuses dPi's buffer
+    dPi, Pi0 = _central_differences(spec.bivector, X, scheme, dim, with_base=True)
     T = (Pi0 @ dPi.reshape(S, dim, dim * dim)).reshape(S, dim, dim, dim)
-    J = np.add(T, T.transpose(0, 2, 3, 1), out=dPi)
-    J += T.transpose(0, 3, 1, 2)
-    return np.max(np.abs(J), axis=(1, 2, 3))
+    return _cyclic_max(T)
+
+
+def _hamiltonian_jacobiator_max(spec: BracketSpec, X: np.ndarray, scheme: DiffScheme, block: int) -> np.ndarray:
+    """Max |Jacobiator| of each of the S points X from probes along the rows
+    of Pi(x), ``block`` rows a bivector call; shape (S,)."""
+    Pi0 = spec.bivector(X)
+    return _cyclic_max(_central_differences(spec.bivector, X, scheme, block, directions=Pi0))
+
+
+def _cyclic_max(T: np.ndarray) -> np.ndarray:
+    """max over (i, j, k) of |T[i,j,k] + T[k,i,j] + T[j,k,i]| for each T of a
+    (S, dim, dim, dim) stack, taken in blocks of rows i of at most
+    ``_BLOCK_ENTRIES`` entries per T; shape (S,)."""
+    S, dim = T.shape[:2]
+    rows = max(1, _BLOCK_ENTRIES // (dim * dim))
+    out = np.zeros(S)
+    for i0 in range(0, dim, rows):
+        i1 = min(dim, i0 + rows)
+        J = T[:, i0:i1] + T[:, :, i0:i1].transpose(0, 2, 3, 1)
+        J += T[:, :, :, i0:i1].transpose(0, 3, 1, 2)
+        np.maximum(out, np.max(np.abs(J), axis=(1, 2, 3)), out=out)
+    return out
 
 
 def max_abs(m: np.ndarray):

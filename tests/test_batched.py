@@ -3,6 +3,8 @@ bracket kind, the kernel fills, the factorization and decoupling maps, the
 one-call Jacobian, the blocked Jacobi residual on sample stacks, and the
 suites' call counts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -124,43 +126,52 @@ def test_chart_roundtrip_on_stacks(pack, unpack, sample):
 # --- the per-probe Jacobi residual, kept as an oracle ---------------------------
 
 
-def _jacobi_per_probe(spec, x, scheme):
-    """One bivector call per probe, contracted with a plain einsum."""
+def _jacobi_per_probe(spec, x, scheme, along_rows=False):
+    """One bivector call per probe.  Along the coordinate axes the differences
+    d_l Pi are contracted with Pi(x) by a plain einsum; along the rows of
+    Pi(x), as ``jacobi_residual`` probes once a sample spans several calls,
+    the differences are T[i] = sum_l Pi_il d_l Pi themselves."""
     x = np.asarray(x, dtype=complex)
     dim = spec.dim
     Pi0 = spec.bivector(x)
+    directions = Pi0 if along_rows else np.eye(dim)
 
     def dmat(delta):
-        dPi = np.empty((dim, dim, dim), dtype=complex)
+        D = np.empty((dim, dim, dim), dtype=complex)
         for l in range(dim):
-            e = np.zeros(dim, dtype=complex)
-            e[l] = delta
-            dPi[l] = (spec.bivector(x + e) - spec.bivector(x - e)) / (2 * delta)
-        return dPi
+            e = delta * directions[l]
+            D[l] = (spec.bivector(x + e) - spec.bivector(x - e)) / (2 * delta)
+        return D
 
-    dPi = dmat(scheme.step)
+    D = dmat(scheme.step)
     if scheme.richardson:
-        dPi = (4.0 * dmat(scheme.step / 2) - dPi) / 3.0
-    T = np.einsum("il,ljk->ijk", Pi0, dPi)
+        D = (4.0 * dmat(scheme.step / 2) - D) / 3.0
+    T = D if along_rows else np.einsum("il,ljk->ijk", Pi0, D)
     J = T + T.transpose(1, 2, 0) + T.transpose(2, 0, 1)
     return float(np.max(np.abs(J)))
 
 
 class _Perturbed:
-    """S(n,d) plus an antisymmetric cubic term: a bivector far from Poisson,
-    so its Jacobiator is O(1) and two evaluations can be compared relatively."""
+    """A bracket plus an antisymmetric cubic term 0.3 x_j x_k^2 (or, with
+    ``quadratic``, 0.3 x_j x_(k-1)): a bivector far from Poisson, so its
+    Jacobiator is O(1) and two evaluations can be compared relatively.  With
+    the quadratic term the bivector stays quadratic, so central differences
+    are exact along any direction."""
 
-    def __init__(self, spec):
+    def __init__(self, spec, quadratic=False):
         self.spec = spec
         self.dim = spec.dim
+        self.quadratic = quadratic
 
     def bivector(self, x):
         x = np.asarray(x, dtype=complex)
-        E = 0.3 * x[..., :, None] * (x * x)[..., None, :]
+        y = np.roll(x, 1, axis=-1) if self.quadratic else x * x
+        E = 0.3 * x[..., :, None] * y[..., None, :]
         return self.spec.bivector(x) + E - E.swapaxes(-1, -2)
 
 
 BIG = BracketSpec("S", 2.0 - 1.0j, n=7, d=7)
+BIG_SCHEMES = [DiffScheme(step=1e-2, richardson=False), DiffScheme(step=1e-3, richardson=True)]
 
 
 def test_big_probe_stack_spans_several_blocks():
@@ -175,17 +186,21 @@ def test_blocked_residual_matches_per_probe_on_poisson_bracket():
     assert abs(got - want) < 1e-11
 
 
-@pytest.mark.parametrize(
-    "scheme",
-    [
-        DiffScheme(step=1e-2, richardson=False),
-        DiffScheme(step=1e-3, richardson=True),
-    ],
-    ids=["real-axis", "richardson"],
-)
+@pytest.mark.parametrize("scheme", BIG_SCHEMES, ids=["real-axis", "richardson"])
 def test_blocked_residual_matches_per_probe(scheme):
     spec = _Perturbed(BIG)
     x = sampling.sample_vector(42, 1, BIG.dim, 1.0)
+    got, want = jacobi_residual(spec, x, scheme), _jacobi_per_probe(spec, x, scheme, along_rows=True)
+    assert want > 1e-2
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("scheme", BIG_SCHEMES, ids=["real-axis", "richardson"])
+def test_blocked_residual_matches_coordinate_probes_on_quadratic_bivector(scheme):
+    # central differences of a quadratic bivector are exact along any
+    # direction, so the row probes must agree with the coordinate-probe einsum
+    spec = _Perturbed(BIG, quadratic=True)
+    x = sampling.sample_vector(42, 2, BIG.dim, 1.0)
     got, want = jacobi_residual(spec, x, scheme), _jacobi_per_probe(spec, x, scheme)
     assert want > 1e-2
     assert got == pytest.approx(want, rel=1e-12)
@@ -196,8 +211,9 @@ def test_blocked_residual_matches_per_probe_small_blocks(monkeypatch):
     monkeypatch.setattr(verify, "_BLOCK_ENTRIES", 2 * 2 * 8 * 8)
     spec = _Perturbed(BracketSpec("Prime", 1j, n=2, d=2))
     x = sampling.sample_vector(3, 0, spec.dim, 1.0)
-    for scheme in (DiffScheme(step=1e-2, richardson=False), DiffScheme(step=1e-3, richardson=True)):
-        assert jacobi_residual(spec, x, scheme) == pytest.approx(_jacobi_per_probe(spec, x, scheme), rel=1e-12)
+    for scheme in BIG_SCHEMES:
+        want = _jacobi_per_probe(spec, x, scheme, along_rows=True)
+        assert jacobi_residual(spec, x, scheme) == pytest.approx(want, rel=1e-12)
 
 
 # --- the Jacobi residual on sample stacks -------------------------------------
@@ -229,13 +245,20 @@ def test_stacked_residual_equals_per_point(spec, count, scheme):
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
 def test_stacked_residual_equals_per_point_small_blocks(monkeypatch, spec, scheme, split):
     X = _points(spec, 7)
-    want = [jacobi_residual(spec, x, scheme) for x in X]
-    per_coordinate = (4 if scheme.richardson else 2) * spec.dim**2
+    per_direction = (4 if scheme.richardson else 2) * spec.dim**2
     if split == "two-samples":  # chunks of two samples, the last one alone, each in one call
         cap, calls_wanted = 2 * _per_sample_entries(spec, scheme), 4
-    else:  # one sample at a time, in blocks of two coordinates
-        cap, calls_wanted = 2 * per_coordinate, 7 * -(-spec.dim // 2)
+    else:  # one sample at a time: its point, then its probes in blocks of two rows of Pi
+        cap, calls_wanted = 2 * per_direction, 7 * (1 + -(-spec.dim // 2))
     monkeypatch.setattr(verify, "_BLOCK_ENTRIES", cap)
+    want = [jacobi_residual(spec, x, scheme) for x in X]
+    calls = _count_bivector_calls(monkeypatch, spec)
+    np.testing.assert_array_equal(jacobi_residual(spec, X, scheme), want)
+    assert len(calls) == calls_wanted
+
+
+def _count_bivector_calls(monkeypatch, spec) -> list:
+    """Patch the bivector of ``spec``'s class to record each call's stack length."""
     real = type(spec).bivector
     calls = []
 
@@ -244,8 +267,74 @@ def test_stacked_residual_equals_per_point_small_blocks(monkeypatch, spec, schem
         return real(self, x)
 
     monkeypatch.setattr(type(spec), "bivector", counted)
-    np.testing.assert_array_equal(jacobi_residual(spec, X, scheme), want)
-    assert len(calls) == calls_wanted
+    return calls
+
+
+# the brackets that are quadratic in the coordinates
+QUADRATIC_KINDS = ("S", "AOplus", "AOminus", "Prime", "Sprod", "GLmult", "Double", "STS")
+
+
+# DualGroup is rational, so only Richardson differences reach TOL_EXACT on it,
+# and only they are used on it
+REGIME_CASES = [
+    pytest.param(spec, scheme, id=f"{spec.kind}-{name}")
+    for spec in SPECS
+    for scheme, name in zip(STACK_SCHEMES, STACK_SCHEME_IDS)
+    if spec.kind != "DualGroup" or scheme.richardson
+]
+
+
+@pytest.mark.parametrize("spec,scheme", REGIME_CASES)
+def test_one_point_in_both_regimes(monkeypatch, spec, scheme):
+    # a cap of one sample's entries keeps it in one call; one entry less
+    # sends it to a base call and one call of probes along the rows of Pi
+    x = _points(spec, 1)[0]
+    per_sample = _per_sample_entries(spec, scheme)
+    perturbed = _Perturbed(spec, quadratic=True)
+    probes = (4 if scheme.richardson else 2) * spec.dim
+    got = []
+    for cap, calls_wanted in ((per_sample, [1 + probes]), (per_sample - 1, [1, probes])):
+        monkeypatch.setattr(verify, "_BLOCK_ENTRIES", cap)
+        calls = _count_bivector_calls(monkeypatch, spec)
+        residual = jacobi_residual(spec, x, scheme)
+        assert calls == calls_wanted
+        assert residual < suites.TOL_EXACT
+        got.append(jacobi_residual(perturbed, x, scheme))
+        monkeypatch.undo()
+    if spec.kind in QUADRATIC_KINDS:
+        assert got[0] > 1e-2
+        assert got[1] == pytest.approx(got[0], rel=1e-12)
+
+
+def test_dual_group_row_probes_stay_in_chart_domain():
+    # at ell = 7 (dim 49) each sample's Richardson probes span several calls,
+    # so they run along the rows of Pi(x); the largest step they take in a
+    # diagonal coordinate of h_+ (the chart divides by it) was at most 4.5e-4
+    # of that coordinate over 20 samples and three kappas
+    ell = 7
+    spec = BracketSpec("DualGroup", 2.0 - 1.0j, ell=ell)
+    assert _per_sample_entries(spec, RATIONAL) > verify._BLOCK_ENTRIES
+    X = charts.pack_dual(sampling.sample_dual(12, np.arange(3), ell, 0.4))
+    diag = slice(ell * (ell - 1) // 2, ell * (ell + 1) // 2)
+    reach = RATIONAL.step * np.max(np.abs(spec.bivector(X)[:, :, diag]), axis=1)
+    assert np.all(reach < 1e-2 * np.abs(X[:, diag]))
+    assert np.all(jacobi_residual(spec, X, RATIONAL) < suites.TOL_EXACT)
+
+
+def test_big_residual_keeps_one_derivative_stack():
+    # one (dim, dim, dim) complex stack at dim 98 is 15.1 MB; the residual
+    # peaked at 18.1 MB with NumPy 2.4 (37.8 MB when it formed T = Pi @ dPi
+    # beside the derivative stack and the full cyclic sum)
+    x = sampling.sample_vector(42, 0, BIG.dim, 1.0)
+    stack = 16 * BIG.dim**3
+    jacobi_residual(BIG, x, POLY)  # one-off allocations outside the measurement
+    tracemalloc.start()
+    try:
+        jacobi_residual(BIG, x, POLY)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * stack
 
 
 # the matrix-group charts take any entries; the point containers of the

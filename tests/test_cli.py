@@ -175,6 +175,15 @@ class TestVerify:
         assert main(["verify", "--suite", "jacobi", *args]) == 2
         assert f"{formula} must be <= MAX_DIM = {suites.MAX_DIM}" in capsys.readouterr().err
 
+    def test_samples_above_max_samples_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"samples": 1000000000000}')
+        for args in (["--samples", str(suites.MAX_SAMPLES + 1)], ["--config", str(cfg)]):
+            assert main(["verify", "--suite", "symplectic", *args]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error:")
+            assert f"samples must be <= MAX_SAMPLES = {suites.MAX_SAMPLES}" in err
+
     def test_largest_sizes_are_accepted(self):
         cfg = suites.RunConfig("jacobi", n=16, d=8, ell=11)
         assert 2 * cfg.n * cfg.d == suites.MAX_DIM

@@ -175,6 +175,12 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="seed must be a nonnegative integer"):
             suites.RunConfig("symplectic", seed=-1)
 
+    def test_samples_above_max_samples_are_rejected(self):
+        assert suites.RunConfig("symplectic", samples=suites.MAX_SAMPLES).samples == suites.MAX_SAMPLES
+        for samples in (suites.MAX_SAMPLES + 1, 10**12):
+            with pytest.raises(ConfigError, match="^samples must be <= MAX_SAMPLES"):
+                suites.RunConfig("symplectic", samples=samples)
+
     def test_values_take_their_field_type(self):
         cfg = suites.RunConfig("symplectic", kappa=2, radius=1, seed=np.int64(7))
         assert type(cfg.kappa) is complex and type(cfg.radius) is float and type(cfg.seed) is int
