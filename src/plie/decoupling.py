@@ -137,7 +137,7 @@ def map_nu(p: SPoint) -> SPoint:
 
 def map_xi(p: SPoint, xi_a: complex, xi_b: complex, kappa: complex) -> SPoint:
     """Rescaled anti-diagonal twist (xi_a A eta_d, xi_b eta_d B); needs xi_a xi_b = -1/kappa."""
-    if abs(xi_a * xi_b + 1.0 / kappa) > 1e-12 * max(1.0, abs(1.0 / kappa)):
+    if not abs(xi_a * xi_b + 1.0 / kappa) <= 1e-12 * max(1.0, abs(1.0 / kappa)):  # NaN fails too
         raise ConstraintViolated(f"xi_a*xi_b = {xi_a * xi_b}, expected {-1.0 / kappa}")
     ed = eta(p.d)
     return SPoint(xi_a * (p.A @ ed), xi_b * (ed @ p.B))
@@ -145,7 +145,7 @@ def map_xi(p: SPoint, xi_a: complex, xi_b: complex, kappa: complex) -> SPoint:
 
 def map_theta(p: SPoint, th_a: complex, th_b: complex, kappa: complex) -> SPoint:
     """Plain rescaling (th_a A, th_b B); needs th_a th_b = -1/kappa."""
-    if abs(th_a * th_b + 1.0 / kappa) > 1e-12 * max(1.0, abs(1.0 / kappa)):
+    if not abs(th_a * th_b + 1.0 / kappa) <= 1e-12 * max(1.0, abs(1.0 / kappa)):  # NaN fails too
         raise ConstraintViolated(f"th_a*th_b = {th_a * th_b}, expected {-1.0 / kappa}")
     return SPoint(th_a * p.A, th_b * p.B)
 

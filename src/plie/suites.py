@@ -118,6 +118,8 @@ class RunConfig:
             raise ConfigError("radius must be > 0")
         if self.kappa == 0:
             raise ConfigError("kappa must be nonzero")
+        if not cmath.isfinite(1 / self.kappa):  # the decoupling maps scale by -1/kappa
+            raise ConfigError(f"1/kappa must be finite, got kappa = {self.kappa!r}")
         if self.epsilon == 0:
             raise ConfigError("epsilon must be nonzero")
 
@@ -487,9 +489,10 @@ _BUILDERS = {
 
 
 # A check's arrays grow with the samples it is handed, so _execute hands it
-# chunks of samples: a chunk times the entries of the largest per-sample
-# matrix of any suite, lemma4's brackets of its m = 2nd(1 + n) functions,
-# stays under this.  Every benchmark-sized run is one chunk.
+# chunks of samples: a chunk times m^2 entries, m = 2nd(1 + n), stays under
+# this.  m^2 bounds every per-sample matrix of every suite, lemma4's largest
+# among them: its 2nd x 2dn^2 brackets {x, h} and dn^2 x 2dn^2 brackets
+# {h+, h}.  Every benchmark-sized run is one chunk.
 _STACK_ENTRIES = 2**20
 
 

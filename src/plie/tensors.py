@@ -103,6 +103,13 @@ def elementary(ell: int, j: int, k: int) -> np.ndarray:
     return m
 
 
+def _flip(p: int, q: int) -> np.ndarray:
+    """The integer (p, q, q, p) array delta_ad delta_bc: entry [a, b, b, a] = 1.
+
+    Integer, so that a signed weight leaves +0.0, not -0.0, off the support."""
+    return np.einsum("ad,bc->abcd", np.eye(p, dtype=int), np.eye(q, dtype=int))
+
+
 def dj_r(ell: int) -> Tensor4:
     """Drinfeld-Jimbo r-matrix: (1/2) sum_{j<k} E_jk wedge E_kj.
 
@@ -110,23 +117,16 @@ def dj_r(ell: int) -> Tensor4:
     """
     if ell < 1:
         raise ValueError("size must be >= 1")
-    t = np.zeros((ell, ell, ell, ell), dtype=complex)
-    for a in range(ell):
-        for b in range(ell):
-            if a != b:
-                t[a, b, b, a] = 0.5 * np.sign(b - a)
-    return Tensor4(t)
+    i = np.arange(ell)
+    sgn = np.sign(i[None, :] - i[:, None])  # sgn(b - a) at [a, b]
+    return Tensor4(0.5 * (sgn[:, :, None, None] * _flip(ell, ell)))
 
 
 def casimir(ell: int) -> Tensor4:
     """The flip tensor I^ell = sum_{j,k} E_jk (x) E_kj."""
     if ell < 1:
         raise ValueError("size must be >= 1")
-    t = np.zeros((ell, ell, ell, ell), dtype=complex)
-    for a in range(ell):
-        for b in range(ell):
-            t[a, b, b, a] = 1.0
-    return Tensor4(t)
+    return Tensor4(_flip(ell, ell))
 
 
 def r_pm(ell: int, sign: int) -> Tensor4:
@@ -140,11 +140,7 @@ def c12(n: int, d: int) -> Tensor4:
     """The rectangular pairing tensor with entry[i,a,a,i] = 1; dims (n,d,d,n)."""
     if n < 1 or d < 1:
         raise ValueError("sizes must be >= 1")
-    t = np.zeros((n, d, d, n), dtype=complex)
-    for i in range(n):
-        for a in range(d):
-            t[i, a, a, i] = 1.0
-    return Tensor4(t)
+    return Tensor4(_flip(n, d))
 
 
 def eta(ell: int) -> np.ndarray:

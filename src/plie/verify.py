@@ -8,7 +8,10 @@ real directions of the complex coordinates (valid for holomorphic maps),
 optionally with one Richardson extrapolation level; exact Jacobians should
 be supplied for linear maps.  A differentiated map takes points of shape
 (..., dim) to values of shape (..., m), and each Jacobian evaluates all its
-probe points, along the coordinate axes, in one call.
+probe points, along the coordinate axes, in one call.  Brackets of
+functions g are read from C = Pi J_g^T, the brackets {x_p, g_q} of the
+coordinates with g (``_coordinate_brackets``), and J_g C: only the functions
+are differentiated, never the coordinates themselves.
 
 Every residual takes one point and returns a float (a dict of floats for
 the identity families), or a stack of S points and returns the (S,) array
@@ -36,7 +39,7 @@ import numpy as np
 from . import charts
 from .brackets import BracketSpec, HoloFn1, s_bivector, sts_rhs_tensor
 from .errors import ConfigError
-from .factorization import _nonvanishing_g, g_factors, g_pm, gamma
+from .factorization import _nonvanishing_g, g_factors, g_pm
 from .points import SPoint, SpinPoint, SpinTuple
 from .tensors import Tensor4, dj_r, r_pm
 
@@ -317,6 +320,15 @@ def action_residual(
     return max_abs(lhs - space_spec.bivector(np.asarray(action(g, x))))
 
 
+def _coordinate_brackets(spec: BracketSpec, x: np.ndarray, g: Callable[[np.ndarray], np.ndarray], scheme: DiffScheme):
+    """(C, J_g): the brackets C[p, q] = {x_p, g_q} = (Pi(x) J_g^T)[p, q] of the
+    coordinates with the functions g, and the Jacobian J_g of g at x; one
+    pair per point of a stack of shape (..., dim).  The coordinates' own
+    Jacobian is exactly I, so only g is differentiated."""
+    Jg = jacobian_fd(g, x, scheme)
+    return spec.bivector(x) @ _t(Jg), Jg
+
+
 def bracket_functions(
     spec: BracketSpec,
     x: np.ndarray,
@@ -327,9 +339,9 @@ def bracket_functions(
     """Matrix of brackets {f_p, g_q} at x via the chain rule Jf Pi Jg^T;
     one matrix per point of a stack of shape (..., dim)."""
     x = np.asarray(x, dtype=complex)
-    Jf = jacobian_fd(f, x, scheme)
-    Jg = Jf if g is f else jacobian_fd(g, x, scheme)
-    return Jf @ spec.bivector(x) @ _t(Jg)
+    C, Jg = _coordinate_brackets(spec, x, g, scheme)
+    Jf = Jg if g is f else jacobian_fd(f, x, scheme)
+    return Jf @ C
 
 
 def bracket_coord_fn(
@@ -338,11 +350,14 @@ def bracket_coord_fn(
     coord_index: int,
     f: Callable[[np.ndarray], complex],
     scheme: DiffScheme = DiffScheme(),
-) -> complex:
-    """The bracket {x_p, f} = sum_c Pi[p, c] d_c f at x; ``f`` maps (..., dim) to (...)."""
+):
+    """The bracket {x_p, f} = sum_c Pi[p, c] d_c f at x; ``f`` maps (..., dim) to (...).
+
+    A complex at one point x of shape (dim,), an array at a stack (..., dim)."""
     x = np.asarray(x, dtype=complex)
-    grad = jacobian_fd(lambda xx: np.asarray(f(xx))[..., None], x, scheme)[0]
-    return complex(spec.bivector(x)[coord_index] @ grad)
+    C, _ = _coordinate_brackets(spec, x, lambda xx: np.asarray(f(xx))[..., None], scheme)
+    r = C[..., coord_index, 0]
+    return complex(r) if r.ndim == 0 else r
 
 
 # --- moment-map identities ----------------------------------------------------
@@ -358,10 +373,6 @@ def _matrix(t: Tensor4, rows: int, cols: int) -> np.ndarray:
     return t.array.reshape(t.array.shape[:-4] + (rows, cols))
 
 
-def _gamma_flat(x: np.ndarray, n: int, d: int) -> np.ndarray:
-    return _flat(gamma(charts.unpack_spoint(x, n, d)))
-
-
 def moment_residuals(kappa: complex, point: SPoint, scheme: DiffScheme = DiffScheme()) -> dict:
     """Residuals of the quadratic moment-map bracket identities at a point (or
     a stack of points): the union of ``moment_gamma_residuals`` and
@@ -374,53 +385,28 @@ def moment_residuals(kappa: complex, point: SPoint, scheme: DiffScheme = DiffSch
 def moment_gamma_residuals(kappa: complex, point: SPoint, scheme: DiffScheme = DiffScheme()) -> dict:
     """The closed bracket relation of Gamma = 1 + AB with itself ('Ga1') and
     with the coordinates ('Ga2_A', 'Ga2_B'), and the same set for the hatted
-    structure with Gamma-hat = 1 - AB ('*prime'), at a point or a stack of
-    points.  All maps differentiated here are polynomial."""
+    structure with Gamma-hat = 1 - AB ('*prime'), whose right-hand sides are
+    the unhatted ones times -1, at a point or a stack of points.  All maps
+    differentiated here are polynomial."""
     n, d = point.n, point.d
+    nd = n * d
     x = charts.pack_spoint(point)
-    spec = BracketSpec("S", kappa, n=n, d=d)
     rpn, rmn = r_pm(n, +1), r_pm(n, -1)
     out = {}
+    for kind, sign, suffix in (("S", +1, ""), ("Prime", -1, "prime")):
 
-    # coordinates-and-Gamma in one map so Jacobian blocks share probes
-    def full(xx):
-        return np.concatenate([xx, _gamma_flat(xx, n, d)], axis=-1)
+        def gamma_flat(xx, sign=sign):
+            p = charts.unpack_spoint(xx, n, d)
+            return _flat(np.eye(n, dtype=complex) + sign * (p.A @ p.B))
 
-    Gm = gamma(point)
-    nd = n * d
-    M = bracket_functions(spec, x, full, full, scheme)
-    GG = M[..., 2 * nd :, 2 * nd :]
-    AG = M[..., :nd, 2 * nd :]
-    BG = M[..., nd : 2 * nd, 2 * nd :]
-
-    rhs_GG = _matrix(sts_rhs_tensor(kappa, Gm, n), n * n, n * n)
-    out["Ga1"] = max_abs(GG - rhs_GG)
-    # {A1, G2} = kappa (G2 r+ - r- G2) A1 ; {B1, G2} = kappa B1 (r- G2 - G2 r+)
-    rhs_A = _matrix(kappa * (rpn.lmul2(Gm) - rmn.rmul2(Gm)).rmul1(point.A), nd, n * n)
-    rhs_B = _matrix(kappa * (rmn.rmul2(Gm) - rpn.lmul2(Gm)).lmul1(point.B), nd, n * n)
-    out["Ga2_A"] = max_abs(AG - rhs_A)
-    out["Ga2_B"] = max_abs(BG - rhs_B)
-
-    # hatted counterpart: Gamma-hat = 1 - AB under the primed bracket,
-    # same right-hand sides with an overall minus sign
-    h_spec = BracketSpec("Prime", kappa, n=n, d=d)
-
-    def full_hat(xx):
-        p = charts.unpack_spoint(xx, n, d)
-        gh = np.eye(n, dtype=complex) - p.A @ p.B
-        return np.concatenate([xx, _flat(gh)], axis=-1)
-
-    Gh = np.eye(n, dtype=complex) - point.A @ point.B
-    Mh = bracket_functions(h_spec, x, full_hat, full_hat, scheme)
-    GGh = Mh[..., 2 * nd :, 2 * nd :]
-    AGh = Mh[..., :nd, 2 * nd :]
-    BGh = Mh[..., nd : 2 * nd, 2 * nd :]
-    rhs_GGh = -_matrix(sts_rhs_tensor(kappa, Gh, n), n * n, n * n)
-    out["Ga1prime"] = max_abs(GGh - rhs_GGh)
-    rhs_Ah = _matrix(-kappa * (rpn.lmul2(Gh) - rmn.rmul2(Gh)).rmul1(point.A), nd, n * n)
-    rhs_Bh = _matrix(-kappa * (rmn.rmul2(Gh) - rpn.lmul2(Gh)).lmul1(point.B), nd, n * n)
-    out["Ga2prime_A"] = max_abs(AGh - rhs_Ah)
-    out["Ga2prime_B"] = max_abs(BGh - rhs_Bh)
+        C, J = _coordinate_brackets(BracketSpec(kind, kappa, n=n, d=d), x, gamma_flat, scheme)
+        G = np.eye(n, dtype=complex) + sign * (point.A @ point.B)
+        out[f"Ga1{suffix}"] = max_abs(J @ C - sign * _matrix(sts_rhs_tensor(kappa, G, n), n * n, n * n))
+        # {A1, G2} = kappa (G2 r+ - r- G2) A1 ; {B1, G2} = kappa B1 (r- G2 - G2 r+)
+        rhs_A = _matrix(sign * kappa * (rpn.lmul2(G) - rmn.rmul2(G)).rmul1(point.A), nd, n * n)
+        rhs_B = _matrix(sign * kappa * (rmn.rmul2(G) - rpn.lmul2(G)).lmul1(point.B), nd, n * n)
+        out[f"Ga2{suffix}_A"] = max_abs(C[..., :nd, :] - rhs_A)
+        out[f"Ga2{suffix}_B"] = max_abs(C[..., nd:, :] - rhs_B)
     return out
 
 
@@ -432,8 +418,6 @@ def moment_factor_residuals(kappa: complex, point: SPoint, scheme: DiffScheme = 
     rpn, rmn = r_pm(n, +1), r_pm(n, -1)
     out = {}
     sp = SpinPoint(point.A[..., :, 0], point.B[..., 0, :])
-    s_spec = BracketSpec("S", kappa, n=n, d=1)
-    xs = charts.pack_spoint(sp.as_spoint())
     a_col = sp.a[..., :, None]
     b_row = sp.b[..., None, :]
 
@@ -443,10 +427,9 @@ def moment_factor_residuals(kappa: complex, point: SPoint, scheme: DiffScheme = 
         return np.concatenate([_flat(pair.hplus), _flat(pair.hminus)], axis=-1)
 
     pair = g_pm(sp)
-    # {x_p, g_q} = sum_c Pi[p, c] d_c g_q: the coordinates' own Jacobian is exactly I
-    Mab = s_spec.bivector(xs) @ _t(jacobian_fd(gpm_flat, xs, scheme))
-    Mab_p = Mab[..., : n * n]
-    Mab_m = Mab[..., n * n :]
+    C, _ = _coordinate_brackets(BracketSpec("S", kappa, n=n, d=1), charts.pack_spoint(sp.as_spoint()), gpm_flat, scheme)
+    Mab_p = C[..., : n * n]
+    Mab_m = C[..., n * n :]
     # {A1, phi+-2} = -kappa r_-+ A1 phi+-2 ; {B1, phi+-2} = kappa B1 r_-+ phi+-2
     rhs = _matrix(-kappa * rmn.rmul1(a_col).rmul2(pair.hplus), n, n * n)
     out["mom1_gplus_a"] = max_abs(Mab_p[..., :n, :] - rhs)
@@ -481,25 +464,17 @@ def _h_products(t: SpinTuple):
 
 
 def _h_map(x: np.ndarray, n: int, d: int) -> np.ndarray:
-    """The map lemma_h_residuals differentiates, (..., 2nd) -> (..., 2nd + 2dn^2):
-    all coordinates, then h+^1..d and h-^1..d flattened."""
+    """The functions lemma_h_residuals differentiates, (..., 2nd) -> (..., 2dn^2):
+    h+^1..d, then h-^1..d, flattened."""
     _, _, hp, hm = _h_products(charts.unpack_tuple(x, n, d))
-    return np.concatenate([x] + [_flat(m) for m in hp[1:] + hm[1:]], axis=-1)
+    return np.concatenate([_flat(m) for m in hp[1:] + hm[1:]], axis=-1)
 
 
-def _h_range(factors, al: int, gm: int) -> np.ndarray:
-    """h+^{al;gm} = g(al)...g(gm) for a list of per-copy factors (1-based, empty = I)."""
-    out = np.eye(factors[0].shape[-1], dtype=complex)
-    for g in range(al, gm + 1):
-        out = out @ factors[g - 1]
-    return out
-
-
-def _hm_range(gminus_inv, al: int, gm: int) -> np.ndarray:
-    """h-^{al;gm} = g_-(gm)^-1 ... g_-(al)^-1 (1-based, empty = I)."""
-    out = np.eye(gminus_inv[0].shape[-1], dtype=complex)
-    for g in range(gm, al - 1, -1):
-        out = out @ gminus_inv[g - 1]
+def _product(factors, n: int) -> np.ndarray:
+    """The left-to-right product of a list of (stacks of) n x n factors; empty = I."""
+    out = np.eye(n, dtype=complex)
+    for g in factors:
+        out = out @ g
     return out
 
 
@@ -507,35 +482,21 @@ def lemma_h_residuals(kappa: complex, t: SpinTuple, scheme: DiffScheme = DiffSch
     """Residuals of the seven bracket identities between the spin coordinates,
     the cumulative products h+-^beta, and among the h's themselves, maximized
     over all index pairs (alpha, beta), at a tuple or a stack of tuples.
+
+    With 1-based copies, h+^{al;be} = g_+(al)...g_+(be) and
+    h-^{al;be} = g_-(be)^-1...g_-(al)^-1 (both I when al > be).
     """
     n, d = t.n, t.d
-    spec = BracketSpec("Sprod", kappa, n=n, d=d)
+    n2 = n * n
     x = charts.pack_tuple(t)
     rn, rp, rm = dj_r(n), r_pm(n, +1), r_pm(n, -1)
     gp_list, gminus_inv, hp, hm = _h_products(t)
-
-    def full(xx):
-        return _h_map(xx, n, d)
-
-    M = bracket_functions(spec, x, full, full, scheme)
-    dim = 2 * n * d
-    n2 = n * n
-
-    def a_rows(al):  # coordinates a^al occupy [2n(al-1), 2n(al-1)+n)
-        base = 2 * n * (al - 1)
-        return slice(base, base + n)
-
-    def b_rows(al):
-        base = 2 * n * (al - 1) + n
-        return slice(base, base + n)
-
-    def hp_cols(be):
-        base = dim + n2 * (be - 1)
-        return slice(base, base + n2)
-
-    def hm_cols(be):
-        base = dim + n2 * d + n2 * (be - 1)
-        return slice(base, base + n2)
+    C, J = _coordinate_brackets(BracketSpec("Sprod", kappa, n=n, d=d), x, lambda xx: _h_map(xx, n, d), scheme)
+    batch = C.shape[:-2]
+    # axes: copy al, a/b, entry of the spin; h+/h-, copy be, entry of h
+    ch = C.reshape(batch + (d, 2, n, 2, d, n2))
+    # {h+^al, h^be}; axes: copy al, entry of h+; h+/h-, copy be, entry of h
+    hh = (J[..., : d * n2, :] @ C).reshape(batch + (d, n2, 2, d, n2))
 
     keys = ["a_hplus", "b_hplus", "a_hminus", "b_hminus", "hplus_hplus", "hplus_hminus_le", "hplus_hminus_ge"]
     out = {k: 0.0 for k in keys}
@@ -548,38 +509,29 @@ def lemma_h_residuals(kappa: complex, t: SpinTuple, scheme: DiffScheme = DiffSch
         a_col = t[al - 1].a[..., :, None]
         b_row = t[al - 1].b[..., None, :]
         for be in range(1, d + 1):
-            lhs_ap = M[..., a_rows(al), hp_cols(be)]
-            lhs_bp = M[..., b_rows(al), hp_cols(be)]
-            lhs_am = M[..., a_rows(al), hm_cols(be)]
-            lhs_bm = M[..., b_rows(al), hm_cols(be)]
+            lhs_ap, lhs_bp = ch[..., al - 1, 0, :, 0, be - 1, :], ch[..., al - 1, 1, :, 0, be - 1, :]
+            lhs_am, lhs_bm = ch[..., al - 1, 0, :, 1, be - 1, :], ch[..., al - 1, 1, :, 1, be - 1, :]
+            pp, pm = hh[..., al - 1, :, 0, be - 1, :], hh[..., al - 1, :, 1, be - 1, :]
             if al <= be:
-                hpr = _h_range(gp_list, al, be)  # h+^{al;be}
-                hmr = _hm_range(gminus_inv, al, be)
+                hpr = _product(gp_list[al - 1 : be], n)  # h+^{al;be}
+                hmr = _product(gminus_inv[al - 1 : be][::-1], n)  # h-^{al;be}
                 upd("a_hplus", lhs_ap, -kappa * rm.rmul1(a_col).lmul2(hp[al - 1]).rmul2(hpr))
                 upd("b_hplus", lhs_bp, kappa * rm.lmul1(b_row).lmul2(hp[al - 1]).rmul2(hpr))
                 upd("a_hminus", lhs_am, kappa * rp.rmul1(a_col).lmul2(hmr).rmul2(hm[al - 1]))
                 upd("b_hminus", lhs_bm, -kappa * rp.lmul1(b_row).lmul2(hmr).rmul2(hm[al - 1]))
+                mid = _product(gp_list[al:be], n)  # h+^{al+1;be}
+                rhs = kappa * (rn.lmul1(hp[al]).lmul2(hp[al]).rmul2(mid) - rn.rmul1(hp[al]).rmul2(hp[be]))
+                upd("hplus_hplus", pp, rhs)
+                midm = _product(gminus_inv[al:be][::-1], n)  # h-^{al+1;be}
+                rhs = kappa * (rp.lmul2(hm[be]).rmul1(hp[al]) - rp.lmul1(hp[al]).lmul2(midm).rmul2(hm[al]))
+                upd("hplus_hminus_le", pm, rhs)
             else:
                 for key, lhs in (("a_hplus", lhs_ap), ("b_hplus", lhs_bp), ("a_hminus", lhs_am), ("b_hminus", lhs_bm)):
                     upd(key, lhs)
-
-    hph = M[..., dim : dim + n2 * d, dim : dim + n2 * d]
-    hphm = M[..., dim : dim + n2 * d, dim + n2 * d :]
-    for al in range(1, d + 1):
-        for be in range(1, d + 1):
-            blk_pp = hph[..., n2 * (al - 1) : n2 * al, n2 * (be - 1) : n2 * be]
-            blk_pm = hphm[..., n2 * (al - 1) : n2 * al, n2 * (be - 1) : n2 * be]
-            if al <= be:
-                mid = _h_range(gp_list, al + 1, be)  # h+^{al+1;be}
-                rhs = kappa * (rn.lmul1(hp[al]).lmul2(hp[al]).rmul2(mid) - rn.rmul1(hp[al]).rmul2(hp[be]))
-                upd("hplus_hplus", blk_pp, rhs)
-                midm = _hm_range(gminus_inv, al + 1, be)  # h-^{al+1;be}
-                rhs = kappa * (rp.lmul2(hm[be]).rmul1(hp[al]) - rp.lmul1(hp[al]).lmul2(midm).rmul2(hm[al]))
-                upd("hplus_hminus_le", blk_pm, rhs)
             if al >= be:
-                midp = _h_range(gp_list, be + 1, al)  # h+^{be+1;al}
+                midp = _product(gp_list[be:al], n)  # h+^{be+1;al}
                 rhs = kappa * (rp.lmul2(hm[be]).rmul1(hp[al]) - rp.lmul1(hp[be]).rmul1(midp).rmul2(hm[be]))
-                upd("hplus_hminus_ge", blk_pm, rhs)
+                upd("hplus_hminus_ge", pm, rhs)
     return out
 
 

@@ -100,6 +100,7 @@ class TestVerify:
             ("--kappa", "nan"),
             ("--kappa", "inf,0"),
             ("--kappa", "1,-inf"),
+            ("--kappa", "1e-320"),  # 1/kappa overflows
             ("--epsilon", "nan"),
             ("--radius", "inf"),
         ],

@@ -144,6 +144,20 @@ class TestMapTheta:
             map_theta(SPoint.zero(1, 1), 1.0, 1.0, 1.0)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("fn", [map_xi, map_theta])
+@pytest.mark.parametrize(
+    "fa,fb",
+    [(1.0, NAN), (NAN, -1.0), (complex(NAN, 0.0), 1.0), (INF, 0.0), (INF, -1.0), (complex(0.0, INF), 1.0)],
+    ids=["nan-b", "nan-a", "complex-nan", "inf-times-zero", "inf", "complex-inf"],
+)
+def test_non_finite_factors_violate_the_constraint(fn, fa, fb):
+    with pytest.raises(ConstraintViolated):
+        fn(SPoint.zero(2, 2), fa, fb, 1.0)
+
+
 class TestIota:
     def test_involution(self):
         t = sampling.sample_tuple(7, 0, 3, 2, 0.5)

@@ -5,20 +5,26 @@ import numpy as np
 import pytest
 
 from plie import charts, sampling, suites
-from plie.brackets import BracketSpec, HoloFn1
+from plie.brackets import BracketSpec, HoloFn1, sts_rhs_tensor
 from plie.decoupling import iota, map_m
 from plie.errors import ConfigError, ZeroG
 from plie.factorization import g_pm
 from plie.points import SPoint, SpinPoint, SpinTuple
+from plie.tensors import dj_r, r_pm
 from plie.verify import (
     DiffScheme,
     VerificationReport,
+    _h_map,
+    _h_products,
     action_residual,
     anti_poisson_residual,
     bracket_coord_fn,
+    bracket_functions,
     jacobi_residual,
     jacobian_fd,
     lemma_h_residuals,
+    moment_factor_residuals,
+    moment_gamma_residuals,
     moment_residuals,
     poisson_map_residual,
     rank_at,
@@ -330,6 +336,54 @@ class TestActions:
         assert action_residual(gspec, sspec, act, np.eye(n).ravel() + 0j, x, FD) < 1e-9
 
 
+def _gamma_map(n, d):
+    """x -> the entries of 1 + AB, a batched polynomial map."""
+
+    def g(xv):
+        q = charts.unpack_spoint(xv, n, d)
+        return (np.eye(n) + q.A @ q.B).reshape(xv.shape[:-1] + (n * n,))
+
+    return g
+
+
+def _identity(xv):
+    return xv
+
+
+class TestBracketFunctions:
+    N, D = 2, 3
+
+    def _setup(self, batch):
+        spec = BracketSpec("S", 1.5 - 0.5j, n=self.N, d=self.D)
+        x = sampling.sample_vector(8, np.arange(int(np.prod(batch))).reshape(batch), spec.dim, 0.5)
+        return spec, x, _gamma_map(self.N, self.D)
+
+    @pytest.mark.parametrize("batch", [(), (3,)], ids=["point", "stack"])
+    def test_coordinates_with_coordinates_is_the_bivector(self, batch):
+        spec, x, _ = self._setup(batch)
+        got = bracket_functions(spec, x, _identity, _identity, POLY)
+        assert got.shape == batch + (spec.dim, spec.dim)
+        np.testing.assert_allclose(got, spec.bivector(x), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("batch", [(), (3,)], ids=["point", "stack"])
+    def test_coordinates_with_functions_is_pi_times_jacobian(self, batch):
+        spec, x, g = self._setup(batch)
+        got = bracket_functions(spec, x, _identity, g, POLY)
+        want = spec.bivector(x) @ np.swapaxes(jacobian_fd(g, x, POLY), -1, -2)
+        assert got.shape == batch + (spec.dim, self.N * self.N)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("batch", [(), (3,)], ids=["point", "stack"])
+    def test_coordinate_rows_match(self, batch):
+        spec, x, g = self._setup(batch)
+        C = bracket_functions(spec, x, _identity, g, POLY)
+        for p in range(spec.dim):
+            for q in range(self.N * self.N):
+                val = bracket_coord_fn(spec, x, p, lambda xv, q=q: g(xv)[..., q], POLY)
+                assert np.shape(val) == batch
+                np.testing.assert_allclose(val, C[..., p, q], rtol=0, atol=1e-13, err_msg=f"{p}, {q}")
+
+
 class TestBracketCoordFn:
     def test_constant_function(self):
         spec = BracketSpec("S", 1.0, n=2, d=2)
@@ -396,6 +450,173 @@ class TestLemmaResiduals:
         res = lemma_h_residuals(1.0, t, FD)
         for key, val in res.items():
             assert val < 1e-6, key
+
+
+# --- reference: brackets from the full J Pi J^T of the coordinates and functions ----
+# The identity families read {x, g} = Pi J_g^T and {g, g} = J_g Pi J_g^T.  The
+# references below form instead the whole bracket matrix of the map
+# x -> (x, g(x)), finite differences of its identity block included, and slice
+# it; the right-hand sides are spelled out again.
+
+
+def _full_brackets(spec, x, g, scheme):
+    """J Pi J^T of x -> (x, g(x)), J by finite differences of the whole map."""
+    J = jacobian_fd(lambda xx: np.concatenate([xx, g(xx)], axis=-1), x, scheme)
+    return J @ spec.bivector(x) @ np.swapaxes(J, -1, -2)
+
+
+def _mat(t, rows, cols):
+    return t.array.reshape(t.array.shape[:-4] + (rows, cols))
+
+
+def _worst(m):
+    return np.max(np.abs(m), axis=(-2, -1))
+
+
+def _reference_moment_gamma(kappa, p, scheme):
+    n, d = p.n, p.d
+    nd = n * d
+    x = charts.pack_spoint(p)
+    rpn, rmn = r_pm(n, +1), r_pm(n, -1)
+    out = {}
+    for kind, sign, suffix in (("S", +1, ""), ("Prime", -1, "prime")):
+
+        def g(xv, sign=sign):
+            q = charts.unpack_spoint(xv, n, d)
+            return (np.eye(n) + sign * (q.A @ q.B)).reshape(xv.shape[:-1] + (n * n,))
+
+        M = _full_brackets(BracketSpec(kind, kappa, n=n, d=d), x, g, scheme)
+        G = np.eye(n) + sign * (p.A @ p.B)
+        rhs = sign * sts_rhs_tensor(kappa, G, n)
+        out["Ga1" + suffix] = _worst(M[..., 2 * nd :, 2 * nd :] - _mat(rhs, n * n, n * n))
+        rhs = sign * kappa * (rpn.lmul2(G) - rmn.rmul2(G)).rmul1(p.A)
+        out[f"Ga2{suffix}_A"] = _worst(M[..., :nd, 2 * nd :] - _mat(rhs, nd, n * n))
+        rhs = sign * kappa * (rmn.rmul2(G) - rpn.lmul2(G)).lmul1(p.B)
+        out[f"Ga2{suffix}_B"] = _worst(M[..., nd : 2 * nd, 2 * nd :] - _mat(rhs, nd, n * n))
+    return out
+
+
+def _reference_lemma_h(kappa, t, scheme):
+    n, d = t.n, t.d
+    n2, dim = n * n, 2 * n * d
+    spec = BracketSpec("Sprod", kappa, n=n, d=d)
+    M = _full_brackets(spec, charts.pack_tuple(t), lambda xx: _h_map(xx, n, d), scheme)
+    rn, rp, rm = dj_r(n), r_pm(n, +1), r_pm(n, -1)
+    gp, gmi, hp, hm = _h_products(t)
+
+    def prod(ms):
+        out = np.eye(n, dtype=complex)
+        for m in ms:
+            out = out @ m
+        return out
+
+    def hp_range(al, be):  # g_+(al)...g_+(be), 1-based
+        return prod(gp[al - 1 : be])
+
+    def hm_range(al, be):  # g_-(be)^-1...g_-(al)^-1, 1-based
+        return prod([gmi[k - 1] for k in range(be, al - 1, -1)])
+
+    out = {}
+
+    def upd(key, lhs, rhs=None):
+        diff = lhs if rhs is None else lhs - _mat(rhs, *lhs.shape[-2:])
+        out[key] = np.maximum(out.get(key, 0.0), _worst(diff))
+
+    for al in range(1, d + 1):
+        a = slice(2 * n * (al - 1), 2 * n * (al - 1) + n)
+        b = slice(a.stop, a.stop + n)
+        hpa = slice(dim + n2 * (al - 1), dim + n2 * al)
+        a_col, b_row = t[al - 1].a[..., :, None], t[al - 1].b[..., None, :]
+        for be in range(1, d + 1):
+            hpb = slice(dim + n2 * (be - 1), dim + n2 * be)
+            hmb = slice(dim + n2 * (d + be - 1), dim + n2 * (d + be))
+            lhs = {
+                "a_hplus": M[..., a, hpb],
+                "b_hplus": M[..., b, hpb],
+                "a_hminus": M[..., a, hmb],
+                "b_hminus": M[..., b, hmb],
+            }
+            if al <= be:
+                hpr, hmr = hp_range(al, be), hm_range(al, be)
+                upd("a_hplus", lhs["a_hplus"], -kappa * rm.rmul1(a_col).lmul2(hp[al - 1]).rmul2(hpr))
+                upd("b_hplus", lhs["b_hplus"], kappa * rm.lmul1(b_row).lmul2(hp[al - 1]).rmul2(hpr))
+                upd("a_hminus", lhs["a_hminus"], kappa * rp.rmul1(a_col).lmul2(hmr).rmul2(hm[al - 1]))
+                upd("b_hminus", lhs["b_hminus"], -kappa * rp.lmul1(b_row).lmul2(hmr).rmul2(hm[al - 1]))
+                mid = hp_range(al + 1, be)
+                rhs = kappa * (rn.lmul1(hp[al]).lmul2(hp[al]).rmul2(mid) - rn.rmul1(hp[al]).rmul2(hp[be]))
+                upd("hplus_hplus", M[..., hpa, hpb], rhs)
+                midm = hm_range(al + 1, be)
+                rhs = kappa * (rp.lmul2(hm[be]).rmul1(hp[al]) - rp.lmul1(hp[al]).lmul2(midm).rmul2(hm[al]))
+                upd("hplus_hminus_le", M[..., hpa, hmb], rhs)
+            else:
+                for key, blk in lhs.items():
+                    upd(key, blk)
+            if al >= be:
+                midp = hp_range(be + 1, al)
+                rhs = kappa * (rp.lmul2(hm[be]).rmul1(hp[al]) - rp.lmul1(hp[be]).rmul1(midp).rmul2(hm[be]))
+                upd("hplus_hminus_ge", M[..., hpa, hmb], rhs)
+    return out
+
+
+# the Gamma checks and the h-h checks agree to rounding; the checks of the
+# coordinates with g+- or h differ by the fine-step finite differences of the
+# identity block, which the reference keeps and C = Pi J_g^T replaces by the
+# exact I
+_GAMMA_ATOL = 1e-15
+_H_H_ATOL = 1e-15
+_COORD_FN_ATOL = 1e-11
+
+
+@pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (3, 3)])
+def test_moment_gamma_matches_full_bracket_reference(n, d):
+    p = sampling.sample_spoint(42, np.arange(4), n, d, 0.3)
+    got = moment_gamma_residuals(1.0, p, suites._POLY)
+    want = _reference_moment_gamma(1.0, p, suites._POLY)
+    assert list(got) == list(want)
+    for key in want:
+        np.testing.assert_allclose(got[key], want[key], rtol=0, atol=_GAMMA_ATOL, err_msg=key)
+
+
+def _reference_moment_factor(kappa, p, scheme):
+    n = p.n
+    sp = SpinPoint(p.A[..., :, 0], p.B[..., 0, :])
+
+    def gpm(xv):
+        pair = g_pm(charts.unpack_spin(xv, n))
+        return np.concatenate([m.reshape(xv.shape[:-1] + (n * n,)) for m in (pair.hplus, pair.hminus)], axis=-1)
+
+    M = _full_brackets(BracketSpec("S", kappa, n=n, d=1), charts.pack_spoint(sp.as_spoint()), gpm, scheme)
+    pair = g_pm(sp)
+    a_col, b_row = sp.a[..., :, None], sp.b[..., None, :]
+    out = {}
+    for name, r, h, cols in (
+        ("gplus", r_pm(n, -1), pair.hplus, slice(2 * n, 2 * n + n * n)),
+        ("gminus", r_pm(n, +1), pair.hminus, slice(2 * n + n * n, None)),
+    ):
+        out[f"mom1_{name}_a"] = _worst(M[..., :n, cols] - _mat(-kappa * r.rmul1(a_col).rmul2(h), n, n * n))
+        out[f"mom1_{name}_b"] = _worst(M[..., n : 2 * n, cols] - _mat(kappa * r.lmul1(b_row).rmul2(h), n, n * n))
+    return out
+
+
+@pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (3, 3)])
+def test_moment_factor_matches_full_bracket_reference(n, d):
+    p = sampling.sample_spoint(42, np.arange(4), n, d, 0.3)
+    got = moment_factor_residuals(1.0, p, FD)
+    want = _reference_moment_factor(1.0, p, FD)
+    assert set(got) == set(want)
+    for key in want:
+        np.testing.assert_allclose(got[key], want[key], rtol=0, atol=_COORD_FN_ATOL, err_msg=key)
+
+
+@pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (2, 3)])
+def test_lemma_h_matches_full_bracket_reference(n, d):
+    t = sampling.sample_tuple(42, np.arange(3), n, d, 0.3)
+    got = lemma_h_residuals(1.0 - 0.5j, t, FD)
+    want = _reference_lemma_h(1.0 - 0.5j, t, FD)
+    assert set(got) == set(want)
+    for key in want:
+        atol = _H_H_ATOL if key.startswith("hplus_") else _COORD_FN_ATOL
+        np.testing.assert_allclose(got[key], want[key], rtol=0, atol=atol, err_msg=key)
 
 
 class TestSymplectic:
