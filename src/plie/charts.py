@@ -31,7 +31,6 @@ __all__ = [
     "unpack_double",
     "pack_dual",
     "unpack_dual",
-    "pack_spin",
     "unpack_spin",
     "glstar_free_indices",
 ]
@@ -70,10 +69,6 @@ def unpack_tuple(x: np.ndarray, n: int, d: int) -> SpinTuple:
         blk = x[..., 2 * n * a : 2 * n * (a + 1)]
         spins.append(SpinPoint(blk[..., :n], blk[..., n:]))
     return SpinTuple(spins)
-
-
-def pack_spin(s: SpinPoint) -> np.ndarray:
-    return np.concatenate([s.a, s.b], axis=-1)
 
 
 def unpack_spin(x: np.ndarray, n: int) -> SpinPoint:

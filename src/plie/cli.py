@@ -53,7 +53,6 @@ def report_to_json(report: VerificationReport) -> str:
         "params": _jsonable(report.params),
         "seed": report.seed,
         "samples": report.samples,
-        "tolerance": report.tolerance,
         "max_residual": _jsonable(report.max_residual),
         "pass": report.ok,
         "failures": [

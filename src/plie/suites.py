@@ -125,16 +125,15 @@ class RunConfig:
 
 
 # bounds: exact-class identities hold to rounding; FD-class ones carry the
-# truncation error of the _FD scheme
+# truncation error of the _RATIONAL scheme
 TOL_EXACT = 1e-10
 TOL_FD = 1e-7
 
-# schemes: central differences are exact (up to rounding) for polynomial
-# bivectors at a large step; rational/root-bearing maps get a small step
-# with one Richardson level.
+# the two schemes: central differences at a large step are exact (up to
+# rounding) for polynomial maps; every rational one (g+-, the decoupling
+# maps, the GL actions, DualGroup) takes a small step and one Richardson level
 _POLY = DiffScheme(step=1e-2, richardson=False)
 _RATIONAL = DiffScheme(step=1e-3, richardson=True)
-_FD = DiffScheme(step=1e-5, richardson=True)
 
 
 # (F, G) pairs of the Zakrzewski brackets: affine F = 2 + t with G = -1 and
@@ -199,7 +198,7 @@ def _suite_decouple_m(cfg: RunConfig):
     def check(indices: np.ndarray) -> dict:
         t = sampling.sample_tuple(cfg.seed, indices, cfg.n, cfg.d, cfg.radius)
         return {
-            "poisson_map": vf.poisson_map_residual(src, tgt, fmap, charts.pack_tuple(t), _FD),
+            "poisson_map": vf.poisson_map_residual(src, tgt, fmap, charts.pack_tuple(t), _RATIONAL),
             "roundtrip": _tuple_diff(t, dc.map_m_inverse(dc.map_m(t))),
         }
 
@@ -234,8 +233,8 @@ def _suite_decouple_F(cfg: RunConfig):
         GG = fc.calG_pm(t)
         lhs = np.eye(cfg.n) + cfg.kappa * q.A @ q.B
         return {
-            "poisson_map_F": vf.poisson_map_residual(src, tgt_pr, fmap, x, _FD),
-            "poisson_map_thetaF": vf.poisson_map_residual(src, tgt_ao, thfmap, x, _FD),
+            "poisson_map_F": vf.poisson_map_residual(src, tgt_pr, fmap, x, _RATIONAL),
+            "poisson_map_thetaF": vf.poisson_map_residual(src, tgt_ao, thfmap, x, _RATIONAL),
             "roundtrip": _tuple_diff(t, dc.map_F_inverse(dc.map_F(t))),
             "residue_identity": max_abs(lhs - np.linalg.solve(GG.hplus, GG.hminus)),
         }
@@ -323,9 +322,9 @@ def _suite_moment(cfg: RunConfig):
 
     def check(indices: np.ndarray) -> dict:
         p = sampling.sample_spoint(cfg.seed, indices, cfg.n, cfg.d, cfg.radius)
-        # the Gamma relations are polynomial; only g+- needs the fine FD scheme
+        # the Gamma relations are polynomial; only g+- is rational
         res = vf.moment_gamma_residuals(cfg.kappa, p, _POLY)
-        res.update(vf.moment_factor_residuals(cfg.kappa, p, _FD))
+        res.update(vf.moment_factor_residuals(cfg.kappa, p, _RATIONAL))
         return {k: res[k] for k in exact_keys + fd_keys}
 
     return params, cfg.samples, check
@@ -346,7 +345,7 @@ def _suite_lemma4(cfg: RunConfig):
 
     def check(indices: np.ndarray) -> dict:
         t = sampling.sample_tuple(cfg.seed, indices, cfg.n, cfg.d, cfg.radius)
-        res = vf.lemma_h_residuals(cfg.kappa, t, _FD)
+        res = vf.lemma_h_residuals(cfg.kappa, t, _RATIONAL)
         return {k: res[k] for k in keys}
 
     return params, cfg.samples, check
@@ -465,9 +464,9 @@ def _suite_actions(cfg: RunConfig):
         gd = charts.pack_gl(np.eye(d) + ud)
         x = np.concatenate([xa, xb], axis=-1)
         return {
-            "gl_n_action": vf.action_residual(gspec_n, sspec, act_n, gn, x, _FD),
-            "gl_d_action": vf.action_residual(gspec_d, sspec, act_d, gd, x, _FD),
-            "spin_action": vf.action_residual(gspec_n, zspec, act_z, gn, xz, _FD),
+            "gl_n_action": vf.action_residual(gspec_n, sspec, act_n, gn, x, _RATIONAL),
+            "gl_d_action": vf.action_residual(gspec_d, sspec, act_d, gd, x, _RATIONAL),
+            "spin_action": vf.action_residual(gspec_n, zspec, act_z, gn, xz, _RATIONAL),
         }
 
     return params, cfg.samples, check
@@ -536,7 +535,6 @@ def _execute(cfg: RunConfig, suite: str) -> VerificationReport:
         params=params,
         seed=cfg.seed,
         samples=count,
-        tolerance=1.0,
         max_residual=max_res,
         ok=not failures,
         failures=failures,
@@ -560,7 +558,6 @@ def run_suite(cfg: RunConfig) -> VerificationReport:
         params=params,
         seed=cfg.seed,
         samples=sum(r.samples for r in reports.values()),
-        tolerance=1.0,
         max_residual=max_res,
         ok=not failures,
         failures=failures,

@@ -199,7 +199,7 @@ class TestVerify:
 
 def test_report_with_nan_residual_is_strict_json():
     failures = ((0, float("nan"), "seed=0 index=0 check=a"), (1, float("inf"), "seed=0 index=1 check=b"))
-    report = VerificationReport("x", {"worst": float("nan")}, 0, 2, 1.0, float("nan"), False, failures)
+    report = VerificationReport("x", {"worst": float("nan")}, 0, 2, float("nan"), False, failures)
     payload = json.loads(report_to_json(report), parse_constant=_reject)
     assert payload["max_residual"] is None
     assert [f["residual"] for f in payload["failures"]] == [None, None]

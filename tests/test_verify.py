@@ -4,7 +4,7 @@ moment relations, product-factor identities, symplectic inversion and rank."""
 import numpy as np
 import pytest
 
-from plie import charts, sampling, suites
+from plie import charts, sampling, suites, verify
 from plie.brackets import BracketSpec, HoloFn1, sts_rhs_tensor
 from plie.decoupling import iota, map_m
 from plie.errors import ConfigError, ZeroG
@@ -46,23 +46,83 @@ G_ZERO = HoloFn1(lambda t: 0 * t, lambda t: 0 * t, "G")
 class TestDiffScheme:
     def test_rejects_bad_step(self):
         with pytest.raises(ConfigError):
-            DiffScheme(step=1.0)
+            DiffScheme(step=1.0, richardson=False)
         with pytest.raises(ConfigError):
-            DiffScheme(step=1e-12)
+            DiffScheme(step=1e-12, richardson=True)
+
+    def test_fields_have_no_default(self):
+        with pytest.raises(TypeError):
+            DiffScheme()
+        with pytest.raises(TypeError):
+            DiffScheme(step=1e-3)
+
+    def test_stencil(self):
+        h = 1e-3
+        plain = DiffScheme(step=h, richardson=False)
+        assert plain.offsets == (h,) and plain.weights == pytest.approx((1 / (2 * h),), rel=1e-15)
+        # (4 D_{h/2} - D_h) / 3 with D_t = (f(x + t) - f(x - t)) / 2t
+        fine = DiffScheme(step=h, richardson=True)
+        assert fine.offsets == (h, h / 2) and fine.weights == pytest.approx((-1 / (6 * h), 4 / (3 * h)), rel=1e-15)
+        # the stencil is derived from the two fields, not compared or shown on its own
+        assert fine == DiffScheme(step=h, richardson=True) and "offsets" not in repr(fine)
+
+
+def test_suites_differentiate_with_their_two_named_schemes(monkeypatch):
+    seen = []
+    real_fd, real_jacobi = verify.jacobian_fd, verify.jacobi_residual
+
+    def jacobian_fd_seen(f, x, scheme):
+        seen.append(scheme)
+        return real_fd(f, x, scheme)
+
+    def jacobi_residual_seen(spec, x, scheme):
+        seen.append(scheme)
+        return real_jacobi(spec, x, scheme)
+
+    monkeypatch.setattr(verify, "jacobian_fd", jacobian_fd_seen)
+    monkeypatch.setattr(verify, "jacobi_residual", jacobi_residual_seen)
+    assert suites.run_suite(suites.RunConfig("all")).ok
+    assert {id(s) for s in seen} == {id(suites._POLY), id(suites._RATIONAL)}
+
+    # a call that differentiates names its scheme; a map residual takes a scheme or a Jacobian
+    monkeypatch.undo()
+    spec = BracketSpec("S", 1.0, n=2, d=2)
+    x = sampling.sample_vector(0, 0, spec.dim, 0.3)
+    with pytest.raises(TypeError):
+        jacobian_fd(_identity, x)
+    with pytest.raises(TypeError):
+        poisson_map_residual(spec, spec, _identity, x)
+    with pytest.raises(TypeError):
+        anti_poisson_residual(spec, _identity, x)
+    with pytest.raises(TypeError):
+        poisson_map_residual(spec, spec, _identity, x, POLY, jac=np.eye(spec.dim))
+    assert poisson_map_residual(spec, spec, _identity, x, jac=np.eye(spec.dim)) == 0.0
+
+
+@pytest.mark.parametrize("suite", ["decouple-m", "decouple-F", "moment", "lemma4", "actions"])
+def test_fd_class_residuals_at_default_settings(suite):
+    # every check whose bound is looser than TOL_EXACT carries the scheme's
+    # truncation error; with _RATIONAL it stays near rounding (<= 7e-13 at seed 42)
+    params, count, check = suites._BUILDERS[suite](suites.RunConfig(suite))
+    res = check(np.arange(count))
+    fd_keys = [k for k, bound in params["bounds"].items() if bound > suites.TOL_EXACT]
+    assert fd_keys
+    worst = {k: float(np.max(res[k])) for k in fd_keys}
+    assert max(worst.values()) <= 1e-11, worst
 
 
 def test_report_consistency_enforced():
     with pytest.raises(ValueError):
-        VerificationReport("x", {}, 0, 1, 1.0, 2.0, ok=True)
+        VerificationReport("x", {}, 0, 1, 2.0, ok=True)
 
 
 def test_report_pass_flag_matches_failure_list():
     failure = ((0, 2.0, "seed=0 index=0 check=a"),)
     with pytest.raises(ValueError):
-        VerificationReport("x", {}, 0, 1, 1.0, float("nan"), ok=False)
+        VerificationReport("x", {}, 0, 1, float("nan"), ok=False)
     with pytest.raises(ValueError):
-        VerificationReport("x", {}, 0, 1, 1.0, 0.5, ok=True, failures=failure)
-    VerificationReport("x", {}, 0, 1, 1.0, 2.0, ok=False, failures=failure)
+        VerificationReport("x", {}, 0, 1, 0.5, ok=True, failures=failure)
+    VerificationReport("x", {}, 0, 1, 2.0, ok=False, failures=failure)
 
 
 class TestNonFiniteResiduals:
