@@ -1,10 +1,12 @@
 """Evaluation of every Poisson structure as a matrix of coordinate brackets.
 
-Each ``*_bivector`` function returns the full antisymmetric matrix
-``Pi[p, q] = {x_p, x_q}`` at the given point, in the chart orderings of
-:mod:`plie.charts`.  The componentwise fills are the performance path; the
-tensor-contraction builders (``s_bivector_tensor`` and friends) are kept as
-an independent cross-check oracle.
+``BracketSpec.bivector`` is the one evaluator: at flat coordinates in the
+chart orderings of :mod:`plie.charts` it returns the full antisymmetric
+matrix ``Pi[p, q] = {x_p, x_q}``.  It calls the raw fill of its kind, which
+is valid on and above the block diagonal, and antisymmetrizes once.  The
+componentwise fills are the performance path; the tensor-contraction
+builders (``s_bivector_tensor`` and friends) are kept as an independent
+cross-check oracle.
 """
 
 from __future__ import annotations
@@ -17,25 +19,14 @@ import numpy as np
 
 from . import charts, kernels
 from .errors import ConfigError
-from .points import DualPair, SPoint, SpinPoint, SpinTuple
+from .points import SPoint
 from .tensors import Tensor4, c12, dj_r, r_pm
 
 __all__ = [
     "HoloFn1",
     "BracketSpec",
     "antisymmetrize",
-    "s_bivector",
     "s_bivector_tensor",
-    "s1_product_bivector",
-    "ao_plus_bivector",
-    "ao_minus_bivector",
-    "prime_bivector",
-    "gl_mult_bivector",
-    "double_bivector",
-    "dual_group_bivector",
-    "sts_bivector",
-    "zak_complex_bivector",
-    "zak_real_bivector",
     "DualBases",
     "dual_bases",
     "pairing",
@@ -75,40 +66,26 @@ class HoloFn1:
         return cls(lambda t: c0 + c1 * t, lambda t: c1 + 0 * t, name)
 
 
-# --- componentwise evaluators ----------------------------------------------
+# --- raw fills ----------------------------------------------------------------
 #
-# Every evaluator takes points (or arrays) with leading batch axes and returns
-# one matrix per point: shape (..., dim, dim).  A single point is the batch
-# shape ().
+# One fill per kind maps flat coordinates (..., dim) to raw matrices
+# (..., dim, dim) that write the diagonal and upper off-diagonal blocks and
+# leave the lower ones zero; only the strict upper triangle is read.
 
 
-def s_bivector(kappa: complex, point: SPoint) -> np.ndarray:
-    return antisymmetrize(kernels.fill_s(point.A, point.B, kappa))
+def _fill_s(spec: "BracketSpec", x: np.ndarray) -> np.ndarray:
+    p = charts.unpack_spoint(x, spec.n, spec.d)
+    return kernels.fill_s(p.A, p.B, spec.kappa)
 
 
-def s1_product_bivector(kappa: complex, t: SpinTuple) -> np.ndarray:
-    """Block-diagonal bracket of d independent copies of S(n,1).
-
-    Chart: per copy alpha, the coordinates a^alpha then b^alpha.
-    """
-    n, d = t.n, t.d
-    # the d copies form one stack of S(n,1) points; S(n,1)'s chart is (a, b)
-    a = np.stack([s.a for s in t], axis=-2)
-    b = np.stack([s.b for s in t], axis=-2)
-    blk = antisymmetrize(kernels.fill_s(a[..., :, None], b[..., None, :], kappa))
-    m = 2 * n
-    M = np.zeros(blk.shape[:-3] + (m * d, m * d), dtype=complex)
-    for al in range(d):
-        M[..., m * al : m * (al + 1), m * al : m * (al + 1)] = blk[..., al, :, :]
-    return M
+def _fill_prime(spec: "BracketSpec", x: np.ndarray) -> np.ndarray:
+    p = charts.unpack_spoint(x, spec.n, spec.d)
+    return kernels.fill_hat(p.A, p.B, spec.kappa, spec.kappa)
 
 
-def prime_bivector(kappa: complex, point: SPoint) -> np.ndarray:
-    return antisymmetrize(kernels.fill_hat(point.A, point.B, kappa, kappa))
-
-
-def ao_plus_bivector(kappa: complex, point: SPoint) -> np.ndarray:
-    return antisymmetrize(kernels.fill_hat(point.A, point.B, kappa, -1.0))
+def _fill_ao_plus(spec: "BracketSpec", x: np.ndarray) -> np.ndarray:
+    p = charts.unpack_spoint(x, spec.n, spec.d)
+    return kernels.fill_hat(p.A, p.B, spec.kappa, -1.0)
 
 
 @lru_cache(maxsize=None)
@@ -122,83 +99,104 @@ def _eta_permutation(n: int, d: int) -> np.ndarray:
     return perm
 
 
-def ao_minus_bivector(kappa: complex, point: SPoint) -> np.ndarray:
-    """The minus variant: plus bracket evaluated after the eta substitution."""
+def _fill_ao_minus(spec: "BracketSpec", x: np.ndarray) -> np.ndarray:
+    """The minus variant: plus bracket evaluated after the eta substitution.
+
+    The permutation moves the upper triangle of each diagonal block to its
+    lower one, so the plus bracket is antisymmetrized before it.
+    """
+    p = charts.unpack_spoint(x, spec.n, spec.d)
     # A eta_d and eta_d B reverse the columns of A and the rows of B
-    primed = SPoint(point.A[..., ::-1], point.B[..., ::-1, :])
-    M = ao_plus_bivector(kappa, primed)
-    perm = _eta_permutation(point.n, point.d)
+    M = antisymmetrize(kernels.fill_hat(p.A[..., ::-1], p.B[..., ::-1, :], spec.kappa, -1.0))
+    perm = _eta_permutation(spec.n, spec.d)
     return M[..., perm[:, None], perm]
 
 
-def gl_mult_bivector(kappa: complex, g: np.ndarray) -> np.ndarray:
+def _fill_sprod(spec: "BracketSpec", x: np.ndarray) -> np.ndarray:
+    """Block-diagonal bracket of d independent copies of S(n,1).
+
+    Chart: per copy alpha, the coordinates a^alpha then b^alpha.
+    """
+    n, d = spec.n, spec.d
+    t = charts.unpack_tuple(x, n, d)
+    # the d copies form one stack of S(n,1) points; S(n,1)'s chart is (a, b)
+    a = np.stack([s.a for s in t], axis=-2)
+    b = np.stack([s.b for s in t], axis=-2)
+    blk = kernels.fill_s(a[..., :, None], b[..., None, :], spec.kappa)
+    m = 2 * n
+    M = np.zeros(blk.shape[:-3] + (m * d, m * d), dtype=complex)
+    for al in range(d):
+        M[..., m * al : m * (al + 1), m * al : m * (al + 1)] = blk[..., al, :, :]
+    return M
+
+
+def _fill_gl_mult(spec: "BracketSpec", x: np.ndarray) -> np.ndarray:
     """{g_ij, g_kl} = (kappa/2)(sgn(i-k) + sgn(j-l)) g_il g_kj."""
-    return antisymmetrize(kernels.quadratic(g, g, kappa, 0.0, 1.0, 1.0))
+    g = charts.unpack_gl(x, spec.ell)
+    return kernels.quadratic(g, g, spec.kappa, 0.0, 1.0, 1.0)
 
 
 def _double_raw(kappa: complex, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     m = u.shape[-1] ** 2
-    # {u_ij, v_kl} = (kappa/2) [ (1 + sgn(j-l)) u_il v_kj - (1 - sgn(i-k)) v_il u_kj ]
-    uv = kernels.quadratic(u, v, kappa, 1.0, 0.0, 1.0) - kernels.quadratic(v, u, kappa, 1.0, -1.0, 0.0)
-    M = np.empty(u.shape[:-2] + (2 * m, 2 * m), dtype=complex)
+    M = np.zeros(u.shape[:-2] + (2 * m, 2 * m), dtype=complex)
     M[..., :m, :m] = kernels.quadratic(u, u, kappa, 0.0, 1.0, 1.0)
     M[..., m:, m:] = kernels.quadratic(v, v, kappa, 0.0, 1.0, 1.0)
-    M[..., :m, m:] = uv
-    M[..., m:, :m] = -uv.swapaxes(-1, -2)
+    # {u_ij, v_kl} = (kappa/2) [ (1 + sgn(j-l)) u_il v_kj - (1 - sgn(i-k)) v_il u_kj ]
+    M[..., :m, m:] = kernels.quadratic(u, v, kappa, 1.0, 0.0, 1.0) - kernels.quadratic(v, u, kappa, 1.0, -1.0, 0.0)
     return M
 
 
-def double_bivector(kappa: complex, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    if u.shape != v.shape or u.ndim < 2 or u.shape[-2] != u.shape[-1]:
-        raise ValueError("u, v must be square of equal size")
-    return antisymmetrize(_double_raw(kappa, u, v))
+def _fill_double(spec: "BracketSpec", x: np.ndarray) -> np.ndarray:
+    return _double_raw(spec.kappa, *charts.unpack_double(x, spec.ell))
 
 
-def dual_group_bivector(kappa: complex, pair: DualPair) -> np.ndarray:
+def _fill_dual_group(spec: "BracketSpec", x: np.ndarray) -> np.ndarray:
     """Bracket on the free coordinates of the dual-group chart.
 
     The dual group sits inside the double as a Poisson submanifold, so the
     free-coordinate bracket is the restriction of the double bracket; the
-    dependent diagonal of h_- never enters the chart.
+    dependent diagonal of h_- never enters the chart.  Every free h_+
+    coordinate comes before every free h_- one, so the restriction of the
+    double's raw fill is valid on and above the diagonal.
     """
-    if np.any(np.diagonal(pair.hminus, axis1=-2, axis2=-1) == 0):
-        raise ValueError("h_- diagonal must be invertible")
-    M = _double_raw(kappa, pair.hplus, pair.hminus)
-    idx = charts.glstar_free_indices(pair.ell)
-    return antisymmetrize(M[..., idx[:, None], idx])
+    pair = charts.unpack_dual(x, spec.ell)
+    idx = charts.glstar_free_indices(spec.ell)
+    return _double_raw(spec.kappa, pair.hplus, pair.hminus)[..., idx[:, None], idx]
 
 
-def sts_bivector(kappa: complex, h: np.ndarray) -> np.ndarray:
+def _fill_sts(spec: "BracketSpec", x: np.ndarray) -> np.ndarray:
     """Quadratic Semenov-Tian-Shansky-type bracket on GL(l)."""
-    h = np.asarray(h, dtype=complex)
-    ell = h.shape[-1]
+    h = charts.unpack_gl(x, spec.ell)
+    ell = spec.ell
     eye = np.eye(ell)
 
     C = np.einsum("...ia,...al->...ila", h, h)  # C[i,l,a] = h_ia h_al
     Ctail = np.flip(np.cumsum(np.flip(C, axis=-1), axis=-1), axis=-1) - C
     # W[i,l,j] = kappa sum_a (1/2)(1 - sgn(j-a)) h_ia h_al, which is also
     # kappa sum_b (1/2)(sgn(b-i) + 1) h_kb h_bj at [k,j,i]
-    W = kappa * (Ctail + 0.5 * C)
+    W = spec.kappa * (Ctail + 0.5 * C)
 
     # delta_jk (-W[i,l,j]) + delta_il W[k,j,i]
     D = eye[:, None, None, :] * W.swapaxes(-1, -3)[..., :, :, :, None]
     D = D - eye[None, :, :, None] * W.swapaxes(-1, -2)[..., :, :, None, :]
-    M = kernels.quadratic(h, h, kappa, 0.0, 1.0, -1.0) + D.reshape(h.shape[:-2] + (ell * ell, ell * ell))
-    return antisymmetrize(M)
+    return kernels.quadratic(h, h, spec.kappa, 0.0, 1.0, -1.0) + D.reshape(h.shape[:-2] + (ell * ell, ell * ell))
 
 
-def zak_complex_bivector(kappa: complex, F: HoloFn1, G: HoloFn1, point: SpinPoint) -> np.ndarray:
+def _fill_zak(spec: "BracketSpec", x: np.ndarray) -> np.ndarray:
     """Holomorphic Zakrzewski-type bracket on C^{2n} in coordinates (a, b).
 
+    ZakR is the complexified real bracket with (u, ubar) treated as
+    independent: on the real slice ubar = conj(u) it is the real covariant
+    bracket, and algebraically the holomorphic one at kappa = -2*i*epsilon.
     ``F`` and ``G`` are evaluated once per batch, on the array of t = a.b.
     """
+    kappa = -2j * spec.epsilon if spec.kind == "ZakR" else spec.kappa
+    point = charts.unpack_spin(x, spec.n)
     a, b = point.a, point.b
-    n = point.n
+    n = spec.n
     ab = a * b
     t = np.sum(ab, axis=-1)
-    Fv, Gv = F.eval(t), G.eval(t)
+    Fv, Gv = spec.F.eval(t), spec.G.eval(t)
     S = kernels.sign_grid(n)
     # {a_i, a_k} = (kappa/2) sgn(i-k) a_i a_k and {b_i, b_k} = -(kappa/2) sgn(i-k) b_i b_k
     ac = a[..., :, None]
@@ -207,23 +205,26 @@ def zak_complex_bivector(kappa: complex, F: HoloFn1, G: HoloFn1, point: SpinPoin
     diag = 0.5 * kappa * (np.asarray(Fv)[..., None] - (S @ ab[..., None])[..., 0])
     r = np.arange(n)
     cross[..., r, r] += diag
-    M = np.empty(a.shape[:-1] + (2 * n, 2 * n), dtype=complex)
+    M = np.zeros(a.shape[:-1] + (2 * n, 2 * n), dtype=complex)
     M[..., :n, :n] = kernels.quadratic(ac, ac, kappa, 0.0, 1.0, 0.0)
     M[..., n:, n:] = kernels.quadratic(br, br, kappa, 0.0, 0.0, -1.0)
     M[..., :n, n:] = cross
-    M[..., n:, :n] = -cross.swapaxes(-1, -2)
-    return antisymmetrize(M)
+    return M
 
 
-def zak_real_bivector(epsilon: float, F: HoloFn1, G: HoloFn1, u: np.ndarray, ubar: np.ndarray) -> np.ndarray:
-    """Complexified real Zakrzewski bracket; (u, ubar) treated as independent.
-
-    On the real slice ubar = conj(u) this is the real covariant bracket;
-    algebraically it is the holomorphic bracket with kappa = -2*i*epsilon.
-    """
-    if epsilon == 0:
-        raise ConfigError("epsilon must be nonzero")
-    return zak_complex_bivector(-2j * epsilon, F, G, SpinPoint(u, ubar))
+_FILLS = {
+    "S": _fill_s,
+    "AOplus": _fill_ao_plus,
+    "AOminus": _fill_ao_minus,
+    "Prime": _fill_prime,
+    "Sprod": _fill_sprod,
+    "GLmult": _fill_gl_mult,
+    "Double": _fill_double,
+    "DualGroup": _fill_dual_group,
+    "STS": _fill_sts,
+    "ZakC": _fill_zak,
+    "ZakR": _fill_zak,
+}
 
 
 # --- tensor-form oracle -----------------------------------------------------
@@ -321,8 +322,7 @@ class BracketSpec:
     G: Optional[HoloFn1] = None
 
     def __post_init__(self):
-        valid = _S_KINDS + _GL_KINDS + ("Sprod", "ZakC", "ZakR")
-        if self.kind not in valid:
+        if self.kind not in _FILLS:
             raise ConfigError(f"unknown bracket kind {self.kind!r}")
         if self.kind == "ZakR":
             if self.epsilon == 0:
@@ -355,30 +355,7 @@ class BracketSpec:
 
         ``x`` has shape ``(..., dim)``; the result has shape ``(..., dim, dim)``.
         """
-        k = self.kind
         x = np.asarray(x, dtype=complex)
         if x.shape[-1:] != (self.dim,):
             raise ValueError(f"expected coordinates of shape (..., {self.dim}), got {x.shape}")
-        if k in _S_KINDS:
-            p = charts.unpack_spoint(x, self.n, self.d)
-            if k == "S":
-                return s_bivector(self.kappa, p)
-            if k == "AOplus":
-                return ao_plus_bivector(self.kappa, p)
-            if k == "AOminus":
-                return ao_minus_bivector(self.kappa, p)
-            return prime_bivector(self.kappa, p)
-        if k == "Sprod":
-            return s1_product_bivector(self.kappa, charts.unpack_tuple(x, self.n, self.d))
-        if k == "GLmult":
-            return gl_mult_bivector(self.kappa, charts.unpack_gl(x, self.ell))
-        if k == "Double":
-            return double_bivector(self.kappa, *charts.unpack_double(x, self.ell))
-        if k == "DualGroup":
-            return dual_group_bivector(self.kappa, charts.unpack_dual(x, self.ell))
-        if k == "STS":
-            return sts_bivector(self.kappa, charts.unpack_gl(x, self.ell))
-        if k == "ZakC":
-            return zak_complex_bivector(self.kappa, self.F, self.G, charts.unpack_spin(x, self.n))
-        n = self.n
-        return zak_real_bivector(self.epsilon, self.F, self.G, x[..., :n], x[..., n:])
+        return antisymmetrize(_FILLS[self.kind](self, x))

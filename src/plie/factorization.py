@@ -19,7 +19,6 @@ __all__ = [
     "g_factors",
     "g_pm",
     "gamma",
-    "gamma_pm",
     "calG_pm",
 ]
 
@@ -173,11 +172,6 @@ def g_pm(p: SpinPoint) -> DualPair:
 def gamma(point: SPoint) -> np.ndarray:
     """The quadratic matrix 1 + A B."""
     return np.eye(point.n, dtype=complex) + point.A @ point.B
-
-
-def gamma_pm(point: SPoint) -> DualPair:
-    """Local triangular factorization of 1 + A B, branch with value (I, I) at zero."""
-    return chi_inverse_local(gamma(point))
 
 
 def calG_pm(t: SpinTuple) -> DualPair:

@@ -5,7 +5,9 @@ c_col sgn(j-l)) M_il N_kj that every r-matrix bracket is built from.  The
 S(n,d) fills take stacks: ``A`` of shape ``(..., n, d)`` and ``B`` of shape
 ``(..., d, n)`` give a matrix of shape ``(..., 2nd, 2nd)`` per point, in the
 S(n,d) chart: A(i,alpha) row-major, then B(alpha,i) row-major.  A single
-point is the batch shape ``()``.
+point is the batch shape ``()``.  A fill is valid on and above the block
+diagonal: it writes the AA, BB and AB blocks and leaves the BA block zero,
+for ``brackets.antisymmetrize`` to mirror.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ def _fill(A, B, kappa: complex, hat: bool, cross_const: complex) -> np.ndarray:
     s = -1.0 if hat else 1.0
     half = 0.5 * kappa
 
-    M = np.empty(batch + (2 * nd, 2 * nd), dtype=complex)
+    M = np.zeros(batch + (2 * nd, 2 * nd), dtype=complex)
     # {A_i^a, A_k^b} = (kappa/2)(s sgn(i-k) - sgn(a-b)) A_i^b A_k^a
     M[..., :nd, :nd] = quadratic(A, A, kappa, 0.0, s, -1.0)
     # {B_i^a, B_k^b} = (kappa/2)(sgn(a-b) - s sgn(i-k)) B_k^a B_i^b,  B_i^a = B[a,i]
@@ -107,9 +109,7 @@ def _fill(A, B, kappa: complex, hat: bool, cross_const: complex) -> np.ndarray:
     AB[..., ik] = T_ik.reshape(batch + (-1,))
     AB[..., ab] += T_ab.reshape(batch + (-1,))
     AB[..., both] += cross_const
-    AB = AB.reshape(batch + (nd, nd))
-    M[..., :nd, nd:] = AB
-    M[..., nd:, :nd] = -AB.swapaxes(-1, -2)
+    M[..., :nd, nd:] = AB.reshape(batch + (nd, nd))
     return M
 
 

@@ -156,7 +156,3 @@ class DualPair:
     @property
     def ell(self) -> int:
         return self.hplus.shape[-1]
-
-    @classmethod
-    def identity(cls, ell: int) -> "DualPair":
-        return cls(np.eye(ell, dtype=complex), np.eye(ell, dtype=complex))

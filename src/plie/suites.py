@@ -33,7 +33,7 @@ from .errors import ConfigError
 from .points import SPoint
 from .verify import DiffScheme, VerificationReport, max_abs
 
-__all__ = ["MAX_DIM", "MAX_SAMPLES", "RunConfig", "SUITES", "check_dims", "run_suite"]
+__all__ = ["MAX_DIM", "MAX_SAMPLES", "MAX_SCALE", "RunConfig", "SUITES", "check_dims", "run_suite"]
 
 SUITES = (
     "jacobi",
@@ -57,6 +57,13 @@ MAX_DIM = 256
 # The most samples a run may ask for: _execute keeps a few (checks x samples)
 # float arrays, each 8 MB at the moment suite's ten checks.
 MAX_SAMPLES = 10**5
+
+# |kappa| and |epsilon| lie in [1/MAX_SCALE, MAX_SCALE].  With K the larger of
+# the scale and its inverse, every fill, Jacobian and Jacobiator of every suite
+# is at most about 1e13 K^3 at MAX_DIM: K^3 is the bivector at the Jacobi
+# probes x + t Pi(x) e_i, and 1e13 bounds the dimension, stencil and chart
+# factors.  At K <= 1e50 nothing comes near overflow (1e308) or underflow.
+MAX_SCALE = 1e50
 
 
 def check_dims(dims: dict) -> None:
@@ -122,6 +129,9 @@ class RunConfig:
             raise ConfigError(f"1/kappa must be finite, got kappa = {self.kappa!r}")
         if self.epsilon == 0:
             raise ConfigError("epsilon must be nonzero")
+        for name in ("kappa", "epsilon"):
+            if not 1 / MAX_SCALE <= abs(getattr(self, name)) <= MAX_SCALE:
+                raise ConfigError(f"|{name}| must lie in [1/MAX_SCALE, MAX_SCALE] = [{1 / MAX_SCALE:g}, {MAX_SCALE:g}]")
 
 
 # bounds: exact-class identities hold to rounding; FD-class ones carry the

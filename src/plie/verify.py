@@ -37,7 +37,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import charts
-from .brackets import BracketSpec, HoloFn1, s_bivector, sts_rhs_tensor
+from .brackets import BracketSpec, HoloFn1, sts_rhs_tensor
 from .errors import ConfigError
 from .factorization import _nonvanishing_g, g_factors, g_pm
 from .points import SPoint, SpinPoint, SpinTuple
@@ -569,11 +569,11 @@ def symplectic_inversion_residual(kappa: complex, p: SpinPoint):
     """|Omega Pi - I| with Pi the bracket matrix of the spin space at p; one
     spin gives a float, a stack of spins (..., n) their residuals."""
     Om = symplectic_matrix(kappa, p)
-    Pi = s_bivector(kappa, p.as_spoint())
+    Pi = BracketSpec("S", kappa, n=p.n, d=1).bivector(charts.pack_spoint(p.as_spoint()))
     return max_abs(Om @ Pi - np.eye(2 * p.n))
 
 
-def rank_at(spec: BracketSpec, x: np.ndarray, sv_tolerance: float = 1e-10) -> int:
+def rank_at(spec: BracketSpec, x: np.ndarray, sv_tolerance: float) -> int:
     """Numerical rank of the bracket matrix at x via its singular values."""
     sv = np.linalg.svd(spec.bivector(np.asarray(x, dtype=complex)), compute_uv=False)
     if sv.size == 0:

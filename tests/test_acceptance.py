@@ -15,7 +15,6 @@ from plie.brackets import (
     HoloFn1,
     antisymmetrize,
     dual_bases,
-    s_bivector,
     s_bivector_tensor,
 )
 from plie.cli import report_to_json
@@ -266,7 +265,8 @@ def test_criterion_10_cross_oracle(capsys):
     for i in range(100):
         for n, d in ((2, 2), (3, 2), (3, 4)):
             p = sampling.sample_spoint(42, i, n, d, 1.0)
-            diff = s_bivector(kappa, p) - antisymmetrize(s_bivector_tensor(kappa, p))
+            Pi = BracketSpec("S", kappa, n=n, d=d).bivector(charts.pack_spoint(p))
+            diff = Pi - antisymmetrize(s_bivector_tensor(kappa, p))
             worst = max(worst, float(np.max(np.abs(diff))))
     worst_rid = 0.0
     for ell in (1, 2, 3, 4):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from plie import charts, decoupling as dc, factorization as fc, kernels, sampling, suites, verify
-from plie.brackets import BracketSpec, HoloFn1, s_bivector_tensor
+from plie.brackets import BracketSpec, HoloFn1, antisymmetrize, s_bivector_tensor
 from plie.errors import BranchCut, DomainEscape, ZeroG
 from plie.points import SPoint, SpinPoint, SpinTuple
 from plie.tensors import r_pm
@@ -70,7 +70,7 @@ def test_bivector_rejects_wrong_coordinate_count():
 @pytest.mark.parametrize("kappa", [1.0, 2.0 - 1.0j])
 def test_batched_fill_matches_tensor_oracle(n, d, kappa):
     pts = [sampling.sample_spoint(9, i, n, d, 1.0) for i in range(5)]
-    M = kernels.fill_s(np.stack([p.A for p in pts]), np.stack([p.B for p in pts]), kappa)
+    M = antisymmetrize(kernels.fill_s(np.stack([p.A for p in pts]), np.stack([p.B for p in pts]), kappa))
     for k, p in enumerate(pts):
         np.testing.assert_allclose(M[k], s_bivector_tensor(kappa, p), rtol=0, atol=1e-14)
 
@@ -78,9 +78,9 @@ def test_batched_fill_matches_tensor_oracle(n, d, kappa):
 @pytest.mark.parametrize("n,d", [(2, 3), (3, 1)])
 def test_fill_hat_stack_equals_points_stacked(n, d):
     pts = [sampling.sample_spoint(4, i, n, d, 1.0) for i in range(3)]
-    M = kernels.fill_hat(np.stack([p.A for p in pts]), np.stack([p.B for p in pts]), 1j, -1.0)
+    M = antisymmetrize(kernels.fill_hat(np.stack([p.A for p in pts]), np.stack([p.B for p in pts]), 1j, -1.0))
     for k, p in enumerate(pts):
-        np.testing.assert_array_equal(M[k], kernels.fill_hat(p.A, p.B, 1j, -1.0))
+        np.testing.assert_array_equal(M[k], antisymmetrize(kernels.fill_hat(p.A, p.B, 1j, -1.0)))
 
 
 # every (c0, c_row, c_col) the bracket evaluators pass to kernels.quadratic

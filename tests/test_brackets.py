@@ -5,29 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plie import sampling
+from plie import brackets, charts, sampling
 from plie.brackets import (
     BracketSpec,
     HoloFn1,
     antisymmetrize,
-    ao_minus_bivector,
-    ao_plus_bivector,
-    double_bivector,
-    dual_group_bivector,
     dual_bases,
-    gl_mult_bivector,
     pairing,
-    prime_bivector,
-    s1_product_bivector,
-    s_bivector,
     s_bivector_tensor,
-    sts_bivector,
     sts_rhs_tensor,
-    zak_complex_bivector,
-    zak_real_bivector,
 )
 from plie.errors import ConfigError
-from plie.points import DualPair, SPoint, SpinPoint, SpinTuple
+from plie.points import DualPair, SPoint, SpinTuple
 from plie.tensors import dj_r, r_pm
 
 F_AFF = HoloFn1(lambda t: 2 + t, lambda t: 1 + 0 * t, "F")
@@ -40,6 +29,27 @@ complex_entries = st.complex_numbers(max_magnitude=0.8, allow_nan=False, allow_i
 
 def _spoint(seed, n, d, radius=1.0):
     return sampling.sample_spoint(seed, 0, n, d, radius)
+
+
+def _on_spoint(kind, kappa, p):
+    """The bracket matrix of an S(n,d)-chart kind at the point p."""
+    return BracketSpec(kind, kappa, n=p.n, d=p.d).bivector(charts.pack_spoint(p))
+
+
+def _on_tuple(kappa, t):
+    return BracketSpec("Sprod", kappa, n=t.n, d=t.d).bivector(charts.pack_tuple(t))
+
+
+def _on_gl(kind, kappa, g):
+    return BracketSpec(kind, kappa, ell=g.shape[-1]).bivector(charts.pack_gl(g))
+
+
+def _on_double(kappa, u, v):
+    return BracketSpec("Double", kappa, ell=u.shape[-1]).bivector(charts.pack_double(u, v))
+
+
+def _on_dual(kappa, pair):
+    return BracketSpec("DualGroup", kappa, ell=pair.ell).bivector(charts.pack_dual(pair))
 
 
 def test_antisymmetrize_is_exact():
@@ -55,7 +65,7 @@ class TestSBivector:
     def test_zero_point(self):
         n, d = 2, 3
         kappa = 2.0 - 1.0j
-        M = s_bivector(kappa, SPoint.zero(n, d))
+        M = _on_spoint("S", kappa, SPoint.zero(n, d))
         nd = n * d
         np.testing.assert_array_equal(M[:nd, :nd], np.zeros((nd, nd)))
         np.testing.assert_array_equal(M[nd:, nd:], np.zeros((nd, nd)))
@@ -71,7 +81,7 @@ class TestSBivector:
     @pytest.mark.parametrize("kappa", KAPPAS)
     def test_scalar_case(self, kappa):
         A, B = 0.37 - 0.21j, -0.54 + 0.8j
-        M = s_bivector(kappa, SPoint([[A]], [[B]]))
+        M = _on_spoint("S", kappa, SPoint([[A]], [[B]]))
         assert abs(M[0, 1] - kappa * (1 + A * B)) < 1e-15
         assert M[0, 0] == 0 and M[1, 1] == 0
 
@@ -79,13 +89,13 @@ class TestSBivector:
     @pytest.mark.parametrize("kappa", KAPPAS)
     def test_matches_tensor_oracle(self, n, d, kappa):
         p = _spoint(n * 100 + d, n, d)
-        M = s_bivector(kappa, p)
+        M = _on_spoint("S", kappa, p)
         T = antisymmetrize(s_bivector_tensor(kappa, p))
         assert np.max(np.abs(M - T)) < 1e-13
 
     def test_kappa_antilinearity(self):
         p = _spoint(7, 3, 2)
-        np.testing.assert_array_equal(s_bivector(1.5j, p), -s_bivector(-1.5j, p))
+        np.testing.assert_array_equal(_on_spoint("S", 1.5j, p), -_on_spoint("S", -1.5j, p))
 
     @given(
         a=st.lists(complex_entries, min_size=2, max_size=2),
@@ -94,7 +104,7 @@ class TestSBivector:
     @settings(max_examples=25, deadline=None)
     def test_oracle_agreement_property(self, a, b):
         p = SPoint(np.array(a).reshape(2, 1), np.array(b).reshape(1, 2))
-        M = s_bivector(1.0, p)
+        M = _on_spoint("S", 1.0, p)
         T = antisymmetrize(s_bivector_tensor(1.0, p))
         assert np.max(np.abs(M - T)) < 1e-13
 
@@ -103,13 +113,11 @@ class TestProductBivector:
     def test_d1_equals_s(self):
         s = sampling.sample_spin(3, 0, 4, 1.0)
         t = SpinTuple([s])
-        np.testing.assert_array_equal(
-            s1_product_bivector(1.0, t), s_bivector(1.0, s.as_spoint())
-        )
+        np.testing.assert_array_equal(_on_tuple(1.0, t), _on_spoint("S", 1.0, s.as_spoint()))
 
     def test_zero_point_cross_block(self):
         n, d, kappa = 3, 2, 2.0 + 1.0j
-        M = s1_product_bivector(kappa, SpinTuple.zero(n, d))
+        M = _on_tuple(kappa, SpinTuple.zero(n, d))
         for a in range(d):
             off = 2 * n * a
             blk = M[off : off + n, off + n : off + 2 * n]
@@ -121,19 +129,19 @@ class TestProductBivector:
 class TestOscillatorVariants:
     def test_ao_plus_zero_point(self):
         n, d = 2, 2
-        M = ao_plus_bivector(1.0, SPoint.zero(n, d))
+        M = _on_spoint("AOplus", 1.0, SPoint.zero(n, d))
         nd = n * d
         np.testing.assert_allclose(M[:nd, nd:], -_cross_delta(n, d))
 
     def test_prime_zero_point(self):
         n, d, kappa = 3, 2, 2.0 - 1.0j
-        M = prime_bivector(kappa, SPoint.zero(n, d))
+        M = _on_spoint("Prime", kappa, SPoint.zero(n, d))
         nd = n * d
         np.testing.assert_allclose(M[:nd, nd:], kappa * _cross_delta(n, d))
 
     def test_ao_minus_zero_point(self):
         n, d = 2, 3
-        M = ao_minus_bivector(1.0, SPoint.zero(n, d))
+        M = _on_spoint("AOminus", 1.0, SPoint.zero(n, d))
         nd = n * d
         np.testing.assert_allclose(M[:nd, nd:], -_cross_delta(n, d))
 
@@ -149,7 +157,7 @@ def _cross_delta(n: int, d: int) -> np.ndarray:
 
 class TestGlMult:
     def test_identity_point(self):
-        M = gl_mult_bivector(1.0, np.eye(3))
+        M = _on_gl("GLmult", 1.0, np.eye(3))
         assert np.max(np.abs(M)) == 0
 
     @pytest.mark.parametrize("ell", [1, 2, 3])
@@ -159,13 +167,13 @@ class TestGlMult:
         kappa = 0.7 - 0.3j
         oracle = kappa * (r.lmul1(g).lmul2(g) - r.rmul1(g).rmul2(g))
         np.testing.assert_allclose(
-            gl_mult_bivector(kappa, g),
+            _on_gl("GLmult", kappa, g),
             antisymmetrize(oracle.array.reshape(ell * ell, ell * ell)),
             atol=1e-14,
         )
 
     def test_diagonal_point(self):
-        M = gl_mult_bivector(1.0, np.diag([2.0, 3.0]))
+        M = _on_gl("GLmult", 1.0, np.diag([2.0, 3.0]))
         # chart order: g11 g12 g21 g22
         assert M[0, 3] == 0  # {g11, g22}
         assert M[1, 2] == 0  # {g12, g21}: coefficient sgn(2-1)+sgn(1-2) = 0
@@ -173,25 +181,21 @@ class TestGlMult:
 
 class TestDouble:
     def test_identity_point(self):
-        M = double_bivector(1.0, np.eye(2), np.eye(2))
+        M = _on_double(1.0, np.eye(2), np.eye(2))
         assert np.max(np.abs(M)) == 0
 
     def test_scalar_case(self):
-        M = double_bivector(1.0, np.array([[0.4 + 0.1j]]), np.array([[-0.2j]]))
+        M = _on_double(1.0, np.array([[0.4 + 0.1j]]), np.array([[-0.2j]]))
         assert np.max(np.abs(M)) == 0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            double_bivector(1.0, np.eye(2), np.eye(3))
 
 
 class TestDualGroup:
     def test_identity_point(self):
-        M = dual_group_bivector(1.0, DualPair.identity(3))
+        M = _on_dual(1.0, DualPair(np.eye(3), np.eye(3)))
         assert np.max(np.abs(M)) == 0
 
     def test_scalar_case(self):
-        M = dual_group_bivector(1.0, DualPair([[2.0]], [[0.5]]))
+        M = _on_dual(1.0, DualPair([[2.0]], [[0.5]]))
         np.testing.assert_array_equal(M, np.zeros((1, 1)))
 
     def test_restriction_of_double(self):
@@ -199,32 +203,30 @@ class TestDualGroup:
 
         pair = sampling.sample_dual(9, 0, 3, 0.4)
         idx = glstar_free_indices(3)
-        full = double_bivector(1.0, pair.hplus, pair.hminus)
-        np.testing.assert_allclose(
-            dual_group_bivector(1.0, pair), full[np.ix_(idx, idx)], atol=1e-14
-        )
+        full = _on_double(1.0, pair.hplus, pair.hminus)
+        np.testing.assert_allclose(_on_dual(1.0, pair), full[np.ix_(idx, idx)], atol=1e-14)
 
 
 class TestSts:
     def test_identity_point(self):
-        assert np.max(np.abs(sts_bivector(1.0, np.eye(3)))) < 1e-15
+        assert np.max(np.abs(_on_gl("STS", 1.0, np.eye(3)))) < 1e-15
 
     def test_scalar_case(self):
-        assert np.max(np.abs(sts_bivector(1.0, np.array([[1.7]])))) == 0
+        assert np.max(np.abs(_on_gl("STS", 1.0, np.array([[1.7]])))) == 0
 
     @pytest.mark.parametrize("ell", [2, 3, 4])
     def test_matches_tensor_oracle(self, ell):
         h = sampling.sample_gl(11, ell, ell, 1.0)
         kappa = 2.0 - 1.0j
         oracle = sts_rhs_tensor(kappa, h, ell).array.reshape(ell * ell, ell * ell)
-        np.testing.assert_allclose(sts_bivector(kappa, h), antisymmetrize(oracle), atol=1e-13)
+        np.testing.assert_allclose(_on_gl("STS", kappa, h), antisymmetrize(oracle), atol=1e-13)
 
 
 class TestZakrzewski:
     def test_n1_cross_entry(self):
         a, b = 0.3 + 0.1j, 0.2 - 0.4j
         kappa = 1.5 - 0.5j
-        M = zak_complex_bivector(kappa, F_AFF, G_AFF, SpinPoint([a], [b]))
+        M = BracketSpec("ZakC", kappa, n=1, F=F_AFF, G=G_AFF).bivector(np.array([a, b]))
         t = a * b
         expected = 0.5 * kappa * F_AFF.eval(t) - 0.5 * kappa * G_AFF.eval(t) * a * b
         assert abs(M[0, 1] - expected) < 1e-15
@@ -232,22 +234,23 @@ class TestZakrzewski:
     def test_real_case_n1(self):
         eps = 0.8
         u, ubar = 0.3 + 0.1j, 0.2 - 0.4j
-        M = zak_real_bivector(eps, F_AFF, G_AFF, np.array([u]), np.array([ubar]))
+        M = BracketSpec("ZakR", epsilon=eps, n=1, F=F_AFF, G=G_AFF).bivector(np.array([u, ubar]))
         t = u * ubar
         expected = -1j * eps * F_AFF.eval(t) + 1j * eps * G_AFF.eval(t) * t
         assert abs(M[0, 1] - expected) < 1e-15
 
     def test_real_case_rejects_zero_epsilon(self):
         with pytest.raises(ConfigError):
-            zak_real_bivector(0.0, F_AFF, G_AFF, np.array([1.0]), np.array([1.0]))
+            BracketSpec("ZakR", epsilon=0.0, n=1, F=F_AFF, G=G_AFF)
 
     @pytest.mark.parametrize("n", [1, 2, 4])
     @pytest.mark.parametrize("kappa", KAPPAS)
     def test_affine_case_reduces_to_s(self, n, kappa):
         """With F = 2+t and G = -1 the spin bracket coincides with S(n,1)."""
         s = sampling.sample_spin(13, n, n, 0.6)
-        Mz = zak_complex_bivector(kappa, F_AFF, G_AFF, s)
-        Ms = s_bivector(kappa, s.as_spoint())
+        x = np.concatenate([s.a, s.b])
+        Mz = BracketSpec("ZakC", kappa, n=n, F=F_AFF, G=G_AFF).bivector(x)
+        Ms = _on_spoint("S", kappa, s.as_spoint())
         assert np.max(np.abs(Mz - Ms)) < 1e-13
 
 
@@ -329,11 +332,22 @@ class TestBracketSpec:
             BracketSpec("Prime", 1j, n=2, d=2),
             BracketSpec("GLmult", 1j, ell=3),
             BracketSpec("Double", 1j, ell=2),
+            BracketSpec("DualGroup", 1j, ell=3),
             BracketSpec("STS", 1j, ell=3),
             BracketSpec("ZakC", 1j, n=3, F=F_AFF, G=G_AFF),
             BracketSpec("ZakR", epsilon=0.5, n=3, F=F_AFF, G=G_AFF),
         ]
+        assert sorted(s.kind for s in specs) == sorted(brackets._FILLS)
         for spec in specs:
-            x = sampling.sample_vector(23, 0, spec.dim, 1.0)
-            M = spec.bivector(x)
-            np.testing.assert_array_equal(M, -M.T)
+            # one point, then a stack of four
+            for batch in ((), (4,)):
+                indices = np.arange(int(np.prod(batch)))
+                if spec.kind == "DualGroup":
+                    x = charts.pack_dual(sampling.sample_dual(23, indices, spec.ell, 0.4))
+                else:
+                    x = sampling.sample_vector(23, indices, spec.dim, 1.0)
+                M = spec.bivector(x.reshape(batch + (spec.dim,)))
+                assert M.shape == batch + (spec.dim, spec.dim)
+                np.testing.assert_array_equal(M, -M.swapaxes(-1, -2))
+                assert not np.any(np.diagonal(M, axis1=-2, axis2=-1)), spec.kind
+                assert np.count_nonzero(np.triu(M, 1)) > 0, spec.kind

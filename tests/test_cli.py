@@ -185,6 +185,13 @@ class TestVerify:
             assert err.startswith("configuration error:")
             assert f"samples must be <= MAX_SAMPLES = {suites.MAX_SAMPLES}" in err
 
+    @pytest.mark.parametrize(
+        "flag,value", [("--kappa", "1e300"), ("--kappa", "1e-300"), ("--kappa", "0,1e51"), ("--epsilon", "1e300")]
+    )
+    def test_scale_outside_max_scale_exits_2(self, capsys, flag, value):
+        assert main(["verify", "--suite", "all", flag, value]) == 2
+        assert f"|{flag[2:]}| must lie in [1/MAX_SCALE, MAX_SCALE]" in capsys.readouterr().err
+
     def test_largest_sizes_are_accepted(self):
         cfg = suites.RunConfig("jacobi", n=16, d=8, ell=11)
         assert 2 * cfg.n * cfg.d == suites.MAX_DIM

@@ -1,6 +1,8 @@
 """Tests for the residual computations: Jacobi, map pushforwards, actions,
 moment relations, product-factor identities, symplectic inversion and rank."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -247,9 +249,47 @@ class TestRunConfig:
             with pytest.raises(ConfigError, match="^samples must be <= MAX_SAMPLES"):
                 suites.RunConfig("symplectic", samples=samples)
 
+    @pytest.mark.parametrize("name", ["kappa", "epsilon"])
+    def test_scale_must_lie_within_max_scale(self, name):
+        lo, hi = 1 / suites.MAX_SCALE, suites.MAX_SCALE
+        for inside in (hi, np.nextafter(hi, 0), -hi, lo, np.nextafter(lo, 1), -lo):
+            assert getattr(suites.RunConfig("symplectic", **{name: inside}), name) == inside
+        for outside in (np.nextafter(hi, np.inf), -np.nextafter(hi, np.inf), np.nextafter(lo, 0), 1e300, 1e-300):
+            with pytest.raises(ConfigError, match=f"^\\|{name}\\| must lie in \\[1/MAX_SCALE, MAX_SCALE\\]"):
+                suites.RunConfig("symplectic", **{name: outside})
+
+    def test_complex_kappa_scale_is_its_modulus(self):
+        hi = suites.MAX_SCALE
+        assert suites.RunConfig("symplectic", kappa=1j * hi).kappa == 1j * hi
+        for outside in (1j * np.nextafter(hi, np.inf), complex(hi, hi)):
+            with pytest.raises(ConfigError, match="^\\|kappa\\| must lie in"):
+                suites.RunConfig("symplectic", kappa=outside)
+
     def test_values_take_their_field_type(self):
         cfg = suites.RunConfig("symplectic", kappa=2, radius=1, seed=np.int64(7))
         assert type(cfg.kappa) is complex and type(cfg.radius) is float and type(cfg.seed) is int
+
+
+@pytest.mark.parametrize(
+    "suite,setting",
+    [
+        ("all", {"kappa": suites.MAX_SCALE}),
+        ("all", {"kappa": -1j / suites.MAX_SCALE}),
+        ("zakrzewski", {"epsilon": suites.MAX_SCALE}),
+        ("zakrzewski", {"epsilon": -1 / suites.MAX_SCALE}),
+    ],
+    ids=["kappa-max", "kappa-min", "epsilon-max", "epsilon-min"],
+)
+def test_residuals_stay_finite_at_the_scale_edges(suite, setting):
+    # at n = d = 4 the S and Double Jacobiators take the probes x + t Pi(x) e_i,
+    # where the bivector grows as the cube of the scale; the bounds are
+    # absolute, so the verdicts may fail, but no value may overflow
+    cfg = suites.RunConfig(suite, n=4, d=4, ell=4, samples=2, **setting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = suites.run_suite(cfg)
+    maxima = [s["max_residual"] for s in report.params["suites"].values()] if suite == "all" else [report.max_residual]
+    assert np.all(np.isfinite(maxima)), maxima
 
 
 def test_jacobian_fd_polynomial_map():
