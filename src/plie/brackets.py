@@ -2,8 +2,10 @@
 
 ``BracketSpec.bivector`` is the one evaluator: at flat coordinates in the
 chart orderings of :mod:`plie.charts` it returns the full antisymmetric
-matrix ``Pi[p, q] = {x_p, x_q}``.  It calls the raw fill of its kind, which
-is valid on and above the block diagonal, and antisymmetrizes once.  The
+matrix ``Pi[p, q] = {x_p, x_q}``.  It antisymmetrizes, once, what
+``BracketSpec.upper`` returns: the raw fill of its kind, which is valid on
+and above the block diagonal, so its strict upper triangle is that of
+``Pi``.  Callers that read only that triangle call ``upper``.  The
 componentwise fills are the performance path; the tensor-contraction
 builders (``s_bivector_tensor`` and friends) are kept as an independent
 cross-check oracle.
@@ -350,12 +352,20 @@ class BracketSpec:
             return self.ell * self.ell
         return 2 * self.n  # ZakC / ZakR
 
-    def bivector(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate the bracket matrix at flat coordinates.
+    def upper(self, x: np.ndarray) -> np.ndarray:
+        """The raw fill of the bracket matrix at flat coordinates: equal to
+        ``bivector(x)`` strictly above the diagonal, unspecified on and below it.
 
         ``x`` has shape ``(..., dim)``; the result has shape ``(..., dim, dim)``.
         """
         x = np.asarray(x, dtype=complex)
         if x.shape[-1:] != (self.dim,):
             raise ValueError(f"expected coordinates of shape (..., {self.dim}), got {x.shape}")
-        return antisymmetrize(_FILLS[self.kind](self, x))
+        return _FILLS[self.kind](self, x)
+
+    def bivector(self, x: np.ndarray) -> np.ndarray:
+        """Evaluate the bracket matrix at flat coordinates.
+
+        ``x`` has shape ``(..., dim)``; the result has shape ``(..., dim, dim)``.
+        """
+        return antisymmetrize(self.upper(x))

@@ -33,7 +33,7 @@ from .errors import ConfigError
 from .points import SPoint
 from .verify import DiffScheme, VerificationReport, max_abs
 
-__all__ = ["MAX_DIM", "MAX_SAMPLES", "MAX_SCALE", "RunConfig", "SUITES", "check_dims", "run_suite"]
+__all__ = ["MAX_DIM", "MAX_RADIUS", "MAX_SAMPLES", "MAX_SCALE", "RunConfig", "SUITES", "check_dims", "run_suite"]
 
 SUITES = (
     "jacobi",
@@ -64,6 +64,13 @@ MAX_SAMPLES = 10**5
 # probes x + t Pi(x) e_i, and 1e13 bounds the dimension, stencil and chart
 # factors.  At K <= 1e50 nothing comes near overflow (1e308) or underflow.
 MAX_SCALE = 1e50
+
+# The sample radius lies in (0, MAX_RADIUS].  The highest power of the radius
+# R in any suite is R^(2d) <= R^32 (d <= 16 at MAX_DIM), in lemma4's ordered
+# products of d factors; every other suite's is at most R^4.  At R <= 1e3 that
+# is 1e96; times K^2 <= 1e100 at MAX_SCALE and 1e13 for the dimension, stencil
+# and chart factors, every value stays below about 1e209, far from overflow.
+MAX_RADIUS = 1e3
 
 
 def check_dims(dims: dict) -> None:
@@ -121,8 +128,8 @@ class RunConfig:
         check_dims({"2*n*d": 2 * n * d, "n*n": n * n, "d*d": d * d, "2*ell*ell": 2 * ell * ell})
         if self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
-        if self.radius <= 0:
-            raise ConfigError("radius must be > 0")
+        if not 0 < self.radius <= MAX_RADIUS:
+            raise ConfigError(f"radius must lie in (0, MAX_RADIUS] = (0, {MAX_RADIUS:g}]")
         if self.kappa == 0:
             raise ConfigError("kappa must be nonzero")
         if not cmath.isfinite(1 / self.kappa):  # the decoupling maps scale by -1/kappa

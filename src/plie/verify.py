@@ -24,9 +24,13 @@ of the bivector along its own rows, and has two regimes.  While one
 sample's probes fit in one bivector call (``_BLOCK_ENTRIES``), the probes
 of a chunk of samples and their points go into one call along the
 coordinate axes, and T is a batched product of Pi with the derivatives.
-Beyond that, each sample's point gets a call of its own and its probes run
-along the rows of Pi(x), block by block, so the differences are T itself.
-The cyclic sum over T is then maximised in blocks of rows.
+Beyond that, each sample's point gets a bivector call of its own and its
+probes run along the rows of Pi(x), block by block, so the differences are
+T itself.  These probes call the raw fill ``BracketSpec.upper`` and T is
+read only where j < k.  The cyclic sum is then maximised over i < j < k
+only: a subset of the (i, j, k), so the residual is never above the max over
+all of them from the same derivatives, and below it only by the rounding of
+the three cyclic sums.  Either way the maximum is taken in blocks of rows.
 """
 
 from __future__ import annotations
@@ -200,8 +204,12 @@ def jacobi_residual(spec: BracketSpec, x: np.ndarray, scheme: DiffScheme):
       ``_BLOCK_ENTRIES * dim / 2`` multiply-adds per call.
     - multi-call: one sample at a time, its point in its own bivector call,
       then its probes along the rows Pi(x) e_i (unnormalised) in blocks of
-      consecutive rows of at most ``_BLOCK_ENTRIES`` entries a call.  These
-      differences are T itself, so no dim^4 product is formed.
+      consecutive rows of at most ``_BLOCK_ENTRIES`` entries a call of the
+      raw fill ``spec.upper``.  These differences are T itself where j < k,
+      so no dim^4 product is formed, and T[j,k,i] = -T[j,i,k].  The max is
+      over i < j < k only: J is totally antisymmetric, so this is the full
+      max up to the rounding of the three cyclic sums, and never above the
+      max over every (i, j, k).
 
     Either way the cyclic sum is taken in blocks of rows i and only its
     running max is kept.  A sample's residual depends only on its point.
@@ -233,10 +241,11 @@ def _coordinate_jacobiator_max(spec: BracketSpec, X: np.ndarray, scheme: DiffSch
 
 
 def _hamiltonian_jacobiator_max(spec: BracketSpec, X: np.ndarray, scheme: DiffScheme, block: int) -> np.ndarray:
-    """Max |Jacobiator| of each of the S points X from probes along the rows
-    of Pi(x), ``block`` rows a bivector call; shape (S,)."""
+    """Max |Jacobiator| over i < j < k of each of the S points X from probes
+    along the rows of Pi(x), ``block`` rows a call of the raw fill
+    ``spec.upper``; shape (S,)."""
     Pi0 = spec.bivector(X)
-    return _cyclic_max(_central_differences(spec.bivector, X, scheme, block, directions=Pi0))
+    return _upper_cyclic_max(_central_differences(spec.upper, X, scheme, block, directions=Pi0))
 
 
 def _cyclic_max(T: np.ndarray) -> np.ndarray:
@@ -251,6 +260,30 @@ def _cyclic_max(T: np.ndarray) -> np.ndarray:
         J = T[:, i0:i1] + T[:, :, i0:i1].transpose(0, 2, 3, 1)
         J += T[:, :, :, i0:i1].transpose(0, 3, 1, 2)
         np.maximum(out, np.max(np.abs(J), axis=(1, 2, 3)), out=out)
+    return out
+
+
+def _upper_cyclic_max(D: np.ndarray) -> np.ndarray:
+    """max over i < j < k of |D[i,j,k] + D[k,i,j] - D[j,i,k]| for each D of a
+    (S, dim, dim, dim) stack that is read only where its last two indices
+    increase: the cyclic sum of the T antisymmetric in (j, k) that equals D
+    there, with T[j,k,i] = -D[j,i,k].  Taken in blocks of rows i from i0 on,
+    each on the sub-square j, k > i0 of at most ``_BLOCK_ENTRIES`` entries per
+    D; shape (S,)."""
+    S, dim = D.shape[:2]
+    out = np.zeros(S)
+    i0 = 0
+    while i0 < dim - 2:  # rows with a pair j < k above them
+        o = i0 + 1
+        m = dim - o
+        i1 = min(dim - 2, i0 + max(1, _BLOCK_ENTRIES // (m * m)))
+        B = D[:, o:, i0:i1, o:]  # B[j, i, k] = D[j, i, k], with j and k shifted by o
+        J = D[:, i0:i1, o:, o:] + B.transpose(0, 2, 3, 1)
+        J -= B.transpose(0, 2, 1, 3)
+        j = np.arange(m)
+        keep = (np.arange(i1 - i0)[:, None, None] <= j[:, None]) & (j[:, None] < j)  # i < j < k
+        np.maximum(out, np.max(np.abs(J), axis=(1, 2, 3), where=keep, initial=0.0), out=out)
+        i0 = i1
     return out
 
 

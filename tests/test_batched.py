@@ -163,11 +163,19 @@ class _Perturbed:
         self.dim = spec.dim
         self.quadratic = quadratic
 
-    def bivector(self, x):
-        x = np.asarray(x, dtype=complex)
+    def _term(self, x):
         y = np.roll(x, 1, axis=-1) if self.quadratic else x * x
         E = 0.3 * x[..., :, None] * y[..., None, :]
-        return self.spec.bivector(x) + E - E.swapaxes(-1, -2)
+        return E - E.swapaxes(-1, -2)
+
+    def bivector(self, x):
+        x = np.asarray(x, dtype=complex)
+        return self.spec.bivector(x) + self._term(x)
+
+    def upper(self, x):
+        # the perturbed raw fill: equal to the bivector strictly above the diagonal
+        x = np.asarray(x, dtype=complex)
+        return self.spec.upper(x) + self._term(x)
 
 
 BIG = BracketSpec("S", 2.0 - 1.0j, n=7, d=7)
@@ -258,15 +266,25 @@ def test_stacked_residual_equals_per_point_small_blocks(monkeypatch, spec, schem
 
 
 def _count_bivector_calls(monkeypatch, spec) -> list:
-    """Patch the bivector of ``spec``'s class to record each call's stack length."""
-    real = type(spec).bivector
+    """Patch the bivector and the raw fill ``upper`` of ``spec``'s class to
+    record each outermost call's stack length (``bivector`` calls ``upper``)."""
     calls = []
+    depth = [0]
 
-    def counted(self, x):
-        calls.append(len(x))
-        return real(self, x)
+    def counting(real):
+        def counted(self, x):
+            if not depth[0]:
+                calls.append(len(x))
+            depth[0] += 1
+            try:
+                return real(self, x)
+            finally:
+                depth[0] -= 1
 
-    monkeypatch.setattr(type(spec), "bivector", counted)
+        return counted
+
+    for name in ("bivector", "upper"):
+        monkeypatch.setattr(type(spec), name, counting(getattr(type(spec), name)))
     return calls
 
 
@@ -337,6 +355,103 @@ def test_big_residual_keeps_one_derivative_stack():
     assert peak < 1.5 * stack
 
 
+# one spec of every kind at a dim where one sample's probes span several
+# bivector calls, with the scheme its suite uses
+MULTI_CALL = [
+    pytest.param(spec, scheme, id=spec.kind)
+    for spec, scheme in [
+        *[(BracketSpec(k, 2.0 - 1.0j, n=4, d=4), POLY) for k in ("S", "AOplus", "AOminus", "Prime", "Sprod")],
+        (BracketSpec("Double", 1j, ell=4), POLY),
+        (BracketSpec("GLmult", 1j, ell=6), POLY),
+        (BracketSpec("STS", 1j, ell=6), POLY),
+        (BracketSpec("DualGroup", 2.0 - 1.0j, ell=6), RATIONAL),
+        (BracketSpec("ZakC", 1.0, n=16, F=F_AFF, G=G_AFF), POLY),
+        (BracketSpec("ZakR", epsilon=0.5, n=16, F=F_AFF, G=G_AFF), POLY),
+    ]
+]
+
+
+def _full_cyclic_max(spec, X, scheme):
+    """Oracle: the max over every (i, j, k) of the cyclic sum of the row
+    derivatives T of the antisymmetric bivector, and max |T|, per point."""
+    dim = spec.dim
+    T = verify._central_differences(spec.bivector, X, scheme, dim, directions=spec.bivector(X))
+    J = T + T.transpose(0, 2, 3, 1) + T.transpose(0, 3, 1, 2)
+    return np.max(np.abs(J), axis=(1, 2, 3)), np.max(np.abs(T), axis=(1, 2, 3))
+
+
+@pytest.mark.parametrize("spec,scheme", MULTI_CALL)
+def test_multi_call_residual_is_the_full_cyclic_max(monkeypatch, spec, scheme):
+    # the residual is the cyclic max over i < j < k only: at most the full
+    # one, and equal to it up to the rounding of the three cyclic sums
+    assert _per_sample_entries(spec, scheme) > verify._BLOCK_ENTRIES
+    X = _points(spec, 2)
+    want, size = _full_cyclic_max(spec, X, scheme)
+    # whole row blocks, then uneven ones: at dim 32, rows of 5, 7, 13 and 5
+    for cap in (verify._BLOCK_ENTRIES, 5000):
+        monkeypatch.setattr(verify, "_BLOCK_ENTRIES", cap)
+        got = jacobi_residual(spec, X, scheme)
+        assert np.all(got <= want)
+        assert np.all(want - got <= 1e-15 * np.maximum(1.0, size))
+
+
+def test_uneven_row_blocks_of_the_cyclic_max(monkeypatch):
+    # an O(1) Jacobiator, where every entry decides: the blocked max over
+    # i < j < k equals the max over all of them at every block size
+    spec = _Perturbed(BracketSpec("Prime", 1j, n=2, d=3))
+    X = _points(spec.spec, 3)
+    T = verify._central_differences(spec.bivector, X, POLY, spec.dim, directions=spec.bivector(X))
+    want = verify._upper_cyclic_max(T)
+    for cap in (1, 150, 300, 2**16):
+        monkeypatch.setattr(verify, "_BLOCK_ENTRIES", cap)
+        np.testing.assert_array_equal(verify._upper_cyclic_max(T), want)
+    J = T + T.transpose(0, 2, 3, 1) + T.transpose(0, 3, 1, 2)
+    np.testing.assert_allclose(want, np.max(np.abs(J), axis=(1, 2, 3)), rtol=1e-14)
+
+
+def test_inadmissible_zak_fails_in_multi_call_regime():
+    # F = 1, G = 0 is not Poisson; at n = 16 (dim 32) its residual takes the
+    # row probes and must still exceed the zakrzewski suite's 1e-8 bound
+    F_one, G_zero = HoloFn1.affine(1, 0, "F"), HoloFn1.affine(0, 0, "G")
+    spec = BracketSpec("ZakC", 1.0, n=16, F=F_one, G=G_zero)
+    assert _per_sample_entries(spec, POLY) > verify._BLOCK_ENTRIES
+    assert np.all(jacobi_residual(spec, _points(spec, 5), POLY) > 1e-8)
+
+
+class _SingleEntryDefect:
+    """The bracket plus eps x_0 x_(dim-1)^2 at the one entry (0, dim-1)."""
+
+    def __init__(self, spec, eps):
+        self.spec, self.dim, self.eps = spec, spec.dim, eps
+
+    def _term(self, x):
+        E = np.zeros(x.shape + (self.dim,), dtype=complex)
+        E[..., 0, -1] = self.eps * x[..., 0] * x[..., -1] ** 2
+        return E
+
+    def bivector(self, x):
+        x = np.asarray(x, dtype=complex)
+        return self.spec.bivector(x) + antisymmetrize(self._term(x))
+
+    def upper(self, x):
+        x = np.asarray(x, dtype=complex)
+        return self.spec.upper(x) + self._term(x)
+
+
+def test_single_entry_defect_fails_in_multi_call_regime():
+    # a defect in one entry pair, the weakest case for a residual that reads
+    # only i < j < k: at eps = 1e-6 on S at dim 32 it gave 8.1e-8 to 1.6e-6
+    # over these five samples, 2.2e6 to 3.5e7 times the exact floor, the same
+    # as the max over every (i, j, k)
+    spec = BracketSpec("S", 1.0, n=4, d=4)
+    assert _per_sample_entries(spec, POLY) > verify._BLOCK_ENTRIES
+    X = _points(spec, 5)
+    floor = jacobi_residual(spec, X, POLY)
+    got = jacobi_residual(_SingleEntryDefect(spec, 1e-6), X, POLY)
+    assert np.all(floor < suites.TOL_EXACT)
+    assert np.all(got > 100 * suites.TOL_EXACT)
+
+
 # the matrix-group charts take any entries; the point containers of the
 # others reject non-finite coordinates
 NAN_CHARTS = ("GLmult", "Double", "STS")
@@ -344,14 +459,40 @@ NAN_CHARTS = ("GLmult", "Double", "STS")
 
 @pytest.mark.parametrize("spec", [s for s in SPECS if s.kind in NAN_CHARTS], ids=lambda s: s.kind)
 def test_nan_sample_stays_in_its_row(monkeypatch, spec):
-    # chunks of two samples, so the NaN sample shares its bivector calls with a finite one
-    monkeypatch.setattr(verify, "_BLOCK_ENTRIES", 2 * _per_sample_entries(spec, POLY))
-    X = _points(spec, 5)
-    want = jacobi_residual(spec, X, POLY)
-    X[2, 0] = np.nan
-    got = jacobi_residual(spec, X, POLY)
-    assert np.isnan(got[2])
-    np.testing.assert_array_equal(np.delete(got, 2), np.delete(want, 2))
+    # chunks of two samples, so the NaN sample shares its bivector calls with
+    # a finite one; then one sample less than one call, so each sample's
+    # probes run along the rows of Pi and its cyclic max over i < j < k
+    per_sample = _per_sample_entries(spec, POLY)
+    for cap in (2 * per_sample, per_sample - 1):
+        monkeypatch.setattr(verify, "_BLOCK_ENTRIES", cap)
+        X = _points(spec, 5)
+        want = jacobi_residual(spec, X, POLY)
+        X[2, 0] = np.nan
+        got = jacobi_residual(spec, X, POLY)
+        assert np.isnan(got[2])
+        np.testing.assert_array_equal(np.delete(got, 2), np.delete(want, 2))
+
+
+def test_nan_sample_fails_the_suite_in_multi_call_regime(monkeypatch):
+    # at ell = 4 the Double kind (dim 32) takes the row probes; a NaN in one
+    # of its samples must give that sample a NaN residual and fail the suite
+    cfg = suites.RunConfig("jacobi", n=2, d=2, ell=4, samples=3)
+    assert _per_sample_entries(BracketSpec("Double", 1.0, ell=4), POLY) > verify._BLOCK_ENTRIES
+    real = sampling.sample_vector
+
+    def with_nan(seed, indices, dim, radius):
+        X = real(seed, indices, dim, radius)
+        if dim == 32:
+            X[1, 0] = np.nan
+        return X
+
+    monkeypatch.setattr(sampling, "sample_vector", with_nan)
+    _, _, check = suites._BUILDERS["jacobi"](cfg)
+    got = check(np.arange(3))["Double"]
+    assert np.isnan(got[1]) and np.all(np.isfinite(np.delete(got, 1)))
+    report = suites.run_suite(cfg)
+    assert not report.ok and np.isnan(report.max_residual)
+    assert [i for i, _, _ in report.failures] == [1]
 
 
 @pytest.mark.parametrize("spec", [s for s in SPECS if s.kind not in NAN_CHARTS], ids=lambda s: s.kind)

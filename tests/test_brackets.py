@@ -290,6 +290,32 @@ class TestDualBases:
             dual_bases(2, 0.0)
 
 
+# one spec of every kind, each evaluated on its own chart's points
+EVERY_KIND = [
+    BracketSpec("S", 1j, n=2, d=2),
+    BracketSpec("Sprod", 1j, n=2, d=2),
+    BracketSpec("AOplus", 1j, n=2, d=2),
+    BracketSpec("AOminus", 1j, n=2, d=2),
+    BracketSpec("Prime", 1j, n=2, d=2),
+    BracketSpec("GLmult", 1j, ell=3),
+    BracketSpec("Double", 1j, ell=2),
+    BracketSpec("DualGroup", 1j, ell=3),
+    BracketSpec("STS", 1j, ell=3),
+    BracketSpec("ZakC", 1j, n=3, F=F_AFF, G=G_AFF),
+    BracketSpec("ZakR", epsilon=0.5, n=3, F=F_AFF, G=G_AFF),
+]
+
+
+def _kind_points(spec, batch):
+    """One point (batch ()) or a stack of them in the chart of ``spec``."""
+    indices = np.arange(int(np.prod(batch)))
+    if spec.kind == "DualGroup":
+        x = charts.pack_dual(sampling.sample_dual(23, indices, spec.ell, 0.4))
+    else:
+        x = sampling.sample_vector(23, indices, spec.dim, 1.0)
+    return x.reshape(batch + (spec.dim,))
+
+
 class TestBracketSpec:
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
@@ -324,30 +350,31 @@ class TestBracketSpec:
         assert spec.dim == dim
 
     def test_every_bivector_is_antisymmetric(self):
-        specs = [
-            BracketSpec("S", 1j, n=2, d=2),
-            BracketSpec("Sprod", 1j, n=2, d=2),
-            BracketSpec("AOplus", 1j, n=2, d=2),
-            BracketSpec("AOminus", 1j, n=2, d=2),
-            BracketSpec("Prime", 1j, n=2, d=2),
-            BracketSpec("GLmult", 1j, ell=3),
-            BracketSpec("Double", 1j, ell=2),
-            BracketSpec("DualGroup", 1j, ell=3),
-            BracketSpec("STS", 1j, ell=3),
-            BracketSpec("ZakC", 1j, n=3, F=F_AFF, G=G_AFF),
-            BracketSpec("ZakR", epsilon=0.5, n=3, F=F_AFF, G=G_AFF),
-        ]
-        assert sorted(s.kind for s in specs) == sorted(brackets._FILLS)
-        for spec in specs:
+        assert sorted(s.kind for s in EVERY_KIND) == sorted(brackets._FILLS)
+        for spec in EVERY_KIND:
             # one point, then a stack of four
             for batch in ((), (4,)):
-                indices = np.arange(int(np.prod(batch)))
-                if spec.kind == "DualGroup":
-                    x = charts.pack_dual(sampling.sample_dual(23, indices, spec.ell, 0.4))
-                else:
-                    x = sampling.sample_vector(23, indices, spec.dim, 1.0)
-                M = spec.bivector(x.reshape(batch + (spec.dim,)))
+                M = spec.bivector(_kind_points(spec, batch))
                 assert M.shape == batch + (spec.dim, spec.dim)
                 np.testing.assert_array_equal(M, -M.swapaxes(-1, -2))
                 assert not np.any(np.diagonal(M, axis1=-2, axis2=-1)), spec.kind
                 assert np.count_nonzero(np.triu(M, 1)) > 0, spec.kind
+
+    @pytest.mark.parametrize("spec", EVERY_KIND, ids=lambda s: s.kind)
+    @pytest.mark.parametrize("batch", [(), (4,)], ids=["point", "stack"])
+    def test_upper_is_the_bivector_above_the_diagonal(self, spec, batch):
+        x = _kind_points(spec, batch)
+        U, M = spec.upper(x), spec.bivector(x)
+        assert U.shape == M.shape
+        above = np.triu(np.ones((spec.dim, spec.dim), dtype=bool), 1)
+        np.testing.assert_array_equal(U[..., above], M[..., above])
+
+    @pytest.mark.parametrize("spec", EVERY_KIND, ids=lambda s: s.kind)
+    def test_upper_rejects_what_bivector_rejects(self, spec):
+        bad = np.zeros((3, spec.dim + 1), dtype=complex)
+        errors = []
+        for method in (spec.bivector, spec.upper):
+            with pytest.raises(ValueError) as exc:
+                method(bad)
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1]

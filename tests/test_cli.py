@@ -192,6 +192,12 @@ class TestVerify:
         assert main(["verify", "--suite", "all", flag, value]) == 2
         assert f"|{flag[2:]}| must lie in [1/MAX_SCALE, MAX_SCALE]" in capsys.readouterr().err
 
+    def test_radius_above_max_radius_exits_2(self, capsys):
+        assert main(["verify", "--suite", "actions", "--radius", "1e200"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert "radius must lie in (0, MAX_RADIUS]" in err
+
     def test_largest_sizes_are_accepted(self):
         cfg = suites.RunConfig("jacobi", n=16, d=8, ell=11)
         assert 2 * cfg.n * cfg.d == suites.MAX_DIM

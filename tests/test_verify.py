@@ -265,6 +265,15 @@ class TestRunConfig:
             with pytest.raises(ConfigError, match="^\\|kappa\\| must lie in"):
                 suites.RunConfig("symplectic", kappa=outside)
 
+    def test_radius_must_lie_within_max_radius(self):
+        hi = suites.MAX_RADIUS
+        # the CLI default, the radius the tests use, and the edge
+        for inside in (0.3, 1.0, np.nextafter(hi, 0), hi):
+            assert suites.RunConfig("symplectic", radius=inside).radius == inside
+        for outside in (np.nextafter(hi, np.inf), 1e200, 0.0, -0.3):
+            with pytest.raises(ConfigError, match="^radius must lie in \\(0, MAX_RADIUS\\]"):
+                suites.RunConfig("symplectic", radius=outside)
+
     def test_values_take_their_field_type(self):
         cfg = suites.RunConfig("symplectic", kappa=2, radius=1, seed=np.int64(7))
         assert type(cfg.kappa) is complex and type(cfg.radius) is float and type(cfg.seed) is int
@@ -290,6 +299,20 @@ def test_residuals_stay_finite_at_the_scale_edges(suite, setting):
         report = suites.run_suite(cfg)
     maxima = [s["max_residual"] for s in report.params["suites"].values()] if suite == "all" else [report.max_residual]
     assert np.all(np.isfinite(maxima)), maxima
+
+
+@pytest.mark.parametrize("kappa", [suites.MAX_SCALE, 1 / suites.MAX_SCALE], ids=["kappa-max", "kappa-min"])
+@pytest.mark.parametrize(
+    "suite,n,d", [("lemma4", 1, 16), ("moment", 4, 4), ("symplectic", 16, 1), ("actions", 2, 8)]
+)
+def test_residuals_stay_finite_at_max_radius(suite, n, d, kappa):
+    # lemma4 at d = 16 has the highest power of the radius, R^32, in its
+    # ordered products; the other suites that sample at the radius, and do
+    # not leave their domain there, have at most R^4
+    cfg = suites.RunConfig(suite, n=n, d=d, samples=2, radius=suites.MAX_RADIUS, kappa=kappa)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert np.isfinite(suites.run_suite(cfg).max_residual)
 
 
 def test_jacobian_fd_polynomial_map():
