@@ -47,10 +47,6 @@ class SPoint:
     def d(self) -> int:
         return self.A.shape[-1]
 
-    @classmethod
-    def zero(cls, n: int, d: int) -> "SPoint":
-        return cls(np.zeros((n, d)), np.zeros((d, n)))
-
 
 @dataclass(frozen=True)
 class SpinPoint:
@@ -75,10 +71,6 @@ class SpinPoint:
     @property
     def n(self) -> int:
         return self.a.shape[-1]
-
-    @classmethod
-    def zero(cls, n: int) -> "SpinPoint":
-        return cls(np.zeros(n), np.zeros(n))
 
     def as_spoint(self) -> SPoint:
         """View the spin copy as an element of S(n, 1)."""
@@ -119,10 +111,6 @@ class SpinTuple:
 
     def __len__(self):
         return len(self.spins)
-
-    @classmethod
-    def zero(cls, n: int, d: int) -> "SpinTuple":
-        return cls(SpinPoint.zero(n) for _ in range(d))
 
 
 @dataclass(frozen=True)

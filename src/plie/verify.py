@@ -20,17 +20,17 @@ shape (dim,) or (S, dim), or point containers whose arrays carry the
 leading axis S.
 
 ``jacobi_residual`` needs T[i,j,k] = sum_l Pi_il d_l Pi_jk, the derivative
-of the bivector along its own rows, and has two regimes.  While one
-sample's probes fit in one bivector call (``_BLOCK_ENTRIES``), the probes
-of a chunk of samples and their points go into one call along the
-coordinate axes, and T is a batched product of Pi with the derivatives.
-Beyond that, each sample's point gets a bivector call of its own and its
-probes run along the rows of Pi(x), block by block, so the differences are
-T itself.  These probes call the raw fill ``BracketSpec.upper`` and T is
-read only where j < k.  The cyclic sum is then maximised over i < j < k
-only: a subset of the (i, j, k), so the residual is never above the max over
-all of them from the same derivatives, and below it only by the rounding of
-the three cyclic sums.  Either way the maximum is taken in blocks of rows.
+of the bivector along its own rows.  Every probe calls the raw fill
+``BracketSpec.upper``, so T is read only where j < k, and one cyclic max
+over i < j < k (``_upper_cyclic_max``), taken in blocks of rows, gives the
+residual: a subset of the (i, j, k), so it is never above the max over all
+of them from the same derivatives, and below it only by the rounding of the
+three cyclic sums.  Two regimes differ only in the probe directions.  While
+one sample's probes fit in one call (``_BLOCK_ENTRIES``), the probes of a
+chunk of samples run along the coordinate axes, in one call with their
+points, and T is the product of Pi with the derivatives.  Beyond that, each
+sample's point gets a bivector call of its own and its probes run along the
+rows of Pi(x), block by block, so the differences are T itself.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import charts
-from .brackets import BracketSpec, HoloFn1, sts_rhs_tensor
+from .brackets import BracketSpec, HoloFn1, antisymmetrize, sts_rhs_tensor
 from .errors import ConfigError
 from .factorization import _nonvanishing_g, g_factors, g_pm
 from .points import SPoint, SpinPoint, SpinTuple
@@ -188,31 +188,32 @@ _BLOCK_ENTRIES = 2**16
 
 
 def jacobi_residual(spec: BracketSpec, x: np.ndarray, scheme: DiffScheme):
-    """Max over coordinate triples of the cyclic Jacobiator of the bivector.
+    """Max over coordinate triples i < j < k of the cyclic Jacobiator of the
+    bivector.
 
     ``x`` is one point of shape (dim,), which gives a float, or a stack of S
     points of shape (S, dim), which gives the (S,) array of their residuals.
     The Jacobiator is J[i,j,k] = T[i,j,k] + T[k,i,j] + T[j,k,i] with
     T[i,j,k] = sum_l Pi_il d_l Pi_jk, the derivative of Pi along row i of
-    Pi, and T is found in one of two regimes, by the entries
-    ``per_sample`` of the bivector calls one sample's probes need:
+    Pi.  Every probe calls the raw fill ``spec.upper``, so T is read only
+    where j < k, with T[j,k,i] = -T[j,i,k]; J is totally antisymmetric, so
+    the max over i < j < k is the full max up to the rounding of the three
+    cyclic sums, and never above it.  The two regimes, chosen by the entries
+    ``per_sample`` of the calls one sample's probes need, differ only in the
+    probe directions:
 
     - single call (``per_sample <= _BLOCK_ENTRIES``): the stack is cut into
       chunks of consecutive samples whose probes along the coordinate axes
-      e_l, and the samples' own points, fit in one bivector call; T is the
-      batched product of Pi(x) with the derivative stack, about
+      e_l, and the samples' own points, fit in one call; T is the batched
+      product of Pi(x) with the derivative stack, about
       ``_BLOCK_ENTRIES * dim / 2`` multiply-adds per call.
-    - multi-call: one sample at a time, its point in its own bivector call,
-      then its probes along the rows Pi(x) e_i (unnormalised) in blocks of
-      consecutive rows of at most ``_BLOCK_ENTRIES`` entries a call of the
-      raw fill ``spec.upper``.  These differences are T itself where j < k,
-      so no dim^4 product is formed, and T[j,k,i] = -T[j,i,k].  The max is
-      over i < j < k only: J is totally antisymmetric, so this is the full
-      max up to the rounding of the three cyclic sums, and never above the
-      max over every (i, j, k).
+    - multi-call: one sample at a time, its point in a bivector call of its
+      own, then its probes along the rows Pi(x) e_i (unnormalised) in blocks
+      of consecutive rows of at most ``_BLOCK_ENTRIES`` entries a call.  The
+      differences are T itself, so no dim^4 product is formed.
 
-    Either way the cyclic sum is taken in blocks of rows i and only its
-    running max is kept.  A sample's residual depends only on its point.
+    The cyclic sum is taken in blocks of rows i and only its running max is
+    kept.  A sample's residual depends only on its point.
     """
     x = np.asarray(x, dtype=complex)
     dim = spec.dim
@@ -221,46 +222,22 @@ def jacobi_residual(spec: BracketSpec, x: np.ndarray, scheme: DiffScheme):
     X = x.reshape(-1, dim)
     per_direction = 2 * len(scheme.offsets) * dim * dim  # output entries of one direction's probes
     per_sample = dim * per_direction + dim * dim  # all probes of one sample, and its point
+    parts = []
     if per_sample <= _BLOCK_ENTRIES:
         chunk = _BLOCK_ENTRIES // per_sample
-        parts = [_coordinate_jacobiator_max(spec, X[s0 : s0 + chunk], scheme) for s0 in range(0, len(X), chunk)]
+        for s0 in range(0, len(X), chunk):
+            D, U0 = _central_differences(spec.upper, X[s0 : s0 + chunk], scheme, dim, with_base=True)
+            S = len(D)
+            T = antisymmetrize(U0) @ D.reshape(S, dim, dim * dim)
+            parts.append(_upper_cyclic_max(T.reshape(S, dim, dim, dim)))
     else:
         block = max(1, _BLOCK_ENTRIES // per_direction)
-        parts = [_hamiltonian_jacobiator_max(spec, X[s : s + 1], scheme, block) for s in range(len(X))]
+        for s in range(len(X)):
+            Xs = X[s : s + 1]
+            D = _central_differences(spec.upper, Xs, scheme, block, directions=spec.bivector(Xs))
+            parts.append(_upper_cyclic_max(D))
     out = np.concatenate(parts) if parts else np.empty(0)
     return float(out[0]) if x.ndim == 1 else out
-
-
-def _coordinate_jacobiator_max(spec: BracketSpec, X: np.ndarray, scheme: DiffScheme) -> np.ndarray:
-    """Max |Jacobiator| of each of the S points X from one bivector call on
-    the points and their coordinate probes; shape (S,)."""
-    S, dim = X.shape
-    dPi, Pi0 = _central_differences(spec.bivector, X, scheme, dim, with_base=True)
-    T = (Pi0 @ dPi.reshape(S, dim, dim * dim)).reshape(S, dim, dim, dim)
-    return _cyclic_max(T)
-
-
-def _hamiltonian_jacobiator_max(spec: BracketSpec, X: np.ndarray, scheme: DiffScheme, block: int) -> np.ndarray:
-    """Max |Jacobiator| over i < j < k of each of the S points X from probes
-    along the rows of Pi(x), ``block`` rows a call of the raw fill
-    ``spec.upper``; shape (S,)."""
-    Pi0 = spec.bivector(X)
-    return _upper_cyclic_max(_central_differences(spec.upper, X, scheme, block, directions=Pi0))
-
-
-def _cyclic_max(T: np.ndarray) -> np.ndarray:
-    """max over (i, j, k) of |T[i,j,k] + T[k,i,j] + T[j,k,i]| for each T of a
-    (S, dim, dim, dim) stack, taken in blocks of rows i of at most
-    ``_BLOCK_ENTRIES`` entries per T; shape (S,)."""
-    S, dim = T.shape[:2]
-    rows = max(1, _BLOCK_ENTRIES // (dim * dim))
-    out = np.zeros(S)
-    for i0 in range(0, dim, rows):
-        i1 = min(dim, i0 + rows)
-        J = T[:, i0:i1] + T[:, :, i0:i1].transpose(0, 2, 3, 1)
-        J += T[:, :, :, i0:i1].transpose(0, 3, 1, 2)
-        np.maximum(out, np.max(np.abs(J), axis=(1, 2, 3)), out=out)
-    return out
 
 
 def _upper_cyclic_max(D: np.ndarray) -> np.ndarray:

@@ -371,11 +371,17 @@ MULTI_CALL = [
 ]
 
 
-def _full_cyclic_max(spec, X, scheme):
-    """Oracle: the max over every (i, j, k) of the cyclic sum of the row
-    derivatives T of the antisymmetric bivector, and max |T|, per point."""
+def _full_cyclic_max(spec, X, scheme, rows=True):
+    """Oracle: the max over every (i, j, k) of the cyclic sum of T, and max |T|,
+    per point.  T is the derivative of the antisymmetric bivector along its
+    rows, or with ``rows=False`` Pi(x) times its derivatives along the
+    coordinate axes, taken in one call with the points."""
     dim = spec.dim
-    T = verify._central_differences(spec.bivector, X, scheme, dim, directions=spec.bivector(X))
+    if rows:
+        T = verify._central_differences(spec.bivector, X, scheme, dim, directions=spec.bivector(X))
+    else:
+        dPi, Pi = verify._central_differences(spec.bivector, X, scheme, dim, with_base=True)
+        T = (Pi @ dPi.reshape(len(X), dim, dim * dim)).reshape(len(X), dim, dim, dim)
     J = T + T.transpose(0, 2, 3, 1) + T.transpose(0, 3, 1, 2)
     return np.max(np.abs(J), axis=(1, 2, 3)), np.max(np.abs(T), axis=(1, 2, 3))
 
@@ -393,6 +399,19 @@ def test_multi_call_residual_is_the_full_cyclic_max(monkeypatch, spec, scheme):
         got = jacobi_residual(spec, X, scheme)
         assert np.all(got <= want)
         assert np.all(want - got <= 1e-15 * np.maximum(1.0, size))
+
+
+@pytest.mark.parametrize("spec,scheme", REGIME_CASES)
+def test_single_call_residual_is_the_full_cyclic_max(spec, scheme):
+    # the coordinate-axis regime takes the same max over i < j < k only, with
+    # the multi-call bound; over these cases the largest gap to the full max
+    # was 5.6e-17 * max(1, max|T|)
+    assert _per_sample_entries(spec, scheme) <= verify._BLOCK_ENTRIES
+    X = _points(spec, 3)
+    want, size = _full_cyclic_max(spec, X, scheme, rows=False)
+    got = jacobi_residual(spec, X, scheme)
+    assert np.all(got <= want)
+    assert np.all(want - got <= 1e-15 * np.maximum(1.0, size))
 
 
 def test_uneven_row_blocks_of_the_cyclic_max(monkeypatch):
@@ -580,14 +599,8 @@ def test_sampler_rows_equal_per_index_draws(name, indices):
 
 
 def test_jacobi_suite_bivector_calls_do_not_grow_with_samples(monkeypatch):
-    real = BracketSpec.bivector
-    calls = []
-
-    def counted(self, x):
-        calls.append(self.kind)
-        return real(self, x)
-
-    monkeypatch.setattr(BracketSpec, "bivector", counted)
+    # outermost bivector and raw-fill calls of every kind (SPECS[0] is a BracketSpec)
+    calls = _count_bivector_calls(monkeypatch, SPECS[0])
     counts = []
     for samples in (2, 6):
         calls.clear()
@@ -762,7 +775,7 @@ def test_domain_escape_in_last_point_of_stack(fn):
 
 def test_spin_tuple_rejects_mixed_batch_axes():
     with pytest.raises(ValueError):
-        SpinTuple([SpinPoint.zero(2), SpinPoint(np.zeros((3, 2)), np.zeros((3, 2)))])
+        SpinTuple([SpinPoint(np.zeros(2), np.zeros(2)), SpinPoint(np.zeros((3, 2)), np.zeros((3, 2)))])
 
 
 # --- every suite's check on a stack ------------------------------------------------

@@ -16,7 +16,7 @@ from plie.brackets import (
     sts_rhs_tensor,
 )
 from plie.errors import ConfigError
-from plie.points import DualPair, SPoint, SpinTuple
+from plie.points import DualPair, SPoint, SpinPoint, SpinTuple
 from plie.tensors import dj_r, r_pm
 
 F_AFF = HoloFn1(lambda t: 2 + t, lambda t: 1 + 0 * t, "F")
@@ -65,7 +65,7 @@ class TestSBivector:
     def test_zero_point(self):
         n, d = 2, 3
         kappa = 2.0 - 1.0j
-        M = _on_spoint("S", kappa, SPoint.zero(n, d))
+        M = _on_spoint("S", kappa, SPoint(np.zeros((n, d)), np.zeros((d, n))))
         nd = n * d
         np.testing.assert_array_equal(M[:nd, :nd], np.zeros((nd, nd)))
         np.testing.assert_array_equal(M[nd:, nd:], np.zeros((nd, nd)))
@@ -117,7 +117,7 @@ class TestProductBivector:
 
     def test_zero_point_cross_block(self):
         n, d, kappa = 3, 2, 2.0 + 1.0j
-        M = _on_tuple(kappa, SpinTuple.zero(n, d))
+        M = _on_tuple(kappa, SpinTuple(SpinPoint(z, z) for z in np.zeros((d, n))))
         for a in range(d):
             off = 2 * n * a
             blk = M[off : off + n, off + n : off + 2 * n]
@@ -129,19 +129,19 @@ class TestProductBivector:
 class TestOscillatorVariants:
     def test_ao_plus_zero_point(self):
         n, d = 2, 2
-        M = _on_spoint("AOplus", 1.0, SPoint.zero(n, d))
+        M = _on_spoint("AOplus", 1.0, SPoint(np.zeros((n, d)), np.zeros((d, n))))
         nd = n * d
         np.testing.assert_allclose(M[:nd, nd:], -_cross_delta(n, d))
 
     def test_prime_zero_point(self):
         n, d, kappa = 3, 2, 2.0 - 1.0j
-        M = _on_spoint("Prime", kappa, SPoint.zero(n, d))
+        M = _on_spoint("Prime", kappa, SPoint(np.zeros((n, d)), np.zeros((d, n))))
         nd = n * d
         np.testing.assert_allclose(M[:nd, nd:], kappa * _cross_delta(n, d))
 
     def test_ao_minus_zero_point(self):
         n, d = 2, 3
-        M = _on_spoint("AOminus", 1.0, SPoint.zero(n, d))
+        M = _on_spoint("AOminus", 1.0, SPoint(np.zeros((n, d)), np.zeros((d, n))))
         nd = n * d
         np.testing.assert_allclose(M[:nd, nd:], -_cross_delta(n, d))
 

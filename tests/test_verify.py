@@ -545,7 +545,7 @@ class TestBracketCoordFn:
 
 class TestMomentResiduals:
     def test_zero_point(self):
-        res = moment_residuals(1.0, SPoint.zero(2, 2), POLY)
+        res = moment_residuals(1.0, SPoint(np.zeros((2, 2)), np.zeros((2, 2))), POLY)
         assert res["Ga1"] < 1e-12
         assert res["Ga1prime"] < 1e-12
 
@@ -564,7 +564,7 @@ class TestMomentResiduals:
 
 class TestLemmaResiduals:
     def test_zero_tuple(self):
-        res = lemma_h_residuals(1.0, SpinTuple.zero(2, 2), FD)
+        res = lemma_h_residuals(1.0, SpinTuple(SpinPoint(z, z) for z in np.zeros((2, 2))), FD)
         for key, val in res.items():
             assert val < 1e-12, key
 
@@ -750,7 +750,7 @@ class TestSymplectic:
 
     def test_zero_point(self):
         n, kappa = 3, 2.0
-        Om = symplectic_matrix(kappa, SpinPoint.zero(n))
+        Om = symplectic_matrix(kappa, SpinPoint(np.zeros(n), np.zeros(n)))
         expected = np.zeros((2 * n, 2 * n), dtype=complex)
         expected[:n, n:] = (-1 / kappa) * np.eye(n)
         expected[n:, :n] = (1 / kappa) * np.eye(n)
