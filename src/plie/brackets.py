@@ -125,10 +125,9 @@ def _fill_sprod(spec: "BracketSpec", x: np.ndarray) -> np.ndarray:
     a = np.stack([s.a for s in t], axis=-2)
     b = np.stack([s.b for s in t], axis=-2)
     blk = kernels.fill_s(a[..., :, None], b[..., None, :], spec.kappa)
-    m = 2 * n
-    M = np.zeros(blk.shape[:-3] + (m * d, m * d), dtype=complex)
-    for al in range(d):
-        M[..., m * al : m * (al + 1), m * al : m * (al + 1)] = blk[..., al, :, :]
+    m, batch = 2 * n, blk.shape[:-3]
+    M = np.zeros(batch + (m * d, m * d), dtype=complex)
+    np.einsum("...aiaj->...aij", M.reshape(batch + (d, m, d, m)))[...] = blk  # copy alpha's diagonal block
     return M
 
 
@@ -170,7 +169,6 @@ def _fill_sts(spec: "BracketSpec", x: np.ndarray) -> np.ndarray:
     """Quadratic Semenov-Tian-Shansky-type bracket on GL(l)."""
     h = charts.unpack_gl(x, spec.ell)
     ell = spec.ell
-    eye = np.eye(ell)
 
     C = np.einsum("...ia,...al->...ila", h, h)  # C[i,l,a] = h_ia h_al
     Ctail = np.flip(np.cumsum(np.flip(C, axis=-1), axis=-1), axis=-1) - C
@@ -178,10 +176,12 @@ def _fill_sts(spec: "BracketSpec", x: np.ndarray) -> np.ndarray:
     # kappa sum_b (1/2)(sgn(b-i) + 1) h_kb h_bj at [k,j,i]
     W = spec.kappa * (Ctail + 0.5 * C)
 
-    # delta_jk (-W[i,l,j]) + delta_il W[k,j,i]
-    D = eye[:, None, None, :] * W.swapaxes(-1, -3)[..., :, :, :, None]
-    D = D - eye[None, :, :, None] * W.swapaxes(-1, -2)[..., :, :, None, :]
-    return kernels.quadratic(h, h, spec.kappa, 0.0, 1.0, -1.0) + D.reshape(h.shape[:-2] + (ell * ell, ell * ell))
+    M = kernels.quadratic(h, h, spec.kappa, 0.0, 1.0, -1.0)
+    M4 = M.reshape(h.shape[:-2] + (ell,) * 4)  # axes (i, j, k, l)
+    # + delta_il W[k,j,i] - delta_jk W[i,l,j]
+    np.einsum("...ijki->...ijk", M4)[...] += W.swapaxes(-1, -3)
+    np.einsum("...ijjl->...ijl", M4)[...] -= W.swapaxes(-1, -2)
+    return M
 
 
 def _fill_zak(spec: "BracketSpec", x: np.ndarray) -> np.ndarray:
@@ -205,8 +205,7 @@ def _fill_zak(spec: "BracketSpec", x: np.ndarray) -> np.ndarray:
     br = b[..., None, :]
     cross = np.asarray(-0.5 * kappa * Gv)[..., None, None] * (ac * br)
     diag = 0.5 * kappa * (np.asarray(Fv)[..., None] - (S @ ab[..., None])[..., 0])
-    r = np.arange(n)
-    cross[..., r, r] += diag
+    np.einsum("...ii->...i", cross)[...] += diag
     M = np.zeros(a.shape[:-1] + (2 * n, 2 * n), dtype=complex)
     M[..., :n, :n] = kernels.quadratic(ac, ac, kappa, 0.0, 1.0, 0.0)
     M[..., n:, n:] = kernels.quadratic(br, br, kappa, 0.0, 0.0, -1.0)

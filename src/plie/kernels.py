@@ -8,6 +8,11 @@ S(n,d) chart: A(i,alpha) row-major, then B(alpha,i) row-major.  A single
 point is the batch shape ``()``.  A fill is valid on and above the block
 diagonal: it writes the AA, BB and AB blocks and leaves the BA block zero,
 for ``brackets.antisymmetrize`` to mirror.
+
+Every Kronecker-delta term of a fill, here and in :mod:`plie.brackets`, is
+written in place through a diagonal view such as
+``np.einsum("...iaai->...ia", X)`` of an array the fill has just allocated;
+NumPy returns those views writable.
 """
 
 from __future__ import annotations
@@ -52,25 +57,6 @@ def quadratic(M, N, kappa: complex, c0: float, c_row: float, c_col: float) -> np
     return (0.5 * kappa) * W * P.reshape(batch + (r * c, r * c))
 
 
-@lru_cache(maxsize=None)
-def _cross_delta_indices(n: int, d: int):
-    """Flat positions in the (n, d, d, n) cross block of its three delta terms.
-
-    Returns the positions of (i, a, b, i), of (i, a, a, k) and of (i, a, a, i),
-    each in the row-major order of its free indices.
-    """
-    i = np.arange(n)[:, None, None]
-    a = np.arange(d)[None, :, None]
-    b = np.arange(d)[None, None, :]
-    k = np.arange(n)[None, None, :]
-    ik = (((i * d + a) * d + b) * n + i).ravel()
-    ab = (((i * d + a) * d + a) * n + k).ravel()
-    both = (((i * d + a) * d + a) * n + i)[:, :, 0].ravel()
-    for idx in (ik, ab, both):
-        idx.flags.writeable = False
-    return ik, ab, both
-
-
 def _fill(A, B, kappa: complex, hat: bool, cross_const: complex) -> np.ndarray:
     A = np.asarray(A, dtype=complex)
     B = np.asarray(B, dtype=complex)
@@ -104,11 +90,11 @@ def _fill(A, B, kappa: complex, hat: bool, cross_const: complex) -> np.ndarray:
         np.negative(T_ik, out=T_ik)
         np.negative(T_ab, out=T_ab)
 
-    ik, ab, both = _cross_delta_indices(n, d)
-    AB = np.zeros(batch + (n * d * d * n,), dtype=complex)
-    AB[..., ik] = T_ik.reshape(batch + (-1,))
-    AB[..., ab] += T_ab.reshape(batch + (-1,))
-    AB[..., both] += cross_const
+    # the three delta terms, written through diagonal views of the (i, a, b, k) cross block
+    AB = np.zeros(batch + (n, d, d, n), dtype=complex)
+    np.einsum("...iabi->...iab", AB)[...] = T_ik
+    np.einsum("...iaak->...iak", AB)[...] += T_ab
+    np.einsum("...iaai->...ia", AB)[...] += cross_const
     M[..., :nd, nd:] = AB.reshape(batch + (nd, nd))
     return M
 

@@ -236,6 +236,7 @@ def jacobi_residual(spec: BracketSpec, x: np.ndarray, scheme: DiffScheme):
             Xs = X[s : s + 1]
             D = _central_differences(spec.upper, Xs, scheme, block, directions=spec.bivector(Xs))
             parts.append(_upper_cyclic_max(D))
+            del D  # one (dim, dim, dim) stack at a time: not alive during the next sample's fill
     out = np.concatenate(parts) if parts else np.empty(0)
     return float(out[0]) if x.ndim == 1 else out
 

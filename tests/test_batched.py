@@ -339,20 +339,35 @@ def test_dual_group_row_probes_stay_in_chart_domain():
     assert np.all(jacobi_residual(spec, X, RATIONAL) < suites.TOL_EXACT)
 
 
+def _traced_peak(fn):
+    """Peak traced memory of a second call of ``fn``, after one-off allocations."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_big_residual_keeps_one_derivative_stack():
     # one (dim, dim, dim) complex stack at dim 98 is 15.1 MB; the residual
     # peaked at 18.1 MB with NumPy 2.4 (37.8 MB when it formed T = Pi @ dPi
     # beside the derivative stack and the full cyclic sum)
     x = sampling.sample_vector(42, 0, BIG.dim, 1.0)
-    stack = 16 * BIG.dim**3
-    jacobi_residual(BIG, x, POLY)  # one-off allocations outside the measurement
-    tracemalloc.start()
-    try:
-        jacobi_residual(BIG, x, POLY)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * stack
+    assert _traced_peak(lambda: jacobi_residual(BIG, x, POLY)) < 1.5 * 16 * BIG.dim**3
+
+
+def test_multi_call_stack_keeps_one_derivative_stack():
+    # at dim 64 one (dim, dim, dim) complex stack is 4.2 MB; one sample's
+    # residual peaked at 6.5 MB with NumPy 2.4, and a stack of 3 at 10.5 MB
+    # while the previous sample's stack stayed bound during the next fill
+    spec = BracketSpec("S", 1.0, n=4, d=8)
+    assert _per_sample_entries(spec, POLY) > verify._BLOCK_ENTRIES
+    X = sampling.sample_vector(42, np.arange(3), spec.dim, 1.0)
+    one = _traced_peak(lambda: jacobi_residual(spec, X[:1], POLY))
+    three = _traced_peak(lambda: jacobi_residual(spec, X, POLY))
+    assert three <= one + 16 * spec.dim**3 / 4
 
 
 # one spec of every kind at a dim where one sample's probes span several

@@ -110,10 +110,22 @@ class TestSBivector:
 
 
 class TestProductBivector:
-    def test_d1_equals_s(self):
-        s = sampling.sample_spin(3, 0, 4, 1.0)
-        t = SpinTuple([s])
-        np.testing.assert_array_equal(_on_tuple(1.0, t), _on_spoint("S", 1.0, s.as_spoint()))
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_copy_blocks_equal_s(self, d):
+        # each copy's diagonal block is S(n,1) at that copy; the rest is exactly 0
+        n = 4
+        m = 2 * n
+        t = sampling.sample_tuple(3, np.arange(2), n, d, 1.0)
+        for kappa in KAPPAS:
+            M = _on_tuple(kappa, t)
+            assert M.shape == (2, m * d, m * d)
+            for a in range(d):
+                for b in range(d):
+                    blk = M[:, m * a : m * (a + 1), m * b : m * (b + 1)]
+                    if a == b:
+                        np.testing.assert_array_equal(blk, _on_spoint("S", kappa, t[a].as_spoint()))
+                    else:
+                        np.testing.assert_array_equal(blk, np.zeros_like(blk))
 
     def test_zero_point_cross_block(self):
         n, d, kappa = 3, 2, 2.0 + 1.0j
@@ -144,6 +156,17 @@ class TestOscillatorVariants:
         M = _on_spoint("AOminus", 1.0, SPoint(np.zeros((n, d)), np.zeros((d, n))))
         nd = n * d
         np.testing.assert_allclose(M[:nd, nd:], -_cross_delta(n, d))
+
+    @pytest.mark.parametrize("n,d", [(n, d) for n in range(1, 5) for d in range(1, 5)])
+    @pytest.mark.parametrize("kappa", KAPPAS)
+    def test_ao_minus_is_s_at_minus_kappa(self, n, d, kappa):
+        # AO- is S at -kappa with cross constant -1 in place of -kappa: a
+        # relation that pins its scale, which the Jacobi identity cannot
+        X = charts.pack_spoint(sampling.sample_spoint(n * 10 + d, np.arange(3), n, d, 1.0))
+        M = BracketSpec("AOminus", kappa, n=n, d=d).bivector(X)
+        want = BracketSpec("S", -kappa, n=n, d=d).bivector(X)
+        want += (kappa - 1) * BracketSpec("S", 1.0, n=n, d=d).bivector(np.zeros(2 * n * d))
+        np.testing.assert_allclose(M, want, rtol=0, atol=1e-15 * max(1.0, np.max(np.abs(M))))
 
 
 def _cross_delta(n: int, d: int) -> np.ndarray:
@@ -214,12 +237,12 @@ class TestSts:
     def test_scalar_case(self):
         assert np.max(np.abs(_on_gl("STS", 1.0, np.array([[1.7]])))) == 0
 
-    @pytest.mark.parametrize("ell", [2, 3, 4])
+    @pytest.mark.parametrize("ell", [1, 2, 3, 4, 5])
     def test_matches_tensor_oracle(self, ell):
-        h = sampling.sample_gl(11, ell, ell, 1.0)
-        kappa = 2.0 - 1.0j
-        oracle = sts_rhs_tensor(kappa, h, ell).array.reshape(ell * ell, ell * ell)
-        np.testing.assert_allclose(_on_gl("STS", kappa, h), antisymmetrize(oracle), atol=1e-13)
+        h = sampling.sample_gl(11, np.arange(ell, ell + 3), ell, 1.0)
+        for kappa in KAPPAS:
+            oracle = sts_rhs_tensor(kappa, h, ell).array.reshape(3, ell * ell, ell * ell)
+            np.testing.assert_allclose(_on_gl("STS", kappa, h), antisymmetrize(oracle), atol=1e-13)
 
 
 class TestZakrzewski:
