@@ -28,7 +28,10 @@ of them from the same derivatives, and below it only by the rounding of the
 three cyclic sums.  Two regimes differ only in the probe directions.  While
 one sample's probes fit in one call (``_BLOCK_ENTRIES``), the probes of a
 chunk of samples run along the coordinate axes, in one call with their
-points, and T is the product of Pi with the derivatives.  Beyond that, each
+points, and T is the product of Pi with the derivatives, formed as one
+dim x dim x dim product per sample and column j: at dim <= 31 each stays
+below the size from which OpenBLAS runs a product on a second thread, so
+the regime uses one core.  Beyond that, each
 sample's point gets a bivector call of its own and its probes run along the
 rows of Pi(x), block by block, so the differences are T itself.
 """
@@ -204,9 +207,13 @@ def jacobi_residual(spec: BracketSpec, x: np.ndarray, scheme: DiffScheme):
 
     - single call (``per_sample <= _BLOCK_ENTRIES``): the stack is cut into
       chunks of consecutive samples whose probes along the coordinate axes
-      e_l, and the samples' own points, fit in one call; T is the batched
-      product of Pi(x) with the derivative stack, about
-      ``_BLOCK_ENTRIES * dim / 2`` multiply-adds per call.
+      e_l, and the samples' own points, fit in one call; T is Pi(x) times
+      the derivative stack, about ``_BLOCK_ENTRIES * dim / 2`` multiply-adds
+      per call, formed as one dim^3 product per (sample, j),
+      T[:, j, :] = Pi(x) dPi[:, j, :].  One dim x dim^2 product per sample
+      would do the same multiply-adds, but OpenBLAS runs a product on two
+      threads from M*N*K >= 2^16 on (0.3.31), i.e. from dim 16 here, and its
+      helper thread then spins between calls; dim^3 <= 31^3 stays below.
     - multi-call: one sample at a time, its point in a bivector call of its
       own, then its probes along the rows Pi(x) e_i (unnormalised) in blocks
       of consecutive rows of at most ``_BLOCK_ENTRIES`` entries a call.  The
@@ -227,9 +234,10 @@ def jacobi_residual(spec: BracketSpec, x: np.ndarray, scheme: DiffScheme):
         chunk = _BLOCK_ENTRIES // per_sample
         for s0 in range(0, len(X), chunk):
             D, U0 = _central_differences(spec.upper, X[s0 : s0 + chunk], scheme, dim, with_base=True)
-            S = len(D)
-            T = antisymmetrize(U0) @ D.reshape(S, dim, dim * dim)
-            parts.append(_upper_cyclic_max(T.reshape(S, dim, dim, dim)))
+            # T[s, :, j, :] = Pi(x_s) @ D[s, :, j, :]: one dim^3 product per (s, j)
+            T = antisymmetrize(U0)[:, None] @ D.transpose(0, 2, 1, 3)
+            parts.append(_upper_cyclic_max(T.transpose(0, 2, 1, 3)))
+            del D, U0, T  # not alive during the next chunk's fill
     else:
         block = max(1, _BLOCK_ENTRIES // per_direction)
         for s in range(len(X)):
