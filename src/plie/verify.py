@@ -11,7 +11,9 @@ be supplied for linear maps.  A differentiated map takes points of shape
 probe points, along the coordinate axes, in one call.  Brackets of
 functions g are read from C = Pi J_g^T, the brackets {x_p, g_q} of the
 coordinates with g (``_coordinate_brackets``), and J_g C: only the functions
-are differentiated, never the coordinates themselves.
+are differentiated, never the coordinates themselves.  The ordered-product
+identities form the same products one h-block at a time
+(``lemma_h_residuals``).
 
 Every residual takes one point and returns a float (a dict of floats for
 the identity families), or a stack of S points and returns the (S,) array
@@ -512,18 +514,30 @@ def lemma_h_residuals(kappa: complex, t: SpinTuple, scheme: DiffScheme) -> dict:
 
     With 1-based copies, h+^{al;be} = g_+(al)...g_+(be) and
     h-^{al;be} = g_-(be)^-1...g_-(al)^-1 (both I when al > be).
+
+    The brackets are formed per h-block, the blocks the identities index by
+    (al, be): {x, h+-^be} = Pi J_h^T is one dim x dim x n^2 product per block,
+    and {h+^al, h+-^be} one n^2 x dim x n^2 product per pair of blocks.  These
+    are the multiply-adds of the two flat products C = Pi J_h^T and J_h+ C,
+    but each stays below the size from which OpenBLAS runs a product on a
+    second thread (M*N*K >= 2^16 with OpenBLAS 0.3.31) for n = d <= 5, so no
+    helper thread spins between calls.
     """
     n, d = t.n, t.d
     n2 = n * n
     x = charts.pack_tuple(t)
     rn, rp, rm = dj_r(n), r_pm(n, +1), r_pm(n, -1)
     gp_list, gminus_inv, hp, hm = _h_products(t)
-    C, J = _coordinate_brackets(BracketSpec("Sprod", kappa, n=n, d=d), x, lambda xx: _h_map(xx, n, d), scheme)
-    batch = C.shape[:-2]
+    dim = x.shape[-1]
+    Jh = jacobian_fd(lambda xx: _h_map(xx, n, d), x, scheme)
+    batch = Jh.shape[:-2]
+    Jh = Jh.reshape(batch + (2 * d, n2, dim))  # one (n^2, dim) block per h+-^be
+    # {x, h}: one Pi J_h^T product per block; axes h+/h-, copy be, coordinate, entry of h
+    Cb = BracketSpec("Sprod", kappa, n=n, d=d).bivector(x)[..., None, :, :] @ _t(Jh)
     # axes: copy al, a/b, entry of the spin; h+/h-, copy be, entry of h
-    ch = C.reshape(batch + (d, 2, n, 2, d, n2))
-    # {h+^al, h^be}; axes: copy al, entry of h+; h+/h-, copy be, entry of h
-    hh = (J[..., : d * n2, :] @ C).reshape(batch + (d, n2, 2, d, n2))
+    ch = np.moveaxis(Cb.reshape(batch + (2, d, d, 2, n, n2)), (-6, -5), (-3, -2))
+    # {h+^al, h^be}, one product per (al, be) block; axes: copy al, entry of h+; h+/h-, copy be, entry of h
+    hh = np.moveaxis((Jh[..., :d, None, :, :] @ Cb[..., None, :, :, :]).reshape(batch + (d, 2, d, n2, n2)), -2, -4)
 
     keys = ["a_hplus", "b_hplus", "a_hminus", "b_hminus", "hplus_hplus", "hplus_hminus_le", "hplus_hminus_ge"]
     out = {k: 0.0 for k in keys}

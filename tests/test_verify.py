@@ -731,7 +731,7 @@ def test_moment_factor_matches_full_bracket_reference(n, d):
         np.testing.assert_allclose(got[key], want[key], rtol=0, atol=_COORD_FN_ATOL, err_msg=key)
 
 
-@pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (2, 3)])
+@pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (2, 3), (3, 3), (4, 4)])
 def test_lemma_h_matches_full_bracket_reference(n, d):
     t = sampling.sample_tuple(42, np.arange(3), n, d, 0.3)
     got = lemma_h_residuals(1.0 - 0.5j, t, FD)
