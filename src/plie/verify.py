@@ -11,9 +11,8 @@ be supplied for linear maps.  A differentiated map takes points of shape
 probe points, along the coordinate axes, in one call.  Brackets of
 functions g are read from C = Pi J_g^T, the brackets {x_p, g_q} of the
 coordinates with g (``_coordinate_brackets``), and J_g C: only the functions
-are differentiated, never the coordinates themselves.  The ordered-product
-identities form the same products one h-block at a time
-(``lemma_h_residuals``).
+are differentiated, never the coordinates themselves.  Every product of
+dim-sided matrices goes through ``_matmul``, which keeps it on one core.
 
 Every residual takes one point and returns a float (a dict of floats for
 the identity families), or a stack of S points and returns the (S,) array
@@ -30,10 +29,7 @@ of them from the same derivatives, and below it only by the rounding of the
 three cyclic sums.  Two regimes differ only in the probe directions.  While
 one sample's probes fit in one call (``_BLOCK_ENTRIES``), the probes of a
 chunk of samples run along the coordinate axes, in one call with their
-points, and T is the product of Pi with the derivatives, formed as one
-dim x dim x dim product per sample and column j: at dim <= 31 each stays
-below the size from which OpenBLAS runs a product on a second thread, so
-the regime uses one core.  Beyond that, each
+points, and T is the product of Pi with the derivatives.  Beyond that, each
 sample's point gets a bivector call of its own and its probes run along the
 rows of Pi(x), block by block, so the differences are T itself.
 """
@@ -168,6 +164,23 @@ def _central_differences(
     return (D, base) if with_base else D
 
 
+def _matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B for stacks of matrices, in blocks of at least two rows of A.
+
+    OpenBLAS (0.3.31) runs a product of M*N*K >= 2^16 multiply-adds on a
+    second thread, which then spins between calls, and a one-row product
+    goes to gemv, which threads far sooner.  Each block stays below 2^16
+    where two rows do, but for one block of three rows of an odd M where
+    three rows do not.  A block of rows of A gives the same rows of A @ B,
+    bit for bit."""
+    M, K = A.shape[-2:]
+    rows = max(1, (2**16 - 1) // max(1, K * B.shape[-1]))
+    blocks = min(M // 2, -(-M // rows))
+    if blocks <= 1:
+        return A @ B
+    return np.concatenate([a @ B for a in np.array_split(A, blocks, axis=-2)], axis=-2)
+
+
 def jacobian_fd(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, scheme: DiffScheme) -> np.ndarray:
     """Central-difference Jacobian of a holomorphic map: shape (m, dim) at one
     point x of shape (dim,), and (..., m, dim) at a stack of shape (..., dim).
@@ -209,13 +222,9 @@ def jacobi_residual(spec: BracketSpec, x: np.ndarray, scheme: DiffScheme):
 
     - single call (``per_sample <= _BLOCK_ENTRIES``): the stack is cut into
       chunks of consecutive samples whose probes along the coordinate axes
-      e_l, and the samples' own points, fit in one call; T is Pi(x) times
-      the derivative stack, about ``_BLOCK_ENTRIES * dim / 2`` multiply-adds
-      per call, formed as one dim^3 product per (sample, j),
-      T[:, j, :] = Pi(x) dPi[:, j, :].  One dim x dim^2 product per sample
-      would do the same multiply-adds, but OpenBLAS runs a product on two
-      threads from M*N*K >= 2^16 on (0.3.31), i.e. from dim 16 here, and its
-      helper thread then spins between calls; dim^3 <= 31^3 stays below.
+      e_l, and the samples' own points, fit in one call; T is the product
+      of Pi(x) with the derivative stack, about ``_BLOCK_ENTRIES * dim / 2``
+      multiply-adds per call.
     - multi-call: one sample at a time, its point in a bivector call of its
       own, then its probes along the rows Pi(x) e_i (unnormalised) in blocks
       of consecutive rows of at most ``_BLOCK_ENTRIES`` entries a call.  The
@@ -236,9 +245,8 @@ def jacobi_residual(spec: BracketSpec, x: np.ndarray, scheme: DiffScheme):
         chunk = _BLOCK_ENTRIES // per_sample
         for s0 in range(0, len(X), chunk):
             D, U0 = _central_differences(spec.upper, X[s0 : s0 + chunk], scheme, dim, with_base=True)
-            # T[s, :, j, :] = Pi(x_s) @ D[s, :, j, :]: one dim^3 product per (s, j)
-            T = antisymmetrize(U0)[:, None] @ D.transpose(0, 2, 1, 3)
-            parts.append(_upper_cyclic_max(T.transpose(0, 2, 1, 3)))
+            T = _matmul(antisymmetrize(U0), D.reshape(len(D), dim, dim * dim))
+            parts.append(_upper_cyclic_max(T.reshape(D.shape)))
             del D, U0, T  # not alive during the next chunk's fill
     else:
         block = max(1, _BLOCK_ENTRIES // per_direction)
@@ -288,7 +296,7 @@ def _t(m: np.ndarray) -> np.ndarray:
 
 def _pushforward(J: np.ndarray, Pi: np.ndarray) -> np.ndarray:
     """J Pi J^T for stacks of Jacobians and bivectors."""
-    return J @ Pi @ _t(J)
+    return _matmul(_matmul(J, Pi), _t(J))
 
 
 def _map_jacobian(f, x: np.ndarray, scheme: Optional[DiffScheme], jac: Optional[np.ndarray]) -> np.ndarray:
@@ -355,7 +363,7 @@ def _coordinate_brackets(spec: BracketSpec, x: np.ndarray, g: Callable[[np.ndarr
     pair per point of a stack of shape (..., dim).  The coordinates' own
     Jacobian is exactly I, so only g is differentiated."""
     Jg = jacobian_fd(g, x, scheme)
-    return spec.bivector(x) @ _t(Jg), Jg
+    return _matmul(spec.bivector(x), _t(Jg)), Jg
 
 
 def bracket_functions(
@@ -370,7 +378,7 @@ def bracket_functions(
     x = np.asarray(x, dtype=complex)
     C, Jg = _coordinate_brackets(spec, x, g, scheme)
     Jf = Jg if g is f else jacobian_fd(f, x, scheme)
-    return Jf @ C
+    return _matmul(Jf, C)
 
 
 def bracket_coord_fn(
@@ -430,7 +438,7 @@ def moment_gamma_residuals(kappa: complex, point: SPoint, scheme: DiffScheme) ->
 
         C, J = _coordinate_brackets(BracketSpec(kind, kappa, n=n, d=d), x, gamma_flat, scheme)
         G = np.eye(n, dtype=complex) + sign * (point.A @ point.B)
-        out[f"Ga1{suffix}"] = max_abs(J @ C - sign * _matrix(sts_rhs_tensor(kappa, G, n), n * n, n * n))
+        out[f"Ga1{suffix}"] = max_abs(_matmul(J, C) - sign * _matrix(sts_rhs_tensor(kappa, G, n), n * n, n * n))
         # {A1, G2} = kappa (G2 r+ - r- G2) A1 ; {B1, G2} = kappa B1 (r- G2 - G2 r+)
         rhs_A = _matrix(sign * kappa * (rpn.lmul2(G) - rmn.rmul2(G)).rmul1(point.A), nd, n * n)
         rhs_B = _matrix(sign * kappa * (rmn.rmul2(G) - rpn.lmul2(G)).lmul1(point.B), nd, n * n)
@@ -514,30 +522,18 @@ def lemma_h_residuals(kappa: complex, t: SpinTuple, scheme: DiffScheme) -> dict:
 
     With 1-based copies, h+^{al;be} = g_+(al)...g_+(be) and
     h-^{al;be} = g_-(be)^-1...g_-(al)^-1 (both I when al > be).
-
-    The brackets are formed per h-block, the blocks the identities index by
-    (al, be): {x, h+-^be} = Pi J_h^T is one dim x dim x n^2 product per block,
-    and {h+^al, h+-^be} one n^2 x dim x n^2 product per pair of blocks.  These
-    are the multiply-adds of the two flat products C = Pi J_h^T and J_h+ C,
-    but each stays below the size from which OpenBLAS runs a product on a
-    second thread (M*N*K >= 2^16 with OpenBLAS 0.3.31) for n = d <= 5, so no
-    helper thread spins between calls.
     """
     n, d = t.n, t.d
     n2 = n * n
     x = charts.pack_tuple(t)
     rn, rp, rm = dj_r(n), r_pm(n, +1), r_pm(n, -1)
     gp_list, gminus_inv, hp, hm = _h_products(t)
-    dim = x.shape[-1]
-    Jh = jacobian_fd(lambda xx: _h_map(xx, n, d), x, scheme)
-    batch = Jh.shape[:-2]
-    Jh = Jh.reshape(batch + (2 * d, n2, dim))  # one (n^2, dim) block per h+-^be
-    # {x, h}: one Pi J_h^T product per block; axes h+/h-, copy be, coordinate, entry of h
-    Cb = BracketSpec("Sprod", kappa, n=n, d=d).bivector(x)[..., None, :, :] @ _t(Jh)
+    C, J = _coordinate_brackets(BracketSpec("Sprod", kappa, n=n, d=d), x, lambda xx: _h_map(xx, n, d), scheme)
+    batch = C.shape[:-2]
     # axes: copy al, a/b, entry of the spin; h+/h-, copy be, entry of h
-    ch = np.moveaxis(Cb.reshape(batch + (2, d, d, 2, n, n2)), (-6, -5), (-3, -2))
-    # {h+^al, h^be}, one product per (al, be) block; axes: copy al, entry of h+; h+/h-, copy be, entry of h
-    hh = np.moveaxis((Jh[..., :d, None, :, :] @ Cb[..., None, :, :, :]).reshape(batch + (d, 2, d, n2, n2)), -2, -4)
+    ch = C.reshape(batch + (d, 2, n, 2, d, n2))
+    # {h+^al, h^be}; axes: copy al, entry of h+; h+/h-, copy be, entry of h
+    hh = _matmul(J[..., : d * n2, :], C).reshape(batch + (d, n2, 2, d, n2))
 
     keys = ["a_hplus", "b_hplus", "a_hminus", "b_hminus", "hplus_hplus", "hplus_hminus_le", "hplus_hminus_ge"]
     out = {k: 0.0 for k in keys}
@@ -603,7 +599,7 @@ def symplectic_inversion_residual(kappa: complex, p: SpinPoint):
     spin gives a float, a stack of spins (..., n) their residuals."""
     Om = symplectic_matrix(kappa, p)
     Pi = BracketSpec("S", kappa, n=p.n, d=1).bivector(charts.pack_spoint(p.as_spoint()))
-    return max_abs(Om @ Pi - np.eye(2 * p.n))
+    return max_abs(_matmul(Om, Pi) - np.eye(2 * p.n))
 
 
 def rank_at(spec: BracketSpec, x: np.ndarray, sv_tolerance: float) -> int:

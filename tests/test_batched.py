@@ -407,15 +407,15 @@ def _full_cyclic_max(spec, X, scheme, rows=True):
     """Oracle: the max over every (i, j, k) of the cyclic sum of T, and max |T|,
     per point.  T is the derivative of the antisymmetric bivector along its
     rows, or with ``rows=False`` Pi(x) times its derivatives along the
-    coordinate axes, taken in one call with the points: one product per
-    (point, j), as the residual forms it, made exactly antisymmetric in
-    (j, k) like Pi and its derivatives."""
-    dim = spec.dim
+    coordinate axes, taken in one call with the points: the residual's own
+    ``_matmul`` product, made exactly antisymmetric in (j, k) like Pi and
+    its derivatives."""
+    S, dim = X.shape
     if rows:
         T = verify._central_differences(spec.bivector, X, scheme, dim, directions=spec.bivector(X))
     else:
         dPi, Pi = verify._central_differences(spec.bivector, X, scheme, dim, with_base=True)
-        T = antisymmetrize((Pi[:, None] @ dPi.transpose(0, 2, 1, 3)).transpose(0, 2, 1, 3))
+        T = antisymmetrize(verify._matmul(Pi, dPi.reshape(S, dim, dim * dim)).reshape(S, dim, dim, dim))
     J = T + T.transpose(0, 2, 3, 1) + T.transpose(0, 3, 1, 2)
     return np.max(np.abs(J), axis=(1, 2, 3)), np.max(np.abs(T), axis=(1, 2, 3))
 

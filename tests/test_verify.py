@@ -325,6 +325,34 @@ def test_jacobian_fd_polynomial_map():
     np.testing.assert_allclose(J, expected, atol=1e-12)
 
 
+# K x N with K*N below 2^15, in the gap 2^16/3 <= K*N < 2^15, and above 2^15
+@pytest.mark.parametrize("K,N", [(16, 16), (25, 625), (25, 1000), (64, 1024)])
+@pytest.mark.parametrize("M", [1, 2, 3, 16, 25, 125])
+@pytest.mark.parametrize("batch", [(), (3,)], ids=["matrix", "stack"])
+def test_matmul_is_the_product_in_row_blocks(monkeypatch, batch, M, K, N):
+    rng = np.random.default_rng(M * K * N)
+    A = rng.standard_normal(batch + (M, K)) + 1j * rng.standard_normal(batch + (M, K))
+    B = rng.standard_normal(batch + (K, N)) + 1j * rng.standard_normal(batch + (K, N))
+    split, blocks = np.array_split, []
+
+    def recorded_split(a, sections, axis):
+        parts = split(a, sections, axis=axis)
+        blocks.extend(p.shape[-2] for p in parts)
+        return parts
+
+    monkeypatch.setattr(np, "array_split", recorded_split)
+    assert np.array_equal(verify._matmul(A, B), A @ B)
+    rows = blocks or [M]
+    assert sum(rows) == M
+    if M >= 2:
+        assert min(rows) >= 2  # no block goes to gemv
+    if 2 * K * N < 2**16:
+        # every block stays below 2^16 multiply-adds, but for one block of
+        # three rows where M is odd and three rows do not fit
+        big = [r for r in rows if r * K * N >= 2**16]
+        assert big == [] or (M % 2 == 1 and big == [3])
+
+
 class TestJacobi:
     def test_s_bracket(self):
         spec = BracketSpec("S", 1.0, n=2, d=2)
