@@ -77,7 +77,7 @@ class HoloFn1:
 
 def _fill_s(spec: "BracketSpec", x: np.ndarray) -> np.ndarray:
     p = charts.unpack_spoint(x, spec.n, spec.d)
-    return kernels.fill_s(p.A, p.B, spec.kappa)
+    return kernels.fill_s(p.A, p.B, spec.kappa, spec.kappa)
 
 
 def _fill_prime(spec: "BracketSpec", x: np.ndarray) -> np.ndarray:
@@ -90,28 +90,12 @@ def _fill_ao_plus(spec: "BracketSpec", x: np.ndarray) -> np.ndarray:
     return kernels.fill_hat(p.A, p.B, spec.kappa, -1.0)
 
 
-@lru_cache(maxsize=None)
-def _eta_permutation(n: int, d: int) -> np.ndarray:
-    """Coordinate permutation induced by alpha -> d+1-alpha on both blocks."""
-    nd = n * d
-    a_part = np.arange(nd).reshape(n, d)[:, ::-1].ravel()
-    b_part = nd + np.arange(nd).reshape(d, n)[::-1, :].ravel()
-    perm = np.concatenate([a_part, b_part])
-    perm.flags.writeable = False
-    return perm
-
-
 def _fill_ao_minus(spec: "BracketSpec", x: np.ndarray) -> np.ndarray:
-    """The minus variant: plus bracket evaluated after the eta substitution.
-
-    The permutation moves the upper triangle of each diagonal block to its
-    lower one, so the plus bracket is antisymmetrized before it.
-    """
+    """The minus variant: the plus bracket after the substitution
+    alpha -> d+1-alpha on both blocks, which is the S bracket at -kappa
+    with cross constant -1."""
     p = charts.unpack_spoint(x, spec.n, spec.d)
-    # A eta_d and eta_d B reverse the columns of A and the rows of B
-    M = antisymmetrize(kernels.fill_hat(p.A[..., ::-1], p.B[..., ::-1, :], spec.kappa, -1.0))
-    perm = _eta_permutation(spec.n, spec.d)
-    return M[..., perm[:, None], perm]
+    return kernels.fill_s(p.A, p.B, -spec.kappa, -1.0)
 
 
 def _fill_sprod(spec: "BracketSpec", x: np.ndarray) -> np.ndarray:
@@ -124,7 +108,7 @@ def _fill_sprod(spec: "BracketSpec", x: np.ndarray) -> np.ndarray:
     # the d copies form one stack of S(n,1) points; S(n,1)'s chart is (a, b)
     a = np.stack([s.a for s in t], axis=-2)
     b = np.stack([s.b for s in t], axis=-2)
-    blk = kernels.fill_s(a[..., :, None], b[..., None, :], spec.kappa)
+    blk = kernels.fill_s(a[..., :, None], b[..., None, :], spec.kappa, spec.kappa)
     m, batch = 2 * n, blk.shape[:-3]
     M = np.zeros(batch + (m * d, m * d), dtype=complex)
     np.einsum("...aiaj->...aij", M.reshape(batch + (d, m, d, m)))[...] = blk  # copy alpha's diagonal block
@@ -137,18 +121,34 @@ def _fill_gl_mult(spec: "BracketSpec", x: np.ndarray) -> np.ndarray:
     return kernels.quadratic(g, g, spec.kappa, 0.0, 1.0, 1.0)
 
 
-def _double_raw(kappa: complex, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    m = u.shape[-1] ** 2
-    M = np.zeros(u.shape[:-2] + (2 * m, 2 * m), dtype=complex)
-    M[..., :m, :m] = kernels.quadratic(u, u, kappa, 0.0, 1.0, 1.0)
-    M[..., m:, m:] = kernels.quadratic(v, v, kappa, 0.0, 1.0, 1.0)
+def _double_raw(kappa: complex, u: np.ndarray, v: np.ndarray, free_u=None, free_v=None) -> np.ndarray:
+    """Raw fill of the double bracket at (u, v); with ``free_u`` and
+    ``free_v``, flat positions in u and in v, its rows and columns at those
+    coordinates only, u's before v's, bit for bit."""
+    m_u, m_v = (u.shape[-1] ** 2,) * 2 if free_u is None else (len(free_u), len(free_v))
+    M = np.zeros(u.shape[:-2] + (m_u + m_v, m_u + m_v), dtype=complex)
+    M[..., :m_u, :m_u] = kernels.quadratic(u, u, kappa, 0.0, 1.0, 1.0, free_u, free_u)
+    M[..., m_u:, m_u:] = kernels.quadratic(v, v, kappa, 0.0, 1.0, 1.0, free_v, free_v)
     # {u_ij, v_kl} = (kappa/2) [ (1 + sgn(j-l)) u_il v_kj - (1 - sgn(i-k)) v_il u_kj ]
-    M[..., :m, m:] = kernels.quadratic(u, v, kappa, 1.0, 0.0, 1.0) - kernels.quadratic(v, u, kappa, 1.0, -1.0, 0.0)
+    uv = kernels.quadratic(u, v, kappa, 1.0, 0.0, 1.0, free_u, free_v)
+    M[..., :m_u, m_u:] = uv - kernels.quadratic(v, u, kappa, 1.0, -1.0, 0.0, free_u, free_v)
     return M
 
 
 def _fill_double(spec: "BracketSpec", x: np.ndarray) -> np.ndarray:
     return _double_raw(spec.kappa, *charts.unpack_double(x, spec.ell))
+
+
+@lru_cache(maxsize=None)
+def _glstar_free_split(ell: int) -> tuple:
+    """The GLstar free coordinates as flat positions in h_+ and in h_-, in
+    chart order: every h_+ one comes before every h_- one."""
+    idx = charts.glstar_free_indices(ell)
+    m = ell * ell
+    free_u, free_v = idx[idx < m], idx[idx >= m] - m
+    free_u.flags.writeable = False
+    free_v.flags.writeable = False
+    return free_u, free_v
 
 
 def _fill_dual_group(spec: "BracketSpec", x: np.ndarray) -> np.ndarray:
@@ -157,12 +157,11 @@ def _fill_dual_group(spec: "BracketSpec", x: np.ndarray) -> np.ndarray:
     The dual group sits inside the double as a Poisson submanifold, so the
     free-coordinate bracket is the restriction of the double bracket; the
     dependent diagonal of h_- never enters the chart.  Every free h_+
-    coordinate comes before every free h_- one, so the restriction of the
-    double's raw fill is valid on and above the diagonal.
+    coordinate comes before every free h_- one, so the double's raw fill,
+    formed at the free coordinates only, is valid on and above the diagonal.
     """
     pair = charts.unpack_dual(x, spec.ell)
-    idx = charts.glstar_free_indices(spec.ell)
-    return _double_raw(spec.kappa, pair.hplus, pair.hminus)[..., idx[:, None], idx]
+    return _double_raw(spec.kappa, pair.hplus, pair.hminus, *_glstar_free_split(spec.ell))
 
 
 def _fill_sts(spec: "BracketSpec", x: np.ndarray) -> np.ndarray:

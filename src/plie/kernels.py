@@ -42,19 +42,29 @@ def _quadratic_grid(r: int, c: int, c0: float, c_row: float, c_col: float) -> np
     return W
 
 
-def quadratic(M, N, kappa: complex, c0: float, c_row: float, c_col: float) -> np.ndarray:
+def quadratic(M, N, kappa: complex, c0: float, c_row: float, c_col: float, rows=None, cols=None) -> np.ndarray:
     """(kappa/2)(c0 + c_row sgn(i-k) + c_col sgn(j-l)) M_il N_kj at [(i,j), (k,l)].
 
     ``M`` and ``N`` are stacks of shape ``(..., r, c)``; the result has shape
     ``(..., r c, r c)`` with rows and columns in row-major (i, j) order.
+    ``rows`` and ``cols``, given together, are arrays of flat positions
+    i c + j and k c + l: the result is then the (..., len(rows), len(cols))
+    block at those rows and columns, bit for bit.
     """
     M = np.asarray(M, dtype=complex)
     N = np.asarray(N, dtype=complex)
     r, c = M.shape[-2:]
-    batch = M.shape[:-2]
     W = _quadratic_grid(r, c, c0, c_row, c_col)
-    P = M[..., :, None, None, :] * N.swapaxes(-1, -2)[..., None, :, :, None]  # axes (i, j, k, l)
-    return (0.5 * kappa) * W * P.reshape(batch + (r * c, r * c))
+    if rows is None:
+        batch = np.broadcast_shapes(M.shape[:-2], N.shape[:-2])
+        P = np.empty(batch + (r, c, r, c), dtype=complex)  # axes (i, j, k, l), C order
+        np.multiply(M[..., :, None, None, :], N.swapaxes(-1, -2)[..., None, :, :, None], out=P)
+        P = P.reshape(batch + (r * c, r * c))
+    else:
+        (i, j), (k, l) = divmod(rows[:, None], c), divmod(cols[None, :], c)
+        P = M[..., i, l] * N[..., k, j]
+        W = W[rows[:, None], cols]
+    return np.multiply((0.5 * kappa) * W, P, out=P)  # in place, in the operand order of (kappa/2) W P
 
 
 def _fill(A, B, kappa: complex, hat: bool, cross_const: complex) -> np.ndarray:
@@ -99,9 +109,14 @@ def _fill(A, B, kappa: complex, hat: bool, cross_const: complex) -> np.ndarray:
     return M
 
 
-def fill_s(A: np.ndarray, B: np.ndarray, kappa: complex) -> np.ndarray:
-    """Raw bracket matrix of the covariant bracket on S(n,d)."""
-    return _fill(A, B, kappa, False, kappa)
+def fill_s(A: np.ndarray, B: np.ndarray, kappa: complex, cross_const: complex) -> np.ndarray:
+    """Raw bracket matrix of the covariant bracket on S(n,d) and its relatives.
+
+    ``cross_const`` is the coefficient of delta_{ab} delta_{ik} in the
+    cross bracket: +kappa for the covariant bracket itself; the minus
+    oscillator bracket at kappa is this fill at -kappa with -1.
+    """
+    return _fill(A, B, kappa, False, cross_const)
 
 
 def fill_hat(A: np.ndarray, B: np.ndarray, kappa: complex, cross_const: complex) -> np.ndarray:

@@ -22,21 +22,26 @@ leading axis S.
 
 ``jacobi_residual`` needs T[i,j,k] = sum_l Pi_il d_l Pi_jk, the derivative
 of the bivector along its own rows.  Every probe calls the raw fill
-``BracketSpec.upper``, so T is read only where j < k, and one cyclic max
-over i < j < k (``_upper_cyclic_max``), taken in blocks of rows, gives the
-residual: a subset of the (i, j, k), so it is never above the max over all
-of them from the same derivatives, and below it only by the rounding of the
-three cyclic sums.  Two regimes differ only in the probe directions.  While
-one sample's probes fit in one call (``_BLOCK_ENTRIES``), the probes of a
-chunk of samples run along the coordinate axes, in one call with their
-points, and T is the product of Pi with the derivatives.  Beyond that, each
-sample's point gets a bivector call of its own and its probes run along the
-rows of Pi(x), block by block, so the differences are T itself.
+``BracketSpec.upper``, so T is read only where j < k, and the residual is
+the max of the cyclic sums over i < j < k: a subset of the (i, j, k), so it
+is never above the max over all of them from the same derivatives, and
+below it only by the rounding of the three cyclic sums.  Two regimes differ
+only in the probe directions.  While one sample's probes fit in one call
+(``_BLOCK_ENTRIES``), the probes of a chunk of samples run along the
+coordinate axes, in one call with their points, T is the product of Pi with
+the derivatives, and one cyclic max (``_upper_cyclic_max``) is taken in
+blocks of rows.  Beyond that, each sample's point gets a bivector call of
+its own and its probes run along the rows of Pi(x), block by block, so the
+differences are T itself: each block is added to a packed Jacobiator of
+the C(dim, 3) triples (``_add_rows``) and freed, so no (dim, dim, dim)
+array is formed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -108,7 +113,7 @@ class VerificationReport:
             raise ValueError("pass flag inconsistent with the failure list")
 
 
-def _central_differences(
+def _difference_blocks(
     f: Callable[[np.ndarray], np.ndarray],
     x: np.ndarray,
     scheme: DiffScheme,
@@ -116,24 +121,16 @@ def _central_differences(
     with_base: bool = False,
     directions: Optional[np.ndarray] = None,
 ):
-    """Derivative stacks D[s, l] = sum_k c_k (f(x_s + t_k v_sl) - f(x_s - t_k v_sl))
-    of the S points x of shape (S, dim) along directions v, with the offsets
-    t_k and weights c_k of ``scheme``; D has shape (S, m, ...).  ``directions``
-    has shape (S, m, dim), or (1, m, dim) for the same directions at every
-    point; by default they are the coordinate vectors e_l (m = dim).
-
-    ``f`` maps a (P, dim) stack of probes to P values; it is called once per
-    block of at most ``block`` consecutive l, on the probes x_s +- t_k v_sl
-    of that block for every s and k.  With ``with_base`` the S points
-    themselves go first in the first block's call, and (D, f(x)) is
-    returned.  ValueError if the values do not come back one per probe.
-    """
+    """The derivative stack of ``_central_differences``, one block at a time:
+    yields (l0, D[:, l0:l1]) for each block of at most ``block`` consecutive
+    directions l, each in an array of its own, after one call of ``f`` on
+    that block's probes.  With ``with_base`` the first item is (None, f(x)),
+    the values at the S points, which go first in the first block's call."""
     S, dim = x.shape
     if directions is None:
         directions = np.eye(dim)[None]
     m = directions.shape[1]
     K = len(scheme.offsets)
-    D = base = None
     for l0 in range(0, m, block):
         l1 = min(m, l0 + block)
         X = np.empty((S, K, 2, l1 - l0, dim), dtype=complex)
@@ -149,18 +146,42 @@ def _central_differences(
         if Y.shape[:1] != X.shape[:1]:
             raise ValueError(f"map must take (..., {dim}) to (..., m): a {X.shape} stack gave {Y.shape}")
         if lead:
-            base = Y[:S].copy()  # a copy, so the block's buffer is not kept alive
+            yield None, Y[:S].copy()  # a copy, so the block's buffer is not kept alive
             Y = Y[S:]
         Y = Y.reshape((S, K, 2, l1 - l0) + Y.shape[1:])
-        if D is None:
-            D = np.empty((S, m) + Y.shape[4:], dtype=complex)
-        blk = np.subtract(Y[:, 0, 0], Y[:, 0, 1], out=D[:, l0:l1])
+        blk = np.subtract(Y[:, 0, 0], Y[:, 0, 1])
         blk *= scheme.weights[0]
         for k in range(1, K):
             diff = np.subtract(Y[:, k, 0], Y[:, k, 1], out=Y[:, k, 0])  # in place: no temporary
             diff *= scheme.weights[k]
             blk += diff
         del Y  # not alive during the next block's call
+        yield l0, blk
+        del blk  # nor this block, once the caller is done with it
+
+
+def _central_differences(
+    f: Callable[[np.ndarray], np.ndarray],
+    x: np.ndarray,
+    scheme: DiffScheme,
+    with_base: bool = False,
+    directions: Optional[np.ndarray] = None,
+):
+    """Derivative stacks D[s, l] = sum_k c_k (f(x_s + t_k v_sl) - f(x_s - t_k v_sl))
+    of the S points x of shape (S, dim) along directions v, with the offsets
+    t_k and weights c_k of ``scheme``; D has shape (S, m, ...).  ``directions``
+    has shape (S, m, dim), or (1, m, dim) for the same directions at every
+    point; by default they are the coordinate vectors e_l (m = dim).
+
+    ``f`` maps a (P, dim) stack of probes to P values; it is called once, on
+    the probes x_s +- t_k v_sl of every s, l and k.  With ``with_base`` the S
+    points themselves go first in that call, and (D, f(x)) is returned.
+    ValueError if the values do not come back one per probe.
+    """
+    m = x.shape[1] if directions is None else directions.shape[1]
+    blocks = _difference_blocks(f, x, scheme, m, with_base, directions)
+    base = next(blocks)[1] if with_base else None
+    ((_, D),) = blocks
     return (D, base) if with_base else D
 
 
@@ -192,7 +213,7 @@ def jacobian_fd(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, scheme: Di
     """
     x = np.asarray(x, dtype=complex)
     dim = x.shape[-1]
-    D = _central_differences(f, x.reshape(-1, dim), scheme, dim)
+    D = _central_differences(f, x.reshape(-1, dim), scheme)
     if D.ndim != 3:
         raise ValueError(f"map must take (..., {dim}) to (..., m): its values have shape {D.shape[2:]}")
     return D.swapaxes(-1, -2).reshape(x.shape[:-1] + (D.shape[2], dim))
@@ -225,13 +246,17 @@ def jacobi_residual(spec: BracketSpec, x: np.ndarray, scheme: DiffScheme):
       e_l, and the samples' own points, fit in one call; T is the product
       of Pi(x) with the derivative stack, about ``_BLOCK_ENTRIES * dim / 2``
       multiply-adds per call.
+      The cyclic sum is taken in blocks of rows i and only its running max
+      is kept.
     - multi-call: one sample at a time, its point in a bivector call of its
       own, then its probes along the rows Pi(x) e_i (unnormalised) in blocks
       of consecutive rows of at most ``_BLOCK_ENTRIES`` entries a call.  The
-      differences are T itself, so no dim^4 product is formed.
+      differences are T itself, so no dim^4 product is formed, and each
+      block's are added to the packed J over i < j < k, C(dim, 3) complex
+      entries (a sixth of a (dim, dim, dim) array), as the block arrives;
+      then max |J| is taken in chunks.
 
-    The cyclic sum is taken in blocks of rows i and only its running max is
-    kept.  A sample's residual depends only on its point.
+    A sample's residual depends only on its point.
     """
     x = np.asarray(x, dtype=complex)
     dim = spec.dim
@@ -244,7 +269,7 @@ def jacobi_residual(spec: BracketSpec, x: np.ndarray, scheme: DiffScheme):
     if per_sample <= _BLOCK_ENTRIES:
         chunk = _BLOCK_ENTRIES // per_sample
         for s0 in range(0, len(X), chunk):
-            D, U0 = _central_differences(spec.upper, X[s0 : s0 + chunk], scheme, dim, with_base=True)
+            D, U0 = _central_differences(spec.upper, X[s0 : s0 + chunk], scheme, with_base=True)
             T = _matmul(antisymmetrize(U0), D.reshape(len(D), dim, dim * dim))
             parts.append(_upper_cyclic_max(T.reshape(D.shape)))
             del D, U0, T  # not alive during the next chunk's fill
@@ -252,11 +277,74 @@ def jacobi_residual(spec: BracketSpec, x: np.ndarray, scheme: DiffScheme):
         block = max(1, _BLOCK_ENTRIES // per_direction)
         for s in range(len(X)):
             Xs = X[s : s + 1]
-            D = _central_differences(spec.upper, Xs, scheme, block, directions=spec.bivector(Xs))
-            parts.append(_upper_cyclic_max(D))
-            del D  # one (dim, dim, dim) stack at a time: not alive during the next sample's fill
+            J = np.zeros(_packed_size(dim), dtype=complex)
+            for l0, D in _difference_blocks(spec.upper, Xs, scheme, block, directions=spec.bivector(Xs)):
+                _add_rows(J, D[0], l0)
+                del D  # not alive during the next block's call
+            parts.append([_max_abs_chunked(J[: math.comb(dim, 3)])])
+            del J  # not alive during the next sample's fill
     out = np.concatenate(parts) if parts else np.empty(0)
     return float(out[0]) if x.ndim == 1 else out
+
+
+@lru_cache(maxsize=None)
+def _triple_tables(dim: int):
+    """Index tables of the packed Jacobiator of ``jacobi_residual``, which
+    holds J[i,j,k] for i < j < k at the colex position C(k,3) + C(j,2) + i.
+
+    For the pairs b < c in colex order (c, then b): their flat positions
+    b*dim + c in a (dim, dim) matrix, b and c; and (dim, dim) tables F, G
+    and E with the entry D[a,b,c] of row a going to position
+    F[a,b] + G[a,c] with sign E[a,b] E[a,c]: the position of sort(a,b,c),
+    and - when b < a < c, + otherwise.  E[a,x] = sgn(x - a) is 0 for
+    x = a, where F and G are 0, so an entry with a in {b, c} adds 0 at a
+    position below C(dim, 2)."""
+    r = np.arange(dim)
+    C2 = r * (r - 1) // 2
+    C3 = C2 * (r - 2) // 3
+    c, b = np.tril_indices(dim, -1)
+    a, x = r[:, None], r[None, :]
+    F = np.where(x > a, C2[x] + a, C2[a] + x)  # the colex position of the pair {a, x}
+    G = np.where(x > a, C3[x], C3[a] - C2[a] + C2[x])
+    np.fill_diagonal(F, 0)
+    np.fill_diagonal(G, 0)
+    E = np.sign(x - a).astype(float)
+    for t in (b, c, F, G, E):
+        t.flags.writeable = False
+    return b * dim + c, b, c, F, G, E
+
+
+def _packed_size(dim: int) -> int:
+    """Entries of the packed Jacobiator: C(dim, 3), and at least C(dim, 2)
+    for the zero terms of ``_add_rows``."""
+    return max(math.comb(dim, 3), math.comb(dim, 2))
+
+
+def _add_rows(J: np.ndarray, D: np.ndarray, l0: int) -> None:
+    """Add the rows a = l0, l0 + 1, ... of the derivative block D of shape
+    (rows, dim, dim), read only where its last two indices b < c increase,
+    to the packed Jacobiator J: D[a,b,c] = T[a,b,c] is a term of
+    J[sort(a,b,c)], with sign - when b < a < c (T[b,c,a] = -T[b,a,c]).
+    A triple of three rows of one block takes its terms in the order of
+    the rows."""
+    rows, dim = D.shape[:2]
+    flat, b, c, F, G, E = _triple_tables(dim)
+    a = slice(l0, l0 + rows)
+    vals = np.take(D.reshape(rows, dim * dim), flat, axis=1)
+    vals *= np.take(E[a], b, axis=1) * np.take(E[a], c, axis=1)
+    index = np.take(F[a], b, axis=1)
+    index += np.take(G[a], c, axis=1)
+    np.add.at(J, index.ravel(), vals.ravel())
+
+
+def _max_abs_chunked(J: np.ndarray) -> float:
+    """max |J| over a flat array, taken in chunks of ``_BLOCK_ENTRIES``
+    entries: no float copy of the whole array; 0 for an empty one, NaN if
+    any entry is NaN."""
+    out = np.zeros(())
+    for j0 in range(0, len(J), _BLOCK_ENTRIES):
+        np.maximum(out, np.max(np.abs(J[j0 : j0 + _BLOCK_ENTRIES])), out=out)
+    return float(out)
 
 
 def _upper_cyclic_max(D: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@ bracket kind, the kernel fills, the factorization and decoupling maps, the
 one-call Jacobian, the blocked Jacobi residual on sample stacks, and the
 suites' call counts."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -70,7 +71,7 @@ def test_bivector_rejects_wrong_coordinate_count():
 @pytest.mark.parametrize("kappa", [1.0, 2.0 - 1.0j])
 def test_batched_fill_matches_tensor_oracle(n, d, kappa):
     pts = [sampling.sample_spoint(9, i, n, d, 1.0) for i in range(5)]
-    M = antisymmetrize(kernels.fill_s(np.stack([p.A for p in pts]), np.stack([p.B for p in pts]), kappa))
+    M = antisymmetrize(kernels.fill_s(np.stack([p.A for p in pts]), np.stack([p.B for p in pts]), kappa, kappa))
     for k, p in enumerate(pts):
         np.testing.assert_allclose(M[k], s_bivector_tensor(kappa, p), rtol=0, atol=1e-14)
 
@@ -111,6 +112,16 @@ def test_quadratic_matches_loops(r, c, coeffs):
         want = _quadratic_loops(M[k], N[k], kappa, *coeffs)
         np.testing.assert_allclose(got[k], want, rtol=1e-15, atol=0)
         np.testing.assert_array_equal(kernels.quadratic(M[k], N[k], kappa, *coeffs), got[k])
+
+
+@pytest.mark.parametrize("coeffs", QUADRATIC_COEFFS, ids=str)
+def test_quadratic_block_is_the_full_block(coeffs):
+    # rows and columns given as flat positions pick that block, bit for bit
+    rng = np.random.default_rng(12)
+    M, N = (rng.normal(size=(2, 3, 4)) + 1j * rng.normal(size=(2, 3, 4)) for _ in range(2))
+    rows, cols = np.array([5, 0, 11, 6]), np.array([1, 2, 10])
+    full = kernels.quadratic(M, N, 2.0 - 1.0j, *coeffs)
+    np.testing.assert_array_equal(kernels.quadratic(M, N, 2.0 - 1.0j, *coeffs, rows, cols), full[:, rows[:, None], cols])
 
 
 @pytest.mark.parametrize("pack,unpack,sample", [
@@ -350,24 +361,24 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
-def test_big_residual_keeps_one_derivative_stack():
+def test_big_residual_holds_no_derivative_cube():
     # one (dim, dim, dim) complex stack at dim 98 is 15.1 MB; the residual
-    # peaked at 18.1 MB with NumPy 2.4 (37.8 MB when it formed T = Pi @ dPi
-    # beside the derivative stack and the full cyclic sum)
+    # peaked at 4.0 MB with NumPy 2.4, of which the packed Jacobiator of the
+    # C(98, 3) triples is 2.4 MB
     x = sampling.sample_vector(42, 0, BIG.dim, 1.0)
-    assert _traced_peak(lambda: jacobi_residual(BIG, x, POLY)) < 1.5 * 16 * BIG.dim**3
+    assert _traced_peak(lambda: jacobi_residual(BIG, x, POLY)) < 0.4 * 16 * BIG.dim**3
 
 
 def test_multi_call_stack_keeps_one_derivative_stack():
-    # at dim 64 one (dim, dim, dim) complex stack is 4.2 MB; one sample's
-    # residual peaked at 6.5 MB with NumPy 2.4, and a stack of 3 at 10.5 MB
-    # while the previous sample's stack stayed bound during the next fill
+    # at dim 64 one sample's residual peaked at 2.9 MB with NumPy 2.4, and a
+    # stack of 3 within 2 kB of it; the bound is half of one sample's packed
+    # Jacobiator, C(64, 3) complex entries (0.67 MB)
     spec = BracketSpec("S", 1.0, n=4, d=8)
     assert _per_sample_entries(spec, POLY) > verify._BLOCK_ENTRIES
     X = sampling.sample_vector(42, np.arange(3), spec.dim, 1.0)
     one = _traced_peak(lambda: jacobi_residual(spec, X[:1], POLY))
     three = _traced_peak(lambda: jacobi_residual(spec, X, POLY))
-    assert three <= one + 16 * spec.dim**3 / 4
+    assert three <= one + 16 * math.comb(spec.dim, 3) / 2
 
 
 @pytest.mark.parametrize(
@@ -412,9 +423,9 @@ def _full_cyclic_max(spec, X, scheme, rows=True):
     its derivatives."""
     S, dim = X.shape
     if rows:
-        T = verify._central_differences(spec.bivector, X, scheme, dim, directions=spec.bivector(X))
+        T = verify._central_differences(spec.bivector, X, scheme, directions=spec.bivector(X))
     else:
-        dPi, Pi = verify._central_differences(spec.bivector, X, scheme, dim, with_base=True)
+        dPi, Pi = verify._central_differences(spec.bivector, X, scheme, with_base=True)
         T = antisymmetrize(verify._matmul(Pi, dPi.reshape(S, dim, dim * dim)).reshape(S, dim, dim, dim))
     J = T + T.transpose(0, 2, 3, 1) + T.transpose(0, 3, 1, 2)
     return np.max(np.abs(J), axis=(1, 2, 3)), np.max(np.abs(T), axis=(1, 2, 3))
@@ -453,13 +464,60 @@ def test_uneven_row_blocks_of_the_cyclic_max(monkeypatch):
     # i < j < k equals the max over all of them at every block size
     spec = _Perturbed(BracketSpec("Prime", 1j, n=2, d=3))
     X = _points(spec.spec, 3)
-    T = verify._central_differences(spec.bivector, X, POLY, spec.dim, directions=spec.bivector(X))
+    T = verify._central_differences(spec.bivector, X, POLY, directions=spec.bivector(X))
     want = verify._upper_cyclic_max(T)
     for cap in (1, 150, 300, 2**16):
         monkeypatch.setattr(verify, "_BLOCK_ENTRIES", cap)
         np.testing.assert_array_equal(verify._upper_cyclic_max(T), want)
     J = T + T.transpose(0, 2, 3, 1) + T.transpose(0, 3, 1, 2)
     np.testing.assert_allclose(want, np.max(np.abs(J), axis=(1, 2, 3)), rtol=1e-14)
+
+
+def _cyclic_sums(T):
+    """J[i,j,k] = T[i,j,k] + T[k,i,j] - T[j,i,k] for i < j < k in colex order
+    (k, then j, then i), from a (dim, dim, dim) T read where j < k."""
+    dim = len(T)
+    i, j, k = (np.array(t) for t in zip(*[(i, j, k) for k in range(dim) for j in range(k) for i in range(j)]))
+    return T[i, j, k] + T[k, i, j] - T[j, i, k]
+
+
+@pytest.mark.parametrize("dim", [3, 4, 7])
+def test_packed_jacobiator_at_every_block_size(dim):
+    # rows added one block at a time, of any length, give every cyclic sum
+    # over i < j < k at its colex position, the same bits at every block
+    # size, and nothing from the entries read below the diagonal
+    rng = np.random.default_rng(dim)
+    T = rng.normal(size=(dim,) * 3) + 1j * rng.normal(size=(dim,) * 3)
+    want = _cyclic_sums(T)
+    T[:, np.tril_indices(dim)[0], np.tril_indices(dim)[1]] = np.nan
+    packed = []
+    for block in range(1, dim + 1):
+        J = np.zeros(verify._packed_size(dim), dtype=complex)
+        for l0 in range(0, dim, block):
+            verify._add_rows(J, T[l0 : l0 + block].copy(), l0)
+        packed.append(J[: len(want)])
+    np.testing.assert_allclose(packed[0], want, rtol=1e-15, atol=1e-15)
+    for J in packed[1:]:
+        np.testing.assert_array_equal(J, packed[0])
+
+
+def test_uneven_row_blocks_of_the_packed_jacobiator(monkeypatch):
+    # an O(1) Jacobiator, where every entry decides: the residual from
+    # blocks of one, two, three and all the rows of each sample is the max
+    # over every (i, j, k) of the cyclic sum
+    spec = _Perturbed(BracketSpec("Prime", 1j, n=2, d=3))
+    X = _points(spec.spec, 3)
+    T = verify._central_differences(spec.bivector, X, POLY, directions=spec.bivector(X))
+    J = T + T.transpose(0, 2, 3, 1) + T.transpose(0, 3, 1, 2)
+    want = np.max(np.abs(J), axis=(1, 2, 3))
+    per_direction = 2 * spec.dim**2
+    got = []
+    for rows in (1, 2, 3, spec.dim):
+        monkeypatch.setattr(verify, "_BLOCK_ENTRIES", rows * per_direction)
+        got.append(jacobi_residual(spec, X, POLY))
+    np.testing.assert_allclose(got[0], want, rtol=1e-14)
+    for r in got[1:]:
+        np.testing.assert_array_equal(r, got[0])
 
 
 def test_inadmissible_zak_fails_in_multi_call_regime():

@@ -229,6 +229,20 @@ class TestDualGroup:
         full = _on_double(1.0, pair.hplus, pair.hminus)
         np.testing.assert_allclose(_on_dual(1.0, pair), full[np.ix_(idx, idx)], atol=1e-14)
 
+    @pytest.mark.parametrize("ell", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("kappa", KAPPAS)
+    def test_fill_is_the_double_fill_at_the_free_coordinates(self, ell, kappa):
+        # the dual-group fill forms only the free rows and columns, from the
+        # same products in the same order as the double's fill: above the
+        # diagonal, where the bivector reads it, it is that fill restricted
+        X = charts.pack_dual(sampling.sample_dual(ell, np.arange(3), ell, 0.4))
+        pair = charts.unpack_dual(X, ell)
+        full = BracketSpec("Double", kappa, ell=ell).upper(charts.pack_double(pair.hplus, pair.hminus))
+        idx = charts.glstar_free_indices(ell)
+        got = BracketSpec("DualGroup", kappa, ell=ell).upper(X)
+        upper = np.triu_indices(ell * ell, 1)
+        np.testing.assert_array_equal(got[:, upper[0], upper[1]], full[:, idx[upper[0]], idx[upper[1]]])
+
 
 class TestSts:
     def test_identity_point(self):

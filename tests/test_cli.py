@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from plie import suites
+from plie import cli, suites
 from plie.cli import build_parser, main, report_to_json
 from plie.verify import VerificationReport
 
@@ -208,6 +208,19 @@ class TestVerify:
         flags = {a.dest for a in verify._actions if a.dest != "help"}
         settings = {f.name for f in dataclasses.fields(suites.RunConfig)}
         assert flags == settings | {"config", "out"}
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda real=cli.build_parser: built.append(1) or real())
+    cli._parser.cache_clear()
+    try:
+        for n in ("2", "3", "x"):
+            main(["gen-point", "--space", "spin", "--n", n])
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    assert capsys.readouterr().out.count('"space": "spin"') == 2
 
 
 def test_report_with_nan_residual_is_strict_json():
