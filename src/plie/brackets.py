@@ -186,15 +186,11 @@ def _fill_sts(spec: "BracketSpec", x: np.ndarray) -> np.ndarray:
 def _fill_zak(spec: "BracketSpec", x: np.ndarray) -> np.ndarray:
     """Holomorphic Zakrzewski-type bracket on C^{2n} in coordinates (a, b).
 
-    ZakR is the complexified real bracket with (u, ubar) treated as
-    independent: on the real slice ubar = conj(u) it is the real covariant
-    bracket, and algebraically the holomorphic one at kappa = -2*i*epsilon.
     ``F`` and ``G`` are evaluated once per batch, on the array of t = a.b.
     """
-    kappa = -2j * spec.epsilon if spec.kind == "ZakR" else spec.kappa
-    point = charts.unpack_spin(x, spec.n)
+    n, kappa = spec.n, spec.kappa
+    point = charts.unpack_spin(x, n)
     a, b = point.a, point.b
-    n = spec.n
     ab = a * b
     t = np.sum(ab, axis=-1)
     Fv, Gv = spec.F.eval(t), spec.G.eval(t)
@@ -223,7 +219,6 @@ _FILLS = {
     "DualGroup": _fill_dual_group,
     "STS": _fill_sts,
     "ZakC": _fill_zak,
-    "ZakR": _fill_zak,
 }
 
 
@@ -317,27 +312,23 @@ class BracketSpec:
     n: int = 0
     d: int = 0
     ell: int = 0
-    epsilon: float = 0.0
     F: Optional[HoloFn1] = None
     G: Optional[HoloFn1] = None
 
     def __post_init__(self):
         if self.kind not in _FILLS:
             raise ConfigError(f"unknown bracket kind {self.kind!r}")
-        if self.kind == "ZakR":
-            if self.epsilon == 0:
-                raise ConfigError("epsilon must be nonzero")
-        elif self.kappa == 0:
+        if self.kappa == 0:
             raise ConfigError("kappa must be nonzero")
         if self.kind in _S_KINDS + ("Sprod",) and (self.n < 1 or self.d < 1):
             raise ConfigError("n and d must be >= 1")
         if self.kind in _GL_KINDS and self.ell < 1:
             raise ConfigError("ell must be >= 1")
-        if self.kind in ("ZakC", "ZakR"):
+        if self.kind == "ZakC":
             if self.n < 1:
                 raise ConfigError("n must be >= 1")
             if self.F is None or self.G is None:
-                raise ConfigError("ZakC/ZakR require F and G")
+                raise ConfigError("ZakC requires F and G")
 
     @property
     def dim(self) -> int:
@@ -348,7 +339,7 @@ class BracketSpec:
             return 2 * self.ell * self.ell
         if k in ("GLmult", "DualGroup", "STS"):
             return self.ell * self.ell
-        return 2 * self.n  # ZakC / ZakR
+        return 2 * self.n  # ZakC
 
     def upper(self, x: np.ndarray) -> np.ndarray:
         """The raw fill of the bracket matrix at flat coordinates: equal to

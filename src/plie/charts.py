@@ -10,8 +10,8 @@ Orderings (all row-major, indices 1-based):
 * ``D(l)``         -- u entries then v entries.
 * ``GLstar(l)``    -- strict upper of h_+, diagonal of h_+, strict lower of
                       h_-; the diagonal of h_- is dependent, (h_-)_jj = 1/(h_+)_jj.
-* ``C2n(n)``       -- a_1..n then b_1..n (also used for the real Zakrzewski
-                      chart with u and u-bar).
+* ``C2n(n)``       -- a_1..n then b_1..n; the real Zakrzewski bracket,
+                      ZakC at kappa = -2i epsilon, reads u and u-bar here.
 """
 
 from __future__ import annotations

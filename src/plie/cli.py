@@ -19,7 +19,7 @@ import numpy as np
 
 from . import sampling
 from .errors import ConfigError, PlieError
-from .suites import SUITES, RunConfig, check_dims, run_suite
+from .suites import SUITES, RunConfig, run_suite
 from .verify import VerificationReport
 
 __all__ = ["main", "build_parser", "report_to_json"]
@@ -83,6 +83,17 @@ def _complex_value(name: str, value):
 
 # every RunConfig field but the suite is a setting: a flag and a config-file key
 _SETTINGS = [f for f in fields(RunConfig) if f.name != "suite"]
+# the settings of a sample point
+_POINT_SETTINGS = [f for f in _SETTINGS if f.name in ("n", "d", "ell", "seed", "radius")]
+
+
+def _add_setting_flags(parser: argparse.ArgumentParser, settings: list) -> None:
+    """One flag per setting, None when not given, so RunConfig's default applies."""
+    for f in settings:
+        # a complex value stays a string 're,im' here and is parsed like the config file's
+        kind = {"int": int, "float": float}.get(f.type, str)
+        spelling = " as 're,im'" if f.type == "complex" else ""
+        parser.add_argument(f"--{f.name}", type=kind, help=f"{f.type}{spelling}, default {f.default}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -91,22 +102,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run a verification suite and emit a JSON report")
     v.add_argument("--suite", required=True, choices=SUITES)
-    for f in _SETTINGS:
-        # a complex value stays a string 're,im' here and is parsed like the config file's
-        kind = {"int": int, "float": float}.get(f.type, str)
-        spelling = " as 're,im'" if f.type == "complex" else ""
-        v.add_argument(f"--{f.name}", type=kind, help=f"{f.type}{spelling}, default {f.default}")
+    _add_setting_flags(v, _SETTINGS)
     v.add_argument("--config", type=str, default=None, help="JSON file with settings (flags win)")
     v.add_argument("--out", type=str, default=None, help="report path (default: stdout)")
 
     g = sub.add_parser("gen-point", help="emit a deterministic sample point as JSON")
     g.add_argument("--space", required=True, choices=_SPACES)
-    g.add_argument("--n", type=int, default=2)
-    g.add_argument("--d", type=int, default=2)
-    g.add_argument("--ell", type=int, default=3)
-    g.add_argument("--seed", type=int, default=None)
+    _add_setting_flags(g, _POINT_SETTINGS)
     g.add_argument("--index", type=int, default=0)
-    g.add_argument("--radius", type=float, default=0.3)
     g.add_argument("--out", type=str, default=None)
     return parser
 
@@ -118,14 +121,21 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _env_seed() -> Optional[int]:
+def _run_config(suite: str, values: dict) -> RunConfig:
+    """The RunConfig of ``values``, with PLIE_SEED, when set, as the seed
+    that ``values`` does not give."""
     raw = os.environ.get("PLIE_SEED")
-    if raw is None or raw == "":
-        return None
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"PLIE_SEED must be an integer, got {raw!r}") from exc
+    if "seed" not in values and raw:
+        try:
+            values["seed"] = int(raw)
+        except ValueError as exc:
+            raise ConfigError(f"PLIE_SEED must be an integer, got {raw!r}") from exc
+    return RunConfig(suite=suite, **values)
+
+
+def _given(args: argparse.Namespace, settings: list) -> dict:
+    """The settings given as flags."""
+    return {f.name: getattr(args, f.name) for f in settings if getattr(args, f.name) is not None}
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
@@ -143,13 +153,11 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(
                 f"unknown config key(s) {', '.join(unknown)}; use {', '.join(f.name for f in _SETTINGS)}"
             )
-    values.update((f.name, getattr(args, f.name)) for f in _SETTINGS if getattr(args, f.name) is not None)
-    if "seed" not in values and (env_seed := _env_seed()) is not None:
-        values["seed"] = env_seed
+    values.update(_given(args, _SETTINGS))
     for f in _SETTINGS:
         if f.type == "complex" and f.name in values:
             values[f.name] = _complex_value(f.name, values[f.name])
-    return RunConfig(suite=args.suite, **values)
+    return _run_config(args.suite, values)
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -172,15 +180,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_point(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else _env_seed()
-    if seed is None:
-        seed = 42
-    n, d, ell, r, i = args.n, args.d, args.ell, args.radius, args.index
-    if min(n, d, ell) < 1 or not 0 < r < math.inf or i < 0:
-        raise ConfigError("sizes must be >= 1, radius finite and > 0, index >= 0")
-    if seed < 0:
-        raise ConfigError("seed must be a nonnegative integer")
-    check_dims({"2*n*d": 2 * n * d, "2*ell*ell": 2 * ell * ell})
+    # a point takes the bounds of a run, so every generated point is one a suite can take
+    cfg = _run_config("all", _given(args, _POINT_SETTINGS))
+    seed, n, d, ell, r, i = cfg.seed, cfg.n, cfg.d, cfg.ell, cfg.radius, args.index
+    if i < 0:
+        raise ConfigError(f"need index >= 0, got {i}")
     if args.space == "spoint":
         p = sampling.sample_spoint(seed, i, n, d, r)
         payload = {"space": "spoint", "n": n, "d": d, "A": p.A, "B": p.B}

@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConstraintViolated, DomainEscape
-from .factorization import factor_inv_pair, g_factors
+from .factorization import chi_inverse_local, g_factors
 from .points import SPoint, SpinPoint, SpinTuple
 from .tensors import eta
 
@@ -113,8 +113,10 @@ def map_F_inverse(p: SPoint) -> SpinTuple:
     """Iterative inverse of map_F via successive local factorizations.
 
     For al = d down to 1: factor 1 - P (A-hat^al B-hat^al) R = g_+^{-1} g_-
-    with (P, R) the accumulated conjugators, then undress the copy.  A stack
-    of points gives copies with the same leading axes.
+    with (P, R) the accumulated conjugators, then undress the copy.  The
+    factorization is chi_inverse_local's m = h_+ h_-^{-1}, with g_+ = h_+^{-1}
+    and g_-^{-1} = h_-.  A stack of points gives copies with the same
+    leading axes.
     """
     n, d = p.n, p.d
     P = np.eye(n, dtype=complex)
@@ -122,9 +124,9 @@ def map_F_inverse(p: SPoint) -> SpinTuple:
     spins = [None] * d
     for al in range(d - 1, -1, -1):
         a, b = p.A[..., :, al], p.B[..., al, :]
-        pair = factor_inv_pair(np.eye(n) - P @ (a[..., :, None] * b[..., None, :]) @ R)
-        P = pair.hplus @ P
-        R = R @ np.tril(np.linalg.inv(pair.hminus))
+        h = chi_inverse_local(np.eye(n) - P @ (a[..., :, None] * b[..., None, :]) @ R)
+        P = np.triu(np.linalg.inv(h.hplus)) @ P
+        R = R @ h.hminus
         spins[al] = SpinPoint(_dress(P, a), _dress_row(b, R))
     return SpinTuple(spins)
 

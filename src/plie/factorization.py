@@ -14,7 +14,6 @@ __all__ = [
     "gauss",
     "chi",
     "chi_inverse_local",
-    "factor_inv_pair",
     "g_functions",
     "g_factors",
     "g_pm",
@@ -101,13 +100,6 @@ def chi_inverse_local(h: np.ndarray) -> DualPair:
     g_gt, g_0, g_lt = gauss(h)
     h0 = _principal_sqrt(np.diagonal(g_0, axis1=-2, axis2=-1))[..., None, :]
     return DualPair(np.triu(g_gt * h0), np.tril(np.linalg.inv(g_lt) / h0))
-
-
-def factor_inv_pair(m: np.ndarray) -> DualPair:
-    """Factor m = g_+^{-1} g_- with (g_+, g_-) a DualPair, branch at m = I;
-    a stack of matrices (..., l, l) gives a stack of pairs."""
-    inner = chi_inverse_local(m)
-    return DualPair(np.triu(np.linalg.inv(inner.hplus)), np.tril(np.linalg.inv(inner.hminus)))
 
 
 def g_functions(p: SpinPoint) -> np.ndarray:

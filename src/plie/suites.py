@@ -426,7 +426,9 @@ def _suite_zakrzewski(cfg: RunConfig):
     params = {"n": n, "kappa": cfg.kappa, "epsilon": cfg.epsilon, "bounds": bounds}
     spec_aff = BracketSpec("ZakC", cfg.kappa, n=n, F=_F_AFF, G=_G_AFF)
     spec_lin = BracketSpec("ZakC", cfg.kappa, n=n, F=_F_LIN, G=_G_ZERO)
-    spec_real = BracketSpec("ZakR", epsilon=cfg.epsilon, n=n, F=_F_AFF, G=_G_AFF)
+    # the real bracket at epsilon is ZakC at kappa = -2i epsilon, with (u, ubar)
+    # treated as independent coordinates: on the slice ubar = conj(u) it is the real bracket
+    spec_real = BracketSpec("ZakC", -2j * cfg.epsilon, n=n, F=_F_AFF, G=_G_AFF)
     spec_bad = BracketSpec("ZakC", cfg.kappa, n=n, F=_F_ONE, G=_G_ZERO)
 
     def check(indices: np.ndarray) -> dict:

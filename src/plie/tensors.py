@@ -49,12 +49,6 @@ class Tensor4:
         p, q, r, s = self.dims
         return self.array.swapaxes(-3, -2).reshape(self.array.shape[:-4] + (p * r, q * s))
 
-    @classmethod
-    def unflatten(cls, mat: np.ndarray, dims: tuple[int, int, int, int]) -> "Tensor4":
-        p, q, r, s = dims
-        mat = np.asarray(mat, dtype=complex)
-        return cls(mat.reshape(mat.shape[:-2] + (p, r, q, s)).swapaxes(-3, -2))
-
     def swap_legs(self) -> "Tensor4":
         """Exchange leg 1 and leg 2."""
         return Tensor4(self.array.swapaxes(-4, -2).swapaxes(-3, -1))

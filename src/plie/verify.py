@@ -121,11 +121,19 @@ def _difference_blocks(
     with_base: bool = False,
     directions: Optional[np.ndarray] = None,
 ):
-    """The derivative stack of ``_central_differences``, one block at a time:
-    yields (l0, D[:, l0:l1]) for each block of at most ``block`` consecutive
-    directions l, each in an array of its own, after one call of ``f`` on
-    that block's probes.  With ``with_base`` the first item is (None, f(x)),
-    the values at the S points, which go first in the first block's call."""
+    """Derivative stacks D[s, l] = sum_k c_k (f(x_s + t_k v_sl) - f(x_s - t_k v_sl))
+    of the S points x of shape (S, dim) along directions v, with the offsets
+    t_k and weights c_k of ``scheme``, one block at a time: yields
+    (l0, D[:, l0:l1]), of shape (S, l1 - l0, ...), for each block of at most
+    ``block`` consecutive directions l, each in an array of its own, after
+    one call of ``f`` on that block's probes x_s +- t_k v_sl.  ``directions``
+    has shape (S, m, dim), or (1, m, dim) for the same directions at every
+    point; by default they are the coordinate vectors e_l (m = dim).  With
+    ``with_base`` the first item is (None, f(x)), the values at the S points,
+    which go first in the first block's call.
+
+    ``f`` maps a (P, dim) stack of probes to P values; ValueError if the
+    values do not come back one per probe."""
     S, dim = x.shape
     if directions is None:
         directions = np.eye(dim)[None]
@@ -160,31 +168,6 @@ def _difference_blocks(
         del blk  # nor this block, once the caller is done with it
 
 
-def _central_differences(
-    f: Callable[[np.ndarray], np.ndarray],
-    x: np.ndarray,
-    scheme: DiffScheme,
-    with_base: bool = False,
-    directions: Optional[np.ndarray] = None,
-):
-    """Derivative stacks D[s, l] = sum_k c_k (f(x_s + t_k v_sl) - f(x_s - t_k v_sl))
-    of the S points x of shape (S, dim) along directions v, with the offsets
-    t_k and weights c_k of ``scheme``; D has shape (S, m, ...).  ``directions``
-    has shape (S, m, dim), or (1, m, dim) for the same directions at every
-    point; by default they are the coordinate vectors e_l (m = dim).
-
-    ``f`` maps a (P, dim) stack of probes to P values; it is called once, on
-    the probes x_s +- t_k v_sl of every s, l and k.  With ``with_base`` the S
-    points themselves go first in that call, and (D, f(x)) is returned.
-    ValueError if the values do not come back one per probe.
-    """
-    m = x.shape[1] if directions is None else directions.shape[1]
-    blocks = _difference_blocks(f, x, scheme, m, with_base, directions)
-    base = next(blocks)[1] if with_base else None
-    ((_, D),) = blocks
-    return (D, base) if with_base else D
-
-
 def _matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """A @ B for stacks of matrices, in blocks of at least two rows of A.
 
@@ -213,7 +196,7 @@ def jacobian_fd(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, scheme: Di
     """
     x = np.asarray(x, dtype=complex)
     dim = x.shape[-1]
-    D = _central_differences(f, x.reshape(-1, dim), scheme)
+    ((_, D),) = _difference_blocks(f, x.reshape(-1, dim), scheme, dim)
     if D.ndim != 3:
         raise ValueError(f"map must take (..., {dim}) to (..., m): its values have shape {D.shape[2:]}")
     return D.swapaxes(-1, -2).reshape(x.shape[:-1] + (D.shape[2], dim))
@@ -269,7 +252,7 @@ def jacobi_residual(spec: BracketSpec, x: np.ndarray, scheme: DiffScheme):
     if per_sample <= _BLOCK_ENTRIES:
         chunk = _BLOCK_ENTRIES // per_sample
         for s0 in range(0, len(X), chunk):
-            D, U0 = _central_differences(spec.upper, X[s0 : s0 + chunk], scheme, with_base=True)
+            (_, U0), (_, D) = _difference_blocks(spec.upper, X[s0 : s0 + chunk], scheme, dim, with_base=True)
             T = _matmul(antisymmetrize(U0), D.reshape(len(D), dim, dim * dim))
             parts.append(_upper_cyclic_max(T.reshape(D.shape)))
             del D, U0, T  # not alive during the next chunk's fill

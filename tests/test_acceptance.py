@@ -215,7 +215,7 @@ def test_criterion_08_zakrzewski_dichotomy(capsys):
         X = sampling.sample_vector(42, indices, 2 * n, 1.0)
         for F, G in ((F_AFF, G_AFF), (F_LIN, G_ZERO)):
             spec_c = BracketSpec("ZakC", 1.0, n=n, F=F, G=G)
-            spec_r = BracketSpec("ZakR", epsilon=1.0, n=n, F=F, G=G)
+            spec_r = BracketSpec("ZakC", -2j * 1.0, n=n, F=F, G=G)  # the real bracket at epsilon = 1
             good.append(vf.jacobi_residual(spec_c, X, POLY))
             good.append(vf.jacobi_residual(spec_r, X, POLY))
         spec_bad = BracketSpec("ZakC", 1.0, n=n, F=F_ONE, G=G_ZERO)

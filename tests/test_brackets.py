@@ -16,6 +16,7 @@ from plie.brackets import (
     sts_rhs_tensor,
 )
 from plie.errors import ConfigError
+from plie.suites import RunConfig
 from plie.points import DualPair, SPoint, SpinPoint, SpinTuple
 from plie.tensors import dj_r, r_pm
 
@@ -271,14 +272,14 @@ class TestZakrzewski:
     def test_real_case_n1(self):
         eps = 0.8
         u, ubar = 0.3 + 0.1j, 0.2 - 0.4j
-        M = BracketSpec("ZakR", epsilon=eps, n=1, F=F_AFF, G=G_AFF).bivector(np.array([u, ubar]))
+        M = BracketSpec("ZakC", -2j * eps, n=1, F=F_AFF, G=G_AFF).bivector(np.array([u, ubar]))
         t = u * ubar
         expected = -1j * eps * F_AFF.eval(t) + 1j * eps * G_AFF.eval(t) * t
         assert abs(M[0, 1] - expected) < 1e-15
 
     def test_real_case_rejects_zero_epsilon(self):
-        with pytest.raises(ConfigError):
-            BracketSpec("ZakR", epsilon=0.0, n=1, F=F_AFF, G=G_AFF)
+        with pytest.raises(ConfigError, match="epsilon must be nonzero"):
+            RunConfig("zakrzewski", epsilon=0.0)
 
     @pytest.mark.parametrize("n", [1, 2, 4])
     @pytest.mark.parametrize("kappa", KAPPAS)
@@ -327,6 +328,9 @@ class TestDualBases:
             dual_bases(2, 0.0)
 
 
+# the real Zakrzewski bracket at epsilon is ZakC at kappa = -2i epsilon
+EPSILON = 0.5
+
 # one spec of every kind, each evaluated on its own chart's points
 EVERY_KIND = [
     BracketSpec("S", 1j, n=2, d=2),
@@ -339,8 +343,13 @@ EVERY_KIND = [
     BracketSpec("DualGroup", 1j, ell=3),
     BracketSpec("STS", 1j, ell=3),
     BracketSpec("ZakC", 1j, n=3, F=F_AFF, G=G_AFF),
-    BracketSpec("ZakR", epsilon=0.5, n=3, F=F_AFF, G=G_AFF),
+    BracketSpec("ZakC", -2j * EPSILON, n=3, F=F_AFF, G=G_AFF),
 ]
+
+
+def _label(spec):
+    """A spec's test id: its kind, and ZakR for the real Zakrzewski bracket."""
+    return "ZakR" if spec.kind == "ZakC" and spec.kappa == -2j * EPSILON else spec.kind
 
 
 def _kind_points(spec, batch):
@@ -368,6 +377,11 @@ class TestBracketSpec:
         with pytest.raises(ConfigError):
             BracketSpec("S", 0.0, n=1, d=1)
 
+    def test_real_zakrzewski_is_not_a_kind(self):
+        # the real bracket is ZakC at kappa = -2i epsilon, not a kind of its own
+        with pytest.raises(ConfigError, match="unknown bracket kind 'ZakR'"):
+            BracketSpec("ZakR", -2j * EPSILON, n=3, F=F_AFF, G=G_AFF)
+
     def test_zak_requires_functions(self):
         with pytest.raises(ConfigError):
             BracketSpec("ZakC", 1.0, n=2)
@@ -387,7 +401,7 @@ class TestBracketSpec:
         assert spec.dim == dim
 
     def test_every_bivector_is_antisymmetric(self):
-        assert sorted(s.kind for s in EVERY_KIND) == sorted(brackets._FILLS)
+        assert {s.kind for s in EVERY_KIND} == set(brackets._FILLS)
         for spec in EVERY_KIND:
             # one point, then a stack of four
             for batch in ((), (4,)):
@@ -397,7 +411,7 @@ class TestBracketSpec:
                 assert not np.any(np.diagonal(M, axis1=-2, axis2=-1)), spec.kind
                 assert np.count_nonzero(np.triu(M, 1)) > 0, spec.kind
 
-    @pytest.mark.parametrize("spec", EVERY_KIND, ids=lambda s: s.kind)
+    @pytest.mark.parametrize("spec", EVERY_KIND, ids=_label)
     @pytest.mark.parametrize("batch", [(), (4,)], ids=["point", "stack"])
     def test_upper_is_the_bivector_above_the_diagonal(self, spec, batch):
         x = _kind_points(spec, batch)
@@ -406,7 +420,7 @@ class TestBracketSpec:
         above = np.triu(np.ones((spec.dim, spec.dim), dtype=bool), 1)
         np.testing.assert_array_equal(U[..., above], M[..., above])
 
-    @pytest.mark.parametrize("spec", EVERY_KIND, ids=lambda s: s.kind)
+    @pytest.mark.parametrize("spec", EVERY_KIND, ids=_label)
     def test_upper_rejects_what_bivector_rejects(self, spec):
         bad = np.zeros((3, spec.dim + 1), dtype=complex)
         errors = []

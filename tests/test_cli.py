@@ -270,6 +270,9 @@ class TestGenPoint:
             (["--space", "spoint", "--n", "1000", "--d", "1000"], "2*n*d must be <= MAX_DIM"),
             (["--space", "spin", "--seed", "-1"], "seed must be a nonnegative integer"),
             (["--space", "spin", "--index", "-1"], "index >= 0"),
+            # a point takes a run's bounds: the radius, and n*n of the GL(n) action
+            (["--space", "spin", "--radius", "2000"], "radius must lie in (0, MAX_RADIUS]"),
+            (["--space", "spin", "--n", "20", "--d", "1"], "n*n must be <= MAX_DIM"),
         ],
     )
     def test_invalid_input_exits_2(self, capsys, args, message):
@@ -285,6 +288,22 @@ class TestGenPoint:
     @pytest.mark.parametrize("radius", ["nan", "inf"])
     def test_non_finite_radius_exits_2(self, radius):
         assert main(["gen-point", "--space", "spin", "--radius", radius]) == 2
+
+    def test_flags_are_the_run_settings(self, tmp_path):
+        sub = build_parser()._subparsers._group_actions[0].choices
+        verify = {a.dest: a for a in sub["verify"]._actions}
+        point = {a.dest: a for a in sub["gen-point"]._actions if a.dest != "help"}
+        settings = {"n", "d", "ell", "seed", "radius"}
+        assert set(point) == settings | {"space", "index", "out"}
+        for name in settings:
+            # no default of its own: an unset flag takes RunConfig's
+            assert point[name].default is None, name
+            assert (point[name].type, point[name].help) == (verify[name].type, verify[name].help), name
+        out = tmp_path / "p.json"
+        assert main(["gen-point", "--space", "spoint", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        run = suites.RunConfig("all")
+        assert [payload[k] for k in ("n", "d", "seed", "radius")] == [run.n, run.d, run.seed, run.radius]
 
     def test_env_seed_zero_is_used(self, tmp_path, monkeypatch):
         env, flag, default = tmp_path / "env.json", tmp_path / "flag.json", tmp_path / "default.json"

@@ -11,7 +11,6 @@ from plie.factorization import (
     calG_pm,
     chi,
     chi_inverse_local,
-    factor_inv_pair,
     g_functions,
     g_pm,
     gamma,
@@ -96,18 +95,6 @@ class TestChiInverseLocal:
     def test_branch_cut(self):
         with pytest.raises(BranchCut):
             chi_inverse_local(np.diag([-1.0, 1.0]))
-
-
-class TestFactorInvPair:
-    def test_identity(self):
-        pair = factor_inv_pair(np.eye(3))
-        np.testing.assert_array_equal(pair.hplus, np.eye(3))
-        np.testing.assert_array_equal(pair.hminus, np.eye(3))
-
-    def test_factorizes(self):
-        m = np.eye(3) + sampling.complex_disk(sampling.rng_for(10, 0), (3, 3), 0.3)
-        pair = factor_inv_pair(m)
-        np.testing.assert_allclose(np.linalg.inv(pair.hplus) @ pair.hminus, m, atol=1e-12)
 
 
 class TestGFunctions:
