@@ -1,8 +1,13 @@
 """Deterministic sample-point generation.
 
-Every sample is derived from an integer pair (seed, index) through
-``numpy.random.default_rng``, so sweeps are reproducible and order-independent
-regardless of how the samples are scheduled.
+Every sample is derived from an integer pair (seed, index): its entries are
+the doubles of ``numpy.random.default_rng([seed, index]).random()``, bit for
+bit, so sweeps are reproducible and order-independent regardless of how the
+samples are scheduled.  plie computes that stream itself (NumPy's PCG64,
+seeded through its ``SeedSequence``) rather than importing ``numpy.random``,
+and keeps the doubles drawn so far from each recent (seed, index), so a
+point asked for again, or a longer prefix of the same stream, is not seeded
+and drawn anew.
 
 Every ``sample_*`` function takes one index, which gives one point, or an
 array of indices, which gives the stack of those points with the index
@@ -12,13 +17,14 @@ the points drawn one index at a time.
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
+
 import numpy as np
 
 from .points import DualPair, SPoint, SpinPoint, SpinTuple
 
 __all__ = [
-    "rng_for",
-    "complex_disk",
     "draw_disks",
     "sample_spoint",
     "sample_spin",
@@ -29,42 +35,125 @@ __all__ = [
     "sample_vector",
 ]
 
+# (seed, index) streams kept: a suite draws its indices 0..samples-1 from one
+# seed, once per point kind, so a few hundred streams cover every reuse
+_MEMO_SIZE = 512
+# a stream that must grow draws at least this many doubles, so a prefix
+# asked for in slightly longer pieces is not extended once per piece
+_CHUNK = 32
 
-def rng_for(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng([int(seed), int(index)])
+_MASK32 = 2**32 - 1
+_MASK64 = 2**64 - 1
+_MASK128 = 2**128 - 1
+# SeedSequence's hash constants (NumPy's bit_generator.pyx) and PCG64's multiplier
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def _disk(u: np.ndarray, v: np.ndarray, radius: float) -> np.ndarray:
-    return radius * np.sqrt(u) * np.exp(2j * np.pi * v)
+def _words(n: int) -> list:
+    """The little-endian 32-bit words of a nonnegative int; [0] for 0."""
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
 
 
-def complex_disk(rng: np.random.Generator, shape, radius: float) -> np.ndarray:
-    """Entries uniform on the closed complex disk of the given radius."""
-    u = rng.random(shape)
-    v = rng.random(shape)
-    return _disk(u, v, radius)
+def _pcg_start(seed: int, index: int) -> tuple:
+    """PCG64's (state, inc) as ``default_rng([seed, index])`` seeds them."""
+    entropy = _words(seed) + _words(index)
+    h = _INIT_A
+
+    def hashmix(value):
+        nonlocal h
+        value ^= h
+        h = (h * _MULT_A) & _MASK32
+        value = (value * h) & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        r = (_MIX_L * x - _MIX_R * y) & _MASK32
+        return r ^ (r >> 16)
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    h = _INIT_B
+    state = []
+    for k in range(8):
+        value = pool[k % 4] ^ h
+        h = (h * _MULT_B) & _MASK32
+        value = (value * h) & _MASK32
+        state.append(value ^ (value >> 16))
+    s0, s1, s2, s3 = (state[2 * k] | state[2 * k + 1] << 32 for k in range(4))
+    inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
+    # from state 0: step (to inc), add initstate = s0 * 2^64 + s1, step again
+    return ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128, inc
+
+
+class _Stream:
+    """The doubles of one (seed, index) drawn so far, and the PCG state after them."""
+
+    def __init__(self, seed: int, index: int):
+        self._state, self._inc = _pcg_start(seed, index)
+        self.doubles = np.empty(0)
+        self.doubles.flags.writeable = False
+
+    def prefix(self, k: int) -> np.ndarray:
+        """The first k doubles, as a read-only array."""
+        have = self.doubles.size
+        if k > have:
+            state, inc = self._state, self._inc
+            new = []
+            for _ in range(max(k - have, _CHUNK)):
+                state = (state * _PCG_MULT + inc) & _MASK128
+                hi = state >> 64
+                x, rot = hi ^ (state & _MASK64), hi >> 58
+                new.append(((x >> rot | x << (64 - rot)) & _MASK64) >> 11)
+            self._state = state
+            doubles = np.concatenate([self.doubles, np.array(new, dtype=float) * 2.0**-53])
+            doubles.flags.writeable = False
+            self.doubles = doubles
+        return self.doubles[:k]
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _stream(seed: int, index: int) -> _Stream:
+    return _Stream(seed, index)
 
 
 def draw_disks(seed: int, index, parts) -> list:
-    """The arrays ``complex_disk(rng, shape, radius)`` for each (shape, radius)
-    of ``parts``, drawn in that order from ``rng_for(seed, i)``.
+    """Arrays of entries uniform on the closed complex disk, one for each
+    (shape, radius) of ``parts``.  For each part in turn, the stream of
+    (seed, i) gives the moduli's uniforms u, then the angles' v, as
+    ``radius * sqrt(u) * exp(2 pi i v)``.
 
     A scalar ``index`` gives arrays of the parts' shapes; an index array
     gives them with its shape as leading axes, one row per index.
+    ValueError for a negative seed or index, as ``SeedSequence`` raises.
     """
     index = np.asarray(index)
-    shapes = [tuple(np.atleast_1d(shape)) for shape, _ in parts]
-    u = [np.empty((index.size,) + shape) for shape in shapes]
-    v = [np.empty((index.size,) + shape) for shape in shapes]
-    for row, i in enumerate(index.ravel()):
-        rng = rng_for(seed, i)
-        for k, shape in enumerate(shapes):
-            u[k][row] = rng.random(shape)
-            v[k][row] = rng.random(shape)
-    return [
-        _disk(uk, vk, radius).reshape(index.shape + shape)
-        for uk, vk, shape, (_, radius) in zip(u, v, shapes, parts)
-    ]
+    shapes = [tuple(shape) if isinstance(shape, (tuple, list)) else (shape,) for shape, _ in parts]
+    sizes = [math.prod(shape) for shape in shapes]
+    total = 2 * sum(sizes)
+    rows = np.empty((index.size, total))
+    for row, i in enumerate(index.ravel().tolist()):
+        rows[row] = _stream(int(seed), int(i)).prefix(total)
+    out, start = [], 0
+    for shape, size, (_, radius) in zip(shapes, sizes, parts):
+        u, v = (np.ascontiguousarray(rows[:, s : s + size]).reshape(index.shape + shape) for s in (start, start + size))
+        out.append(radius * np.sqrt(u) * np.exp(2j * np.pi * v))
+        start += 2 * size
+    return out
 
 
 def sample_vector(seed: int, index, dim: int, radius: float) -> np.ndarray:

@@ -176,13 +176,20 @@ def _matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     goes to gemv, which threads far sooner.  Each block stays below 2^16
     where two rows do, but for one block of three rows of an odd M where
     three rows do not.  A block of rows of A gives the same rows of A @ B,
-    bit for bit."""
+    bit for bit; each is written into one output, so no block outlives its
+    product."""
     M, K = A.shape[-2:]
     rows = max(1, (2**16 - 1) // max(1, K * B.shape[-1]))
     blocks = min(M // 2, -(-M // rows))
     if blocks <= 1:
         return A @ B
-    return np.concatenate([a @ B for a in np.array_split(A, blocks, axis=-2)], axis=-2)
+    out = np.empty(np.broadcast_shapes(A.shape[:-2], B.shape[:-2]) + (M, B.shape[-1]), np.result_type(A, B))
+    r0 = 0
+    for a in np.array_split(A, blocks, axis=-2):
+        r1 = r0 + a.shape[-2]
+        np.matmul(a, B, out=out[..., r0:r1, :])
+        r0 = r1
+    return out
 
 
 def jacobian_fd(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, scheme: DiffScheme) -> np.ndarray:
@@ -560,9 +567,11 @@ def _h_products(t: SpinTuple):
     h+^0 = h-^0 is the unbatched identity.
     """
     n = t.n
-    factors = [g_factors(s) for s in t]
-    gplus = [f[0] for f in factors]
-    gminus_inv = [f[3] for f in factors]
+    gplus, gminus_inv = [], []
+    for s in t:  # g_- and g_+^{-1} are never read: drop them copy by copy
+        gp, _, _, gm_inv = g_factors(s)
+        gplus.append(gp)
+        gminus_inv.append(gm_inv)
     hp = [np.eye(n, dtype=complex)]
     hm = [np.eye(n, dtype=complex)]
     for al in range(t.d):

@@ -248,10 +248,8 @@ def test_criterion_09_covariance(capsys):
 
     worst_n = worst_d = 0.0
     for i in range(25):
-        rng = sampling.rng_for(42, i)
-        gn = np.eye(n) + sampling.complex_disk(rng, (n, n), 0.2)
-        gd = np.eye(d) + sampling.complex_disk(rng, (d, d), 0.2)
-        x = sampling.complex_disk(rng, sspec.dim, 0.3)
+        un, ud, x = sampling.draw_disks(42, i, [((n, n), 0.2), ((d, d), 0.2), (sspec.dim, 0.3)])
+        gn, gd = np.eye(n) + un, np.eye(d) + ud
         worst_n = max(worst_n, vf.action_residual(gspec_n, sspec, act_n, gn.ravel(), x, FD))
         worst_d = max(worst_d, vf.action_residual(gspec_d, sspec, act_d, gd.ravel(), x, FD))
     ok = worst_n < 1e-7 and worst_d < 1e-7

@@ -646,41 +646,47 @@ def test_sample_vectors_rows_equal_sample_vector(dim, radius):
         np.testing.assert_array_equal(row, sampling.sample_vector(42, i, dim, radius))
 
 
+def _reference_disk(rng, shape, radius):
+    u = rng.random(shape)
+    v = rng.random(shape)
+    return radius * np.sqrt(u) * np.exp(2j * np.pi * v)
+
+
 def _reference_dual(rng):
-    hp = np.triu(sampling.complex_disk(rng, (3, 3), 0.4), 1)
-    hm = np.tril(sampling.complex_disk(rng, (3, 3), 0.4), -1)
-    diag = 1.0 + sampling.complex_disk(rng, 3, 0.4)
+    hp = np.triu(_reference_disk(rng, (3, 3), 0.4), 1)
+    hm = np.tril(_reference_disk(rng, (3, 3), 0.4), -1)
+    diag = 1.0 + _reference_disk(rng, 3, 0.4)
     hp[np.diag_indices(3)] = diag
     hm[np.diag_indices(3)] = 1.0 / diag
     return [hp, hm]
 
 
 # each sampler at one index array, its output as a list of arrays, and the
-# per-index draw it replaces, written out from rng_for and complex_disk
+# per-index draw it replaces, written out from NumPy's generator
 SAMPLERS = {
     "vector": (
         lambda i: [sampling.sample_vector(42, i, 5, 0.3)],
-        lambda rng: [sampling.complex_disk(rng, 5, 0.3)],
+        lambda rng: [_reference_disk(rng, 5, 0.3)],
     ),
     "spoint": (
         lambda i: (lambda p: [p.A, p.B])(sampling.sample_spoint(42, i, 2, 3, 0.3)),
-        lambda rng: [sampling.complex_disk(rng, (2, 3), 0.3), sampling.complex_disk(rng, (3, 2), 0.3)],
+        lambda rng: [_reference_disk(rng, (2, 3), 0.3), _reference_disk(rng, (3, 2), 0.3)],
     ),
     "spin": (
         lambda i: (lambda s: [s.a, s.b])(sampling.sample_spin(42, i, 3, 0.3)),
-        lambda rng: [sampling.complex_disk(rng, 3, 0.3), sampling.complex_disk(rng, 3, 0.3)],
+        lambda rng: [_reference_disk(rng, 3, 0.3), _reference_disk(rng, 3, 0.3)],
     ),
     "tuple": (
         lambda i: [v for s in sampling.sample_tuple(42, i, 2, 3, 0.3) for v in (s.a, s.b)],
-        lambda rng: [sampling.complex_disk(rng, 2, 0.3) for _ in range(6)],
+        lambda rng: [_reference_disk(rng, 2, 0.3) for _ in range(6)],
     ),
     "gl": (
         lambda i: [sampling.sample_gl(42, i, 3, 0.3)],
-        lambda rng: [sampling.complex_disk(rng, (3, 3), 0.3)],
+        lambda rng: [_reference_disk(rng, (3, 3), 0.3)],
     ),
     "double": (
         lambda i: list(sampling.sample_double(42, i, 3, 0.3)),
-        lambda rng: [sampling.complex_disk(rng, (3, 3), 0.3), sampling.complex_disk(rng, (3, 3), 0.3)],
+        lambda rng: [_reference_disk(rng, (3, 3), 0.3), _reference_disk(rng, (3, 3), 0.3)],
     ),
     "dual": (
         lambda i: (lambda p: [p.hplus, p.hminus])(sampling.sample_dual(42, i, 3, 0.4)),
@@ -696,7 +702,7 @@ def test_sampler_rows_equal_per_index_draws(name, indices):
     stacked = sample(indices)
     for idx in np.ndindex(*indices.shape):
         i = int(indices[idx])
-        want = reference(sampling.rng_for(42, i))
+        want = reference(np.random.default_rng([42, i]))
         for got, one, ref in zip(stacked, sample(i), want):
             assert got.shape == indices.shape + ref.shape and one.shape == ref.shape
             np.testing.assert_array_equal(got[idx], ref)

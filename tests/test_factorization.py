@@ -50,7 +50,7 @@ class TestGauss:
 
     @pytest.mark.parametrize("ell", [1, 2, 3, 5])
     def test_reassembly_and_shapes(self, ell):
-        h = np.eye(ell) + sampling.complex_disk(sampling.rng_for(2, ell), (ell, ell), 0.4)
+        h = np.eye(ell) + sampling.draw_disks(2, ell, [((ell, ell), 0.4)])[0]
         gt, g0, lt = gauss(h)
         np.testing.assert_allclose(gt @ g0 @ lt, h, atol=1e-13)
         assert np.all(np.tril(gt, -1) == 0) and np.all(np.diag(gt) == 1)
@@ -89,7 +89,7 @@ class TestChiInverseLocal:
 
     @pytest.mark.parametrize("index", range(100))
     def test_roundtrip_near_identity(self, index):
-        h = np.eye(3) + sampling.complex_disk(sampling.rng_for(8, index), (3, 3), 0.3)
+        h = np.eye(3) + sampling.draw_disks(8, index, [((3, 3), 0.3)])[0]
         assert np.max(np.abs(chi(chi_inverse_local(h)) - h)) < 1e-10
 
     def test_branch_cut(self):

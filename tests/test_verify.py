@@ -1,6 +1,7 @@
 """Tests for the residual computations: Jacobi, map pushforwards, actions,
 moment relations, product-factor identities, symplectic inversion and rank."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -353,6 +354,21 @@ def test_matmul_is_the_product_in_row_blocks(monkeypatch, batch, M, K, N):
         assert big == [] or (M % 2 == 1 and big == [3])
 
 
+@pytest.mark.parametrize("batch", [(), (2,)], ids=["matrix", "stack"])
+def test_matmul_keeps_one_copy_of_the_product(batch):
+    # 200 blocks of two rows: the blocks are never alive beside the product
+    A = np.ones(batch + (400, 64), dtype=complex)
+    B = np.ones((64, 400), dtype=complex)
+    tracemalloc.start()
+    try:
+        P = verify._matmul(A, B)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(P, A @ B)
+    assert peak < 1.1 * P.nbytes, (peak, P.nbytes)
+
+
 class TestJacobi:
     def test_s_bracket(self):
         spec = BracketSpec("S", 1.0, n=2, d=2)
@@ -444,8 +460,7 @@ class TestActions:
     def _setup(self, n, d):
         gspec = BracketSpec("GLmult", 1.0, ell=n)
         sspec = BracketSpec("S", 1.0, n=n, d=d)
-        rng = sampling.rng_for(4, 0)
-        g = np.eye(n) + sampling.complex_disk(rng, (n, n), 0.2)
+        g = np.eye(n) + sampling.draw_disks(4, 0, [((n, n), 0.2)])[0]
         x = sampling.sample_vector(4, 1, sspec.dim, 0.3)
         return gspec, sspec, g, x
 
@@ -464,8 +479,7 @@ class TestActions:
         n, d = 2, 3
         sspec = BracketSpec("S", 1.0, n=n, d=d)
         gspec = BracketSpec("GLmult", 1.0, ell=d)
-        rng = sampling.rng_for(4, 2)
-        g = np.eye(d) + sampling.complex_disk(rng, (d, d), 0.2)
+        g = np.eye(d) + sampling.draw_disks(4, 2, [((d, d), 0.2)])[0]
         x = sampling.sample_vector(4, 3, sspec.dim, 0.3)
 
         def act(gv, xv):
