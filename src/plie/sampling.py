@@ -35,12 +35,11 @@ __all__ = [
     "sample_vector",
 ]
 
-# (seed, index) streams kept: a suite draws its indices 0..samples-1 from one
-# seed, once per point kind, so a few hundred streams cover every reuse
+# (seed, index) streams kept, least recently used dropped first.  A suite
+# draws one chunk of sample indices from one seed once per point kind, so a
+# stream is reused only while the memo holds at least that chunk's indices;
+# the value is not tuned
 _MEMO_SIZE = 512
-# a stream that must grow draws at least this many doubles, so a prefix
-# asked for in slightly longer pieces is not extended once per piece
-_CHUNK = 32
 
 _MASK32 = 2**32 - 1
 _MASK64 = 2**64 - 1
@@ -114,7 +113,7 @@ class _Stream:
         if k > have:
             state, inc = self._state, self._inc
             new = []
-            for _ in range(max(k - have, _CHUNK)):
+            for _ in range(k - have):
                 state = (state * _PCG_MULT + inc) & _MASK128
                 hi = state >> 64
                 x, rot = hi ^ (state & _MASK64), hi >> 58

@@ -14,10 +14,10 @@ KEYS = [0, 2**32 - 1, 2**32, 2**64 + 9, BIG]
 @pytest.mark.parametrize("seed", KEYS)
 @pytest.mark.parametrize("index", KEYS)
 def test_stream_is_numpy_default_rng(seed, index):
-    k = 3 * sampling._CHUNK + 7
-    want = np.random.default_rng([seed, index]).random(k)
-    np.testing.assert_array_equal(sampling._Stream(seed, index).prefix(k), want)
-    np.testing.assert_array_equal(sampling._stream(seed, index).prefix(k), want)
+    want = np.random.default_rng([seed, index]).random(200)
+    for stream in (sampling._Stream(seed, index), sampling._stream(seed, index)):
+        np.testing.assert_array_equal(stream.prefix(10), want[:10])
+        np.testing.assert_array_equal(stream.prefix(200), want)  # extended past the first request
 
 
 def test_interleaved_prefixes_of_growing_and_shrinking_length():
