@@ -6,9 +6,13 @@ matrix ``Pi[p, q] = {x_p, x_q}``.  It antisymmetrizes, once, what
 ``BracketSpec.upper`` returns: the raw fill of its kind, which is valid on
 and above the block diagonal, so its strict upper triangle is that of
 ``Pi``.  Callers that read only that triangle call ``upper``.  The
-componentwise fills are the performance path; the tensor-contraction
-builders (``s_bivector_tensor`` and friends) are kept as an independent
-cross-check oracle.
+componentwise fills are the performance path: a fill on a point chart reads
+its arrays from x (views of it, but for the dual group's h_+ and h_-)
+through the array-level helpers of :mod:`plie.charts`, after one finiteness
+check of x, so no point container is built per call; only the public
+unpackers and the samplers build them.
+The tensor-contraction builders (``s_bivector_tensor`` and friends) are
+kept as an independent cross-check oracle.
 """
 
 from __future__ import annotations
@@ -35,9 +39,17 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=64)
+def _on_or_below_diagonal(rows: int, cols: int) -> np.ndarray:
+    """The read-only (rows, cols) mask of the entries on or below the diagonal."""
+    mask = np.tri(rows, cols, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
 def antisymmetrize(M: np.ndarray) -> np.ndarray:
     """Exact antisymmetry: keep the strict upper triangle, mirror with a sign."""
-    U = np.triu(M, 1)
+    U = np.where(_on_or_below_diagonal(*M.shape[-2:]), 0, M)  # np.triu(M, 1), bit for bit
     return U - U.swapaxes(-1, -2)
 
 
@@ -72,30 +84,40 @@ class HoloFn1:
 #
 # One fill per kind maps flat coordinates (..., dim) to raw matrices
 # (..., dim, dim) that write the diagonal and upper off-diagonal blocks and
-# leave the lower ones zero; only the strict upper triangle is read.
+# leave the lower ones zero; only the strict upper triangle is read.  The
+# fills on point charts (S(n,d), Sprod, C2n, GLstar) read their arrays from
+# ``charts`` without building a point container, after one finiteness check
+# of x that raises ValueError as the containers do; the matrix-group fills
+# take any entries.
+
+
+def _finite(x: np.ndarray) -> np.ndarray:
+    if not np.isfinite(x).all():
+        raise ValueError("coordinates have non-finite entries")
+    return x
 
 
 def _fill_s(spec: "BracketSpec", x: np.ndarray) -> np.ndarray:
-    p = charts.unpack_spoint(x, spec.n, spec.d)
-    return kernels.fill_s(p.A, p.B, spec.kappa, spec.kappa)
+    A, B = charts._spoint_arrays(_finite(x), spec.n, spec.d)
+    return kernels.fill_s(A, B, spec.kappa, spec.kappa)
 
 
 def _fill_prime(spec: "BracketSpec", x: np.ndarray) -> np.ndarray:
-    p = charts.unpack_spoint(x, spec.n, spec.d)
-    return kernels.fill_hat(p.A, p.B, spec.kappa, spec.kappa)
+    A, B = charts._spoint_arrays(_finite(x), spec.n, spec.d)
+    return kernels.fill_hat(A, B, spec.kappa, spec.kappa)
 
 
 def _fill_ao_plus(spec: "BracketSpec", x: np.ndarray) -> np.ndarray:
-    p = charts.unpack_spoint(x, spec.n, spec.d)
-    return kernels.fill_hat(p.A, p.B, spec.kappa, -1.0)
+    A, B = charts._spoint_arrays(_finite(x), spec.n, spec.d)
+    return kernels.fill_hat(A, B, spec.kappa, -1.0)
 
 
 def _fill_ao_minus(spec: "BracketSpec", x: np.ndarray) -> np.ndarray:
     """The minus variant: the plus bracket after the substitution
     alpha -> d+1-alpha on both blocks, which is the S bracket at -kappa
     with cross constant -1."""
-    p = charts.unpack_spoint(x, spec.n, spec.d)
-    return kernels.fill_s(p.A, p.B, -spec.kappa, -1.0)
+    A, B = charts._spoint_arrays(_finite(x), spec.n, spec.d)
+    return kernels.fill_s(A, B, -spec.kappa, -1.0)
 
 
 def _fill_sprod(spec: "BracketSpec", x: np.ndarray) -> np.ndarray:
@@ -104,10 +126,8 @@ def _fill_sprod(spec: "BracketSpec", x: np.ndarray) -> np.ndarray:
     Chart: per copy alpha, the coordinates a^alpha then b^alpha.
     """
     n, d = spec.n, spec.d
-    t = charts.unpack_tuple(x, n, d)
     # the d copies form one stack of S(n,1) points; S(n,1)'s chart is (a, b)
-    a = np.stack([s.a for s in t], axis=-2)
-    b = np.stack([s.b for s in t], axis=-2)
+    a, b = charts._tuple_arrays(_finite(x), n, d)
     blk = kernels.fill_s(a[..., :, None], b[..., None, :], spec.kappa, spec.kappa)
     m, batch = 2 * n, blk.shape[:-3]
     M = np.zeros(batch + (m * d, m * d), dtype=complex)
@@ -160,8 +180,8 @@ def _fill_dual_group(spec: "BracketSpec", x: np.ndarray) -> np.ndarray:
     coordinate comes before every free h_- one, so the double's raw fill,
     formed at the free coordinates only, is valid on and above the diagonal.
     """
-    pair = charts.unpack_dual(x, spec.ell)
-    return _double_raw(spec.kappa, pair.hplus, pair.hminus, *_glstar_free_split(spec.ell))
+    hplus, hminus = charts._dual_arrays(_finite(x), spec.ell)
+    return _double_raw(spec.kappa, hplus, hminus, *_glstar_free_split(spec.ell))
 
 
 def _fill_sts(spec: "BracketSpec", x: np.ndarray) -> np.ndarray:
@@ -170,7 +190,7 @@ def _fill_sts(spec: "BracketSpec", x: np.ndarray) -> np.ndarray:
     ell = spec.ell
 
     C = np.einsum("...ia,...al->...ila", h, h)  # C[i,l,a] = h_ia h_al
-    Ctail = np.flip(np.cumsum(np.flip(C, axis=-1), axis=-1), axis=-1) - C
+    Ctail = np.cumsum(C[..., ::-1], axis=-1)[..., ::-1] - C
     # W[i,l,j] = kappa sum_a (1/2)(1 - sgn(j-a)) h_ia h_al, which is also
     # kappa sum_b (1/2)(sgn(b-i) + 1) h_kb h_bj at [k,j,i]
     W = spec.kappa * (Ctail + 0.5 * C)
@@ -189,8 +209,7 @@ def _fill_zak(spec: "BracketSpec", x: np.ndarray) -> np.ndarray:
     ``F`` and ``G`` are evaluated once per batch, on the array of t = a.b.
     """
     n, kappa = spec.n, spec.kappa
-    point = charts.unpack_spin(x, n)
-    a, b = point.a, point.b
+    a, b = charts._spin_arrays(_finite(x), n)
     ab = a * b
     t = np.sum(ab, axis=-1)
     Fv, Gv = spec.F.eval(t), spec.G.eval(t)

@@ -16,6 +16,8 @@ Orderings (all row-major, indices 1-based):
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .points import DualPair, SPoint, SpinPoint, SpinTuple
@@ -40,6 +42,10 @@ __all__ = [
 #
 # Every packer and unpacker keeps leading batch axes: a flat vector of shape
 # (..., dim) unpacks to a point whose arrays carry the same leading axes.
+# The public unpackers return validated point containers; the bracket fills
+# read the same arrays from the private ``_*_arrays`` helpers, which take
+# complex coordinates, build no container and leave the finiteness check to
+# their caller: the container, or the fill's one check of x.
 
 
 def _lead(x: np.ndarray, k: int) -> tuple:
@@ -52,28 +58,38 @@ def pack_spoint(p: SPoint) -> np.ndarray:
     return np.concatenate([p.A.reshape(b + (-1,)), p.B.reshape(b + (-1,))], axis=-1)
 
 
-def unpack_spoint(x: np.ndarray, n: int, d: int) -> SPoint:
-    x = np.asarray(x, dtype=complex)
+def _spoint_arrays(x: np.ndarray, n: int, d: int):
+    """A of shape (..., n, d) and B of shape (..., d, n), as views of x."""
     b = _lead(x, 1)
-    return SPoint(x[..., : n * d].reshape(b + (n, d)), x[..., n * d :].reshape(b + (d, n)))
+    return x[..., : n * d].reshape(b + (n, d)), x[..., n * d :].reshape(b + (d, n))
+
+
+def unpack_spoint(x: np.ndarray, n: int, d: int) -> SPoint:
+    return SPoint(*_spoint_arrays(np.asarray(x, dtype=complex), n, d))
 
 
 def pack_tuple(t: SpinTuple) -> np.ndarray:
     return np.concatenate([v for s in t for v in (s.a, s.b)], axis=-1)
 
 
+def _tuple_arrays(x: np.ndarray, n: int, d: int):
+    """a and b of shape (..., d, n), row alpha being copy alpha, as views of x."""
+    ab = x.reshape(_lead(x, 1) + (d, 2, n))
+    return ab[..., 0, :], ab[..., 1, :]
+
+
 def unpack_tuple(x: np.ndarray, n: int, d: int) -> SpinTuple:
-    x = np.asarray(x, dtype=complex)
-    spins = []
-    for a in range(d):
-        blk = x[..., 2 * n * a : 2 * n * (a + 1)]
-        spins.append(SpinPoint(blk[..., :n], blk[..., n:]))
-    return SpinTuple(spins)
+    a, b = _tuple_arrays(np.asarray(x, dtype=complex), n, d)
+    return SpinTuple(SpinPoint(a[..., k, :], b[..., k, :]) for k in range(d))
+
+
+def _spin_arrays(x: np.ndarray, n: int):
+    """a and b of shape (..., n), as views of x."""
+    return x[..., :n], x[..., n:]
 
 
 def unpack_spin(x: np.ndarray, n: int) -> SpinPoint:
-    x = np.asarray(x, dtype=complex)
-    return SpinPoint(x[..., :n], x[..., n:])
+    return SpinPoint(*_spin_arrays(np.asarray(x, dtype=complex), n))
 
 
 def pack_gl(g: np.ndarray) -> np.ndarray:
@@ -109,20 +125,38 @@ def pack_dual(pair: DualPair) -> np.ndarray:
     return full[..., glstar_free_indices(pair.ell)]
 
 
-def unpack_dual(x: np.ndarray, ell: int) -> DualPair:
-    x = np.asarray(x, dtype=complex)
+@lru_cache(maxsize=16)
+def _dual_index(ell: int) -> tuple:
+    """Read-only index arrays of the GLstar chart: the diagonal, and the
+    strict upper and strict lower (row, column) pairs in row-major order."""
+    r = np.arange(ell)
+    up = np.triu_indices(ell, 1)  # row-major, as in the chart
+    lo = np.tril_indices(ell, -1)
+    for t in (r,) + up + lo:
+        t.flags.writeable = False
+    return r, up, lo
+
+
+def _dual_arrays(x: np.ndarray, ell: int):
+    """h_+ and h_- of shape (..., l, l); ValueError if a diagonal entry of h_+
+    is 0, or so small that its inverse, on the diagonal of h_-, overflows."""
     b = _lead(x, 1)
     n_up = ell * (ell - 1) // 2
     diag = x[..., n_up : n_up + ell]
     if np.any(diag == 0):
         raise ValueError("h_+ diagonal must be invertible")
-    r = np.arange(ell)
-    up = np.triu_indices(ell, 1)  # row-major, as in the chart
-    lo = np.tril_indices(ell, -1)
+    inv = 1.0 / diag
+    if not np.isfinite(inv).all():
+        raise ValueError("h_- diagonal, the inverse of h_+'s, has non-finite entries")
+    r, up, lo = _dual_index(ell)
     hp = np.zeros(b + (ell, ell), dtype=complex)
     hm = np.zeros(b + (ell, ell), dtype=complex)
     hp[..., up[0], up[1]] = x[..., :n_up]
     hp[..., r, r] = diag
-    hm[..., r, r] = 1.0 / diag
+    hm[..., r, r] = inv
     hm[..., lo[0], lo[1]] = x[..., n_up + ell :]
-    return DualPair(hp, hm)
+    return hp, hm
+
+
+def unpack_dual(x: np.ndarray, ell: int) -> DualPair:
+    return DualPair(*_dual_arrays(np.asarray(x, dtype=complex), ell))

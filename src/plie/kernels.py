@@ -7,7 +7,9 @@ S(n,d) fills take stacks: ``A`` of shape ``(..., n, d)`` and ``B`` of shape
 S(n,d) chart: A(i,alpha) row-major, then B(alpha,i) row-major.  A single
 point is the batch shape ``()``.  A fill is valid on and above the block
 diagonal: it writes the AA, BB and AB blocks and leaves the BA block zero,
-for ``brackets.antisymmetrize`` to mirror.
+for ``brackets.antisymmetrize`` to mirror.  The kernels take plain arrays,
+such as the views of the flat coordinates that :mod:`plie.brackets` reads
+from :mod:`plie.charts`; no kernel builds or validates a point container.
 
 Every Kronecker-delta term of a fill, here and in :mod:`plie.brackets`, is
 written in place through a diagonal view such as
@@ -56,7 +58,9 @@ def quadratic(M, N, kappa: complex, c0: float, c_row: float, c_col: float, rows=
     r, c = M.shape[-2:]
     W = _quadratic_grid(r, c, c0, c_row, c_col)
     if rows is None:
-        batch = np.broadcast_shapes(M.shape[:-2], N.shape[:-2])
+        batch = M.shape[:-2]
+        if N.shape[:-2] != batch:
+            batch = np.broadcast_shapes(batch, N.shape[:-2])
         P = np.empty(batch + (r, c, r, c), dtype=complex)  # axes (i, j, k, l), C order
         np.multiply(M[..., :, None, None, :], N.swapaxes(-1, -2)[..., None, :, :, None], out=P)
         P = P.reshape(batch + (r * c, r * c))
@@ -88,10 +92,10 @@ def _fill(A, B, kappa: complex, hat: bool, cross_const: complex) -> np.ndarray:
     #                                    k sum_{mu>a} ...               (hat: mu > a)
     # + cross_const delta_ab delta_ik
     diag_ik = np.einsum("...ia,...bi->...iab", A, B)  # A_i^a B_i^b
-    tail = np.flip(np.cumsum(np.flip(diag_ik, axis=-3), axis=-3), axis=-3) - diag_ik
+    tail = np.cumsum(diag_ik[..., ::-1, :, :], axis=-3)[..., ::-1, :, :] - diag_ik
     im = np.einsum("...im,...mk->...imk", A, B)  # A_i^mu B_k^mu
     if hat:
-        part = np.flip(np.cumsum(np.flip(im, axis=-2), axis=-2), axis=-2) - im
+        part = np.cumsum(im[..., ::-1, :], axis=-2)[..., ::-1, :] - im
     else:
         part = np.cumsum(im, axis=-2) - im
     T_ik = half * diag_ik + kappa * tail

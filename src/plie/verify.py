@@ -113,6 +113,15 @@ class VerificationReport:
             raise ValueError("pass flag inconsistent with the failure list")
 
 
+@lru_cache(maxsize=32)
+def _axis_steps(dim: int, offsets: tuple) -> np.ndarray:
+    """The probe steps t_k e_l along the coordinate axes, as a read-only
+    float array of shape (K, dim, dim)."""
+    steps = np.multiply.outer(offsets, np.eye(dim))
+    steps.flags.writeable = False
+    return steps
+
+
 def _difference_blocks(
     f: Callable[[np.ndarray], np.ndarray],
     x: np.ndarray,
@@ -135,17 +144,17 @@ def _difference_blocks(
     ``f`` maps a (P, dim) stack of probes to P values; ValueError if the
     values do not come back one per probe."""
     S, dim = x.shape
-    if directions is None:
-        directions = np.eye(dim)[None]
-    m = directions.shape[1]
+    m = dim if directions is None else directions.shape[1]
     K = len(scheme.offsets)
     for l0 in range(0, m, block):
         l1 = min(m, l0 + block)
+        if directions is None:
+            steps = _axis_steps(dim, scheme.offsets)[:, l0:l1]
+        else:
+            steps = np.multiply.outer(scheme.offsets, directions[:, l0:l1]).swapaxes(0, 1)  # [s, k, l] = t_k v_sl
         X = np.empty((S, K, 2, l1 - l0, dim), dtype=complex)
-        X[...] = x[:, None, None, None, :]
-        for k, t in enumerate(scheme.offsets):
-            X[:, k, 0] += t * directions[:, l0:l1]
-            X[:, k, 1] -= t * directions[:, l0:l1]
+        np.add(x[:, None, None, :], steps, out=X[:, :, 0])
+        np.subtract(x[:, None, None, :], steps, out=X[:, :, 1])
         X = X.reshape(-1, dim)
         lead = with_base and l0 == 0
         if lead:
@@ -337,6 +346,16 @@ def _max_abs_chunked(J: np.ndarray) -> float:
     return float(out)
 
 
+@lru_cache(maxsize=64)
+def _increasing_triples(rows: int, m: int) -> np.ndarray:
+    """The read-only (rows, m, m) mask of ``_upper_cyclic_max``'s block from
+    row i0: [i, j, k] is kept when i0 + i < i0 + 1 + j < i0 + 1 + k."""
+    i, j = np.arange(rows), np.arange(m)
+    keep = (i[:, None, None] <= j[:, None]) & (j[:, None] < j)
+    keep.flags.writeable = False
+    return keep
+
+
 def _upper_cyclic_max(D: np.ndarray) -> np.ndarray:
     """max over i < j < k of |D[i,j,k] + D[k,i,j] - D[j,i,k]| for each D of a
     (S, dim, dim, dim) stack that is read only where its last two indices
@@ -354,8 +373,7 @@ def _upper_cyclic_max(D: np.ndarray) -> np.ndarray:
         B = D[:, o:, i0:i1, o:]  # B[j, i, k] = D[j, i, k], with j and k shifted by o
         J = D[:, i0:i1, o:, o:] + B.transpose(0, 2, 3, 1)
         J -= B.transpose(0, 2, 1, 3)
-        j = np.arange(m)
-        keep = (np.arange(i1 - i0)[:, None, None] <= j[:, None]) & (j[:, None] < j)  # i < j < k
+        keep = _increasing_triples(i1 - i0, m)
         np.maximum(out, np.max(np.abs(J), axis=(1, 2, 3), where=keep, initial=0.0), out=out)
         i0 = i1
     return out

@@ -5,14 +5,15 @@ suites' call counts."""
 
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 
-from plie import charts, decoupling as dc, factorization as fc, kernels, sampling, suites, verify
+from plie import brackets, charts, decoupling as dc, factorization as fc, kernels, sampling, suites, verify
 from plie.brackets import BracketSpec, HoloFn1, antisymmetrize, s_bivector_tensor
 from plie.errors import BranchCut, DomainEscape, ZeroG
-from plie.points import SPoint, SpinPoint, SpinTuple
+from plie.points import DualPair, SPoint, SpinPoint, SpinTuple
 from plie.tensors import r_pm
 from plie.verify import DiffScheme, jacobi_residual, jacobian_fd
 
@@ -140,6 +141,106 @@ def test_quadratic_block_is_the_full_block(coeffs):
 def test_chart_roundtrip_on_stacks(pack, unpack, sample):
     X = np.stack([pack(sample(i)) for i in range(6)]).reshape(2, 3, -1)
     np.testing.assert_array_equal(pack(unpack(X)), X)
+
+
+# --- the fills read their coordinates as array views ----------------------------
+
+
+def _container_arrays(monkeypatch):
+    """Make the fills read their arrays from the validated point containers of
+    the public unpackers, through a stand-in for ``charts`` in ``brackets``."""
+
+    def spoint(x, n, d):
+        p = charts.unpack_spoint(x, n, d)
+        return p.A, p.B
+
+    def spins(x, n, d):
+        t = charts.unpack_tuple(x, n, d)
+        return np.stack([s.a for s in t], axis=-2), np.stack([s.b for s in t], axis=-2)
+
+    def spin(x, n):
+        p = charts.unpack_spin(x, n)
+        return p.a, p.b
+
+    def dual(x, ell):
+        pair = charts.unpack_dual(x, ell)
+        return pair.hplus, pair.hminus
+
+    routed = dict(vars(charts), _spoint_arrays=spoint, _tuple_arrays=spins, _spin_arrays=spin, _dual_arrays=dual)
+    monkeypatch.setattr(brackets, "charts", types.SimpleNamespace(**routed))
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=_label)
+def test_view_fill_equals_container_fill(monkeypatch, spec):
+    X = _points(spec, 4)
+    got = [spec.upper(X), spec.upper(X[0])]
+    _container_arrays(monkeypatch)
+    want = [spec.upper(X), spec.upper(X[0])]
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.array_equal(g.view(float), w.view(float))
+        assert np.array_equal(np.signbit(g.view(float)), np.signbit(w.view(float)))
+
+
+@pytest.mark.parametrize("batch", [(), (4,), (2, 3)])
+def test_chart_helpers_return_the_unpacker_arrays(batch):
+    n, d, ell = 3, 2, 4
+    count = int(np.prod(batch))
+    x = sampling.sample_vector(6, np.arange(count), 2 * n * d, 1.0).reshape(batch + (2 * n * d,))
+    p = charts.unpack_spoint(x, n, d)
+    A, B = charts._spoint_arrays(x, n, d)
+    assert np.array_equal(A, p.A) and np.array_equal(B, p.B)
+    t = charts.unpack_tuple(x, n, d)
+    a, b = charts._tuple_arrays(x, n, d)
+    assert a.shape == b.shape == batch + (d, n)
+    for k in range(d):
+        assert np.array_equal(a[..., k, :], t[k].a) and np.array_equal(b[..., k, :], t[k].b)
+    s = charts.unpack_spin(x[..., : 2 * n], n)
+    a, b = charts._spin_arrays(x[..., : 2 * n], n)
+    assert np.array_equal(a, s.a) and np.array_equal(b, s.b)
+    for arrays in (charts._spoint_arrays(x, n, d), charts._tuple_arrays(x, n, d), charts._spin_arrays(x, n)):
+        assert all(np.shares_memory(arr, x) for arr in arrays)  # views: no copy of the coordinates
+    y = charts.pack_dual(sampling.sample_dual(6, np.arange(count), ell, 0.4)).reshape(batch + (ell * ell,))
+    pair = charts.unpack_dual(y, ell)
+    hp, hm = charts._dual_arrays(y, ell)
+    assert np.array_equal(hp, pair.hplus) and np.array_equal(hm, pair.hminus)
+    upper = BracketSpec("DualGroup", 1.0, ell=ell).upper
+    for tiny in (0, 1e-310):  # the first diagonal entry of h_+: no inverse, or one that overflows
+        y[..., ell * (ell - 1) // 2] = tiny
+        for unpack in (charts.unpack_dual, charts._dual_arrays, lambda y, ell: upper(y)):
+            with pytest.raises(ValueError, match="diagonal"), np.errstate(over="ignore", invalid="ignore"):
+                unpack(y, ell)
+
+
+def _count_containers(monkeypatch) -> list:
+    """Record each SPoint, SpinPoint and DualPair built from now on."""
+    built = []
+    for cls in (SPoint, SpinPoint, DualPair):
+        def counted(self, real=cls.__post_init__, name=cls.__name__):
+            built.append(name)
+            real(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    return built
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=_label)
+def test_jacobi_residual_builds_no_point_container(monkeypatch, spec):
+    X = _points(spec, 3)
+    caches = (verify._axis_steps, verify._increasing_triples, brackets._on_or_below_diagonal, charts._dual_index)
+    jacobi_residual(spec, X, POLY)  # the caches fill on first use
+    built = _count_containers(monkeypatch)
+    misses = [c.cache_info().misses for c in caches]
+    jacobi_residual(spec, X, POLY)
+    assert built == []
+    assert [c.cache_info().misses for c in caches] == misses  # the second call reuses every table
+    tables = [verify._axis_steps(spec.dim, POLY.offsets), brackets._on_or_below_diagonal(spec.dim, spec.dim)]
+    if spec.dim > 2:
+        tables.append(verify._increasing_triples(spec.dim - 2, spec.dim - 1))
+    if spec.kind == "DualGroup":
+        r, up, lo = charts._dual_index(spec.ell)
+        tables += [r, *up, *lo]
+    assert not any(t.flags.writeable for t in tables)
 
 
 # --- the per-probe Jacobi residual, kept as an oracle ---------------------------
@@ -628,6 +729,8 @@ def test_nan_sample_rejected_by_point_chart(spec):
     X[1, 0] = np.nan
     with pytest.raises(ValueError):
         jacobi_residual(spec, X, POLY)
+    with pytest.raises(ValueError):  # one point, through the bivector alone
+        spec.bivector(X[1])
 
 
 def test_residual_rejects_wrong_shapes():
