@@ -159,18 +159,6 @@ def _fill_double(spec: "BracketSpec", x: np.ndarray) -> np.ndarray:
     return _double_raw(spec.kappa, *charts.unpack_double(x, spec.ell))
 
 
-@lru_cache(maxsize=None)
-def _glstar_free_split(ell: int) -> tuple:
-    """The GLstar free coordinates as flat positions in h_+ and in h_-, in
-    chart order: every h_+ one comes before every h_- one."""
-    idx = charts.glstar_free_indices(ell)
-    m = ell * ell
-    free_u, free_v = idx[idx < m], idx[idx >= m] - m
-    free_u.flags.writeable = False
-    free_v.flags.writeable = False
-    return free_u, free_v
-
-
 def _fill_dual_group(spec: "BracketSpec", x: np.ndarray) -> np.ndarray:
     """Bracket on the free coordinates of the dual-group chart.
 
@@ -181,7 +169,8 @@ def _fill_dual_group(spec: "BracketSpec", x: np.ndarray) -> np.ndarray:
     formed at the free coordinates only, is valid on and above the diagonal.
     """
     hplus, hminus = charts._dual_arrays(_finite(x), spec.ell)
-    return _double_raw(spec.kappa, hplus, hminus, *_glstar_free_split(spec.ell))
+    _, free_u, free_v = charts._dual_index(spec.ell)[3]
+    return _double_raw(spec.kappa, hplus, hminus, free_u, free_v)
 
 
 def _fill_sts(spec: "BracketSpec", x: np.ndarray) -> np.ndarray:

@@ -112,29 +112,32 @@ def unpack_double(x: np.ndarray, ell: int):
     return x[..., : ell * ell].reshape(b + (ell, ell)), x[..., ell * ell :].reshape(b + (ell, ell))
 
 
+@lru_cache(maxsize=16)
+def _dual_index(ell: int) -> tuple:
+    """Read-only index arrays of the GLstar chart: the diagonal; the strict
+    upper and strict lower (row, column) pairs in row-major order; and the
+    flat positions of the free coordinates, in chart order, inside the D(l)
+    chart, and split into those in h_+ and those in h_-."""
+    r = np.arange(ell)
+    up = np.triu_indices(ell, 1)  # row-major, as in the chart
+    lo = np.tril_indices(ell, -1)
+    free_u = np.concatenate([up[0] * ell + up[1], r * (ell + 1)])
+    free_v = lo[0] * ell + lo[1]
+    free = np.concatenate([free_u, ell * ell + free_v])
+    for t in (r, *up, *lo, free, free_u, free_v):
+        t.flags.writeable = False
+    return r, up, lo, (free, free_u, free_v)
+
+
 def glstar_free_indices(ell: int) -> np.ndarray:
-    """Positions of the GLstar free coordinates inside the D(l) chart."""
-    idx = [i * ell + j for i in range(ell) for j in range(i + 1, ell)]
-    idx += [j * ell + j for j in range(ell)]
-    idx += [ell * ell + i * ell + j for i in range(1, ell) for j in range(i)]
-    return np.array(idx, dtype=int)
+    """Positions of the GLstar free coordinates inside the D(l) chart, as a
+    read-only array cached per l."""
+    return _dual_index(ell)[3][0]
 
 
 def pack_dual(pair: DualPair) -> np.ndarray:
     full = pack_double(pair.hplus, pair.hminus)
     return full[..., glstar_free_indices(pair.ell)]
-
-
-@lru_cache(maxsize=16)
-def _dual_index(ell: int) -> tuple:
-    """Read-only index arrays of the GLstar chart: the diagonal, and the
-    strict upper and strict lower (row, column) pairs in row-major order."""
-    r = np.arange(ell)
-    up = np.triu_indices(ell, 1)  # row-major, as in the chart
-    lo = np.tril_indices(ell, -1)
-    for t in (r,) + up + lo:
-        t.flags.writeable = False
-    return r, up, lo
 
 
 def _dual_arrays(x: np.ndarray, ell: int):
@@ -148,7 +151,7 @@ def _dual_arrays(x: np.ndarray, ell: int):
     inv = 1.0 / diag
     if not np.isfinite(inv).all():
         raise ValueError("h_- diagonal, the inverse of h_+'s, has non-finite entries")
-    r, up, lo = _dual_index(ell)
+    r, up, lo, _ = _dual_index(ell)
     hp = np.zeros(b + (ell, ell), dtype=complex)
     hm = np.zeros(b + (ell, ell), dtype=complex)
     hp[..., up[0], up[1]] = x[..., :n_up]

@@ -441,9 +441,10 @@ def _suite_zakrzewski(cfg: RunConfig):
             "condition_affine": vf.zak_condition_residual(_F_AFF, _G_AFF, t),
             "condition_linear": vf.zak_condition_residual(_F_LIN, _G_ZERO, t),
         }
-        # inadmissible (F, G): Jacobi must visibly fail at generic points
+        # inadmissible (F, G): Jacobi must visibly fail at generic points, relative to
+        # |kappa|^2 |t|: the Jacobiator is quadratic in kappa, the pair's condition residual is |t|
         bad = vf.jacobi_residual(spec_bad, x, _POLY)
-        out["dichotomy"] = np.where(bad > 1e-4, 0.0, 2.0)
+        out["dichotomy"] = np.where(bad > 1e-2 * abs(cfg.kappa) ** 2 * np.abs(t), 0.0, 2.0)
         return out
 
     return params, cfg.samples, check

@@ -25,16 +25,17 @@ of the bivector along its own rows.  Every probe calls the raw fill
 ``BracketSpec.upper``, so T is read only where j < k, and the residual is
 the max of the cyclic sums over i < j < k: a subset of the (i, j, k), so it
 is never above the max over all of them from the same derivatives, and
-below it only by the rounding of the three cyclic sums.  Two regimes differ
-only in the probe directions.  While one sample's probes fit in one call
-(``_BLOCK_ENTRIES``), the probes of a chunk of samples run along the
-coordinate axes, in one call with their points, T is the product of Pi with
-the derivatives, and one cyclic max (``_upper_cyclic_max``) is taken in
-blocks of rows.  Beyond that, each sample's point gets a bivector call of
-its own and its probes run along the rows of Pi(x), block by block, so the
-differences are T itself: each block is added to a packed Jacobiator of
-the C(dim, 3) triples (``_add_rows``) and freed, so no (dim, dim, dim)
-array is formed.
+below it only by the rounding of the three cyclic sums.  Both regimes form
+the packed Jacobiator, the cyclic sums of the C(dim, 3) triples in colex
+order, and take its max per sample; they differ only in how T arrives.
+While one sample's probes fit in one call (``_BLOCK_ENTRIES``), the probes
+of a chunk of samples run along the coordinate axes, in one call with their
+points, T is the product of Pi with the derivatives, and the packed
+Jacobiator is gathered from it whole (``_gather_jacobiator``).  Beyond that,
+each sample's point gets a bivector call of its own and its probes run
+along the rows of Pi(x), block by block, so the differences are T itself:
+each block is added to the packed Jacobiator (``_add_rows``) and freed, so
+no (dim, dim, dim) array is formed.
 """
 
 from __future__ import annotations
@@ -236,24 +237,22 @@ def jacobi_residual(spec: BracketSpec, x: np.ndarray, scheme: DiffScheme):
     Pi.  Every probe calls the raw fill ``spec.upper``, so T is read only
     where j < k, with T[j,k,i] = -T[j,i,k]; J is totally antisymmetric, so
     the max over i < j < k is the full max up to the rounding of the three
-    cyclic sums, and never above it.  The two regimes, chosen by the entries
-    ``per_sample`` of the calls one sample's probes need, differ only in the
-    probe directions:
+    cyclic sums, and never above it.  Both regimes form the packed J over
+    i < j < k, C(dim, 3) complex entries (a sixth of a (dim, dim, dim)
+    array) in colex order, and take max |J| per sample in chunks.  The two
+    regimes, chosen by the entries ``per_sample`` of the calls one sample's
+    probes need, differ only in how T arrives:
 
     - single call (``per_sample <= _BLOCK_ENTRIES``): the stack is cut into
       chunks of consecutive samples whose probes along the coordinate axes
       e_l, and the samples' own points, fit in one call; T is the product
       of Pi(x) with the derivative stack, about ``_BLOCK_ENTRIES * dim / 2``
-      multiply-adds per call.
-      The cyclic sum is taken in blocks of rows i and only its running max
-      is kept.
+      multiply-adds per call, and J is gathered from the chunk's T whole.
     - multi-call: one sample at a time, its point in a bivector call of its
       own, then its probes along the rows Pi(x) e_i (unnormalised) in blocks
       of consecutive rows of at most ``_BLOCK_ENTRIES`` entries a call.  The
       differences are T itself, so no dim^4 product is formed, and each
-      block's are added to the packed J over i < j < k, C(dim, 3) complex
-      entries (a sixth of a (dim, dim, dim) array), as the block arrives;
-      then max |J| is taken in chunks.
+      block's are added to J as the block arrives.
 
     A sample's residual depends only on its point.
     """
@@ -270,7 +269,7 @@ def jacobi_residual(spec: BracketSpec, x: np.ndarray, scheme: DiffScheme):
         for s0 in range(0, len(X), chunk):
             (_, U0), (_, D) = _difference_blocks(spec.upper, X[s0 : s0 + chunk], scheme, dim, with_base=True)
             T = _matmul(antisymmetrize(U0), D.reshape(len(D), dim, dim * dim))
-            parts.append(_upper_cyclic_max(T.reshape(D.shape)))
+            parts.append(_max_abs_chunked(_gather_jacobiator(T)))
             del D, U0, T  # not alive during the next chunk's fill
     else:
         block = max(1, _BLOCK_ENTRIES // per_direction)
@@ -280,7 +279,7 @@ def jacobi_residual(spec: BracketSpec, x: np.ndarray, scheme: DiffScheme):
             for l0, D in _difference_blocks(spec.upper, Xs, scheme, block, directions=spec.bivector(Xs)):
                 _add_rows(J, D[0], l0)
                 del D  # not alive during the next block's call
-            parts.append([_max_abs_chunked(J[: math.comb(dim, 3)])])
+            parts.append(_max_abs_chunked(J[None, : math.comb(dim, 3)]))
             del J  # not alive during the next sample's fill
     out = np.concatenate(parts) if parts else np.empty(0)
     return float(out[0]) if x.ndim == 1 else out
@@ -336,46 +335,40 @@ def _add_rows(J: np.ndarray, D: np.ndarray, l0: int) -> None:
     np.add.at(J, index.ravel(), vals.ravel())
 
 
-def _max_abs_chunked(J: np.ndarray) -> float:
-    """max |J| over a flat array, taken in chunks of ``_BLOCK_ENTRIES``
-    entries: no float copy of the whole array; 0 for an empty one, NaN if
-    any entry is NaN."""
-    out = np.zeros(())
-    for j0 in range(0, len(J), _BLOCK_ENTRIES):
-        np.maximum(out, np.max(np.abs(J[j0 : j0 + _BLOCK_ENTRIES])), out=out)
-    return float(out)
+@lru_cache(maxsize=32)
+def _cyclic_positions(dim: int) -> np.ndarray:
+    """The read-only (3, C(dim, 3)) flat positions, in a (dim, dim, dim)
+    array, of [i,j,k], [k,i,j] and [j,i,k] for the triples i < j < k in the
+    packed Jacobiator's colex order (k, then j, then i)."""
+    r = np.arange(dim)
+    k, j, i = np.nonzero((r[:, None, None] > r[:, None]) & (r[:, None] > r))
+    pos = np.stack([(i * dim + j) * dim + k, (k * dim + i) * dim + j, (j * dim + i) * dim + k])
+    pos.flags.writeable = False
+    return pos
 
 
-@lru_cache(maxsize=64)
-def _increasing_triples(rows: int, m: int) -> np.ndarray:
-    """The read-only (rows, m, m) mask of ``_upper_cyclic_max``'s block from
-    row i0: [i, j, k] is kept when i0 + i < i0 + 1 + j < i0 + 1 + k."""
-    i, j = np.arange(rows), np.arange(m)
-    keep = (i[:, None, None] <= j[:, None]) & (j[:, None] < j)
-    keep.flags.writeable = False
-    return keep
+def _gather_jacobiator(T: np.ndarray) -> np.ndarray:
+    """The packed Jacobiators (T[i,j,k] + T[k,i,j]) - T[j,i,k] over i < j < k
+    in colex order, of shape (S, C(dim, 3)), of an (S, dim, dim, dim) stack T,
+    or its (S, dim, dim * dim) view, read only where its last two indices
+    increase."""
+    S, dim = T.shape[:2]
+    T = T.reshape(S, -1)
+    ijk, kij, jik = _cyclic_positions(dim)
+    J = np.take(T, ijk, axis=1) + np.take(T, kij, axis=1)
+    J -= np.take(T, jik, axis=1)
+    return J
 
 
-def _upper_cyclic_max(D: np.ndarray) -> np.ndarray:
-    """max over i < j < k of |D[i,j,k] + D[k,i,j] - D[j,i,k]| for each D of a
-    (S, dim, dim, dim) stack that is read only where its last two indices
-    increase: the cyclic sum of the T antisymmetric in (j, k) that equals D
-    there, with T[j,k,i] = -D[j,i,k].  Taken in blocks of rows i from i0 on,
-    each on the sub-square j, k > i0 of at most ``_BLOCK_ENTRIES`` entries per
-    D; shape (S,)."""
-    S, dim = D.shape[:2]
+def _max_abs_chunked(J: np.ndarray) -> np.ndarray:
+    """max |J| over each row of an (S, m) array, taken in chunks of about
+    ``_BLOCK_ENTRIES`` entries: no float copy of the whole array; shape (S,),
+    0 for an empty row, NaN where a row has a NaN."""
+    S, m = J.shape
     out = np.zeros(S)
-    i0 = 0
-    while i0 < dim - 2:  # rows with a pair j < k above them
-        o = i0 + 1
-        m = dim - o
-        i1 = min(dim - 2, i0 + max(1, _BLOCK_ENTRIES // (m * m)))
-        B = D[:, o:, i0:i1, o:]  # B[j, i, k] = D[j, i, k], with j and k shifted by o
-        J = D[:, i0:i1, o:, o:] + B.transpose(0, 2, 3, 1)
-        J -= B.transpose(0, 2, 1, 3)
-        keep = _increasing_triples(i1 - i0, m)
-        np.maximum(out, np.max(np.abs(J), axis=(1, 2, 3), where=keep, initial=0.0), out=out)
-        i0 = i1
+    step = max(1, _BLOCK_ENTRIES // S)
+    for j0 in range(0, m, step):
+        np.maximum(out, np.max(np.abs(J[:, j0 : j0 + step]), axis=1), out=out)
     return out
 
 

@@ -227,19 +227,26 @@ def _count_containers(monkeypatch) -> list:
 @pytest.mark.parametrize("spec", SPECS, ids=_label)
 def test_jacobi_residual_builds_no_point_container(monkeypatch, spec):
     X = _points(spec, 3)
-    caches = (verify._axis_steps, verify._increasing_triples, brackets._on_or_below_diagonal, charts._dual_index)
+    caches = (
+        verify._axis_steps,
+        verify._cyclic_positions,
+        brackets._on_or_below_diagonal,
+        charts._dual_index,
+    )
     jacobi_residual(spec, X, POLY)  # the caches fill on first use
     built = _count_containers(monkeypatch)
     misses = [c.cache_info().misses for c in caches]
     jacobi_residual(spec, X, POLY)
     assert built == []
     assert [c.cache_info().misses for c in caches] == misses  # the second call reuses every table
-    tables = [verify._axis_steps(spec.dim, POLY.offsets), brackets._on_or_below_diagonal(spec.dim, spec.dim)]
-    if spec.dim > 2:
-        tables.append(verify._increasing_triples(spec.dim - 2, spec.dim - 1))
+    tables = [
+        verify._axis_steps(spec.dim, POLY.offsets),
+        verify._cyclic_positions(spec.dim),
+        brackets._on_or_below_diagonal(spec.dim, spec.dim),
+    ]
     if spec.kind == "DualGroup":
-        r, up, lo = charts._dual_index(spec.ell)
-        tables += [r, *up, *lo]
+        r, up, lo, free = charts._dual_index(spec.ell)
+        tables += [r, *up, *lo, *free]
     assert not any(t.flags.writeable for t in tables)
 
 
@@ -576,18 +583,15 @@ def test_single_call_residual_is_the_full_cyclic_max(spec, scheme):
     assert np.all(want - got <= 1e-15 * np.maximum(1.0, size))
 
 
-def test_uneven_row_blocks_of_the_cyclic_max(monkeypatch):
-    # an O(1) Jacobiator, where every entry decides: the blocked max over
-    # i < j < k equals the max over all of them at every block size
+def test_single_call_residual_of_an_o1_jacobiator():
+    # an O(1) Jacobiator, where every entry decides: the gathered max over
+    # i < j < k equals the max over all of them
     spec = _Perturbed(BracketSpec("Prime", 1j, n=2, d=3))
+    assert _per_sample_entries(spec, POLY) <= verify._BLOCK_ENTRIES
     X = _points(spec.spec, 3)
-    T = _differences(spec.bivector, X, POLY, directions=spec.bivector(X))
-    want = verify._upper_cyclic_max(T)
-    for cap in (1, 150, 300, 2**16):
-        monkeypatch.setattr(verify, "_BLOCK_ENTRIES", cap)
-        np.testing.assert_array_equal(verify._upper_cyclic_max(T), want)
-    J = T + T.transpose(0, 2, 3, 1) + T.transpose(0, 3, 1, 2)
-    np.testing.assert_allclose(want, np.max(np.abs(J), axis=(1, 2, 3)), rtol=1e-14)
+    want, _ = _full_cyclic_max(spec, X, POLY, rows=False)
+    assert np.all(want > 1e-2)
+    np.testing.assert_allclose(jacobi_residual(spec, X, POLY), want, rtol=1e-14)
 
 
 def _cyclic_sums(T):
@@ -616,6 +620,20 @@ def test_packed_jacobiator_at_every_block_size(dim):
     np.testing.assert_allclose(packed[0], want, rtol=1e-15, atol=1e-15)
     for J in packed[1:]:
         np.testing.assert_array_equal(J, packed[0])
+
+
+@pytest.mark.parametrize("dim", [3, 4, 7])
+def test_gathered_jacobiator_is_the_packed_one(dim):
+    # the single-call regime gathers every cyclic sum over i < j < k at its
+    # colex position, the bits of the packed Jacobiator that ``_add_rows``
+    # accumulates, and nothing from the entries read below the diagonal
+    rng = np.random.default_rng(dim)
+    T = rng.normal(size=(2,) + (dim,) * 3) + 1j * rng.normal(size=(2,) + (dim,) * 3)
+    want = [_cyclic_sums(t) for t in T]
+    T[:, :, np.tril_indices(dim)[0], np.tril_indices(dim)[1]] = np.nan
+    got = verify._gather_jacobiator(T)
+    assert np.all(np.isfinite(got))
+    np.testing.assert_array_equal(got, want)
 
 
 def test_uneven_row_blocks_of_the_packed_jacobiator(monkeypatch):

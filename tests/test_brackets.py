@@ -230,6 +230,19 @@ class TestDualGroup:
         full = _on_double(1.0, pair.hplus, pair.hminus)
         np.testing.assert_allclose(_on_dual(1.0, pair), full[np.ix_(idx, idx)], atol=1e-14)
 
+    @pytest.mark.parametrize("ell", range(1, 12))
+    def test_free_indices_are_the_chart_layout(self, ell):
+        # strict upper of h_+, diagonal of h_+, strict lower of h_-, each row-major
+        want = [i * ell + j for i in range(ell) for j in range(i + 1, ell)]
+        want += [j * ell + j for j in range(ell)]
+        want += [ell * ell + i * ell + j for i in range(1, ell) for j in range(i)]
+        idx, free_u, free_v = charts._dual_index(ell)[3]
+        assert idx is charts.glstar_free_indices(ell)
+        np.testing.assert_array_equal(idx, want)
+        np.testing.assert_array_equal(np.concatenate([free_u, ell * ell + free_v]), want)
+        assert len(free_u) == ell * (ell + 1) // 2
+        assert not any(t.flags.writeable for t in (idx, free_u, free_v))
+
     @pytest.mark.parametrize("ell", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("kappa", KAPPAS)
     def test_fill_is_the_double_fill_at_the_free_coordinates(self, ell, kappa):

@@ -50,6 +50,22 @@ class TestVerify:
         assert report["pass"] is False
         assert report["failures"]
 
+    ZAK_SMALL_T = ["--suite", "zakrzewski", "--n", "2", "--d", "2", "--ell", "3", "--seed", "714583910", "--samples", "8"]
+
+    def test_dichotomy_holds_where_t_is_small(self, tmp_path):
+        # at index 5, |t| = |a.b| = 5.9e-4 and the inadmissible bracket's
+        # Jacobi residual is 9.5e-5: visible on the scale |kappa|^2 |t|
+        code, text = _verify(tmp_path, "r.json", *self.ZAK_SMALL_T)
+        assert code == 0
+        assert json.loads(text)["failures"] == []
+
+    def test_dichotomy_fails_when_its_bad_pair_is_admissible(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(suites, "_F_ONE", suites._F_LIN)
+        code, text = _verify(tmp_path, "r.json", *self.ZAK_SMALL_T)
+        assert code == 1
+        failures = json.loads(text)["failures"]
+        assert failures and {f["digest"].split("check=")[1] for f in failures} == {"dichotomy"}
+
     def test_deterministic_reports(self, tmp_path):
         _, first = _verify(tmp_path, "a.json", "--suite", "symplectic", "--seed", "7", *FAST)
         _, second = _verify(tmp_path, "b.json", "--suite", "symplectic", "--seed", "7", *FAST)
