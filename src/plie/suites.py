@@ -236,12 +236,11 @@ def _suite_decouple_F(cfg: RunConfig):
     th_a = 1.0
     th_b = -1.0 / cfg.kappa
 
-    def fmap(x):
-        return charts.pack_spoint(dc.map_F(charts.unpack_tuple(x, cfg.n, cfg.d)))
-
-    def thfmap(x):
+    def f_theta_f(x):
+        # x -> [F(x), theta(F(x))]: one Jacobian of it is both maps', and map_F runs once on the probes
         p = dc.map_F(charts.unpack_tuple(x, cfg.n, cfg.d))
-        return charts.pack_spoint(dc.map_theta(p, th_a, th_b, cfg.kappa))
+        q = dc.map_theta(p, th_a, th_b, cfg.kappa)
+        return np.concatenate([charts.pack_spoint(p), charts.pack_spoint(q)], axis=-1)
 
     def check(indices: np.ndarray) -> dict:
         t = sampling.sample_tuple(cfg.seed, indices, cfg.n, cfg.d, cfg.radius)
@@ -249,9 +248,10 @@ def _suite_decouple_F(cfg: RunConfig):
         q = dc.map_theta(dc.map_F(t), th_a, th_b, cfg.kappa)
         GG = fc.calG_pm(t)
         lhs = np.eye(cfg.n) + cfg.kappa * q.A @ q.B
+        J, m = vf.jacobian_fd(f_theta_f, x, _RATIONAL), x.shape[-1]
         return {
-            "poisson_map_F": vf.poisson_map_residual(src, tgt_pr, fmap, x, _RATIONAL),
-            "poisson_map_thetaF": vf.poisson_map_residual(src, tgt_ao, thfmap, x, _RATIONAL),
+            "poisson_map_F": vf.poisson_map_residual(src, tgt_pr, lambda y: f_theta_f(y)[:, :m], x, jac=J[:, :m]),
+            "poisson_map_thetaF": vf.poisson_map_residual(src, tgt_ao, lambda y: f_theta_f(y)[:, m:], x, jac=J[:, m:]),
             "roundtrip": _tuple_diff(t, dc.map_F_inverse(dc.map_F(t))),
             "residue_identity": max_abs(lhs - np.linalg.solve(GG.hplus, GG.hminus)),
         }

@@ -20,22 +20,14 @@ of their residuals (a dict of such arrays).  Points are flat coordinates of
 shape (dim,) or (S, dim), or point containers whose arrays carry the
 leading axis S.
 
-``jacobi_residual`` needs T[i,j,k] = sum_l Pi_il d_l Pi_jk, the derivative
-of the bivector along its own rows.  Every probe calls the raw fill
-``BracketSpec.upper``, so T is read only where j < k, and the residual is
-the max of the cyclic sums over i < j < k: a subset of the (i, j, k), so it
-is never above the max over all of them from the same derivatives, and
-below it only by the rounding of the three cyclic sums.  Both regimes form
-the packed Jacobiator, the cyclic sums of the C(dim, 3) triples in colex
-order, and take its max per sample; they differ only in how T arrives.
-While one sample's probes fit in one call (``_BLOCK_ENTRIES``), the probes
-of a chunk of samples run along the coordinate axes, in one call with their
-points, T is the product of Pi with the derivatives, and the packed
-Jacobiator is gathered from it whole (``_gather_jacobiator``).  Beyond that,
-each sample's point gets a bivector call of its own and its probes run
-along the rows of Pi(x), block by block, so the differences are T itself:
-each block is added to the packed Jacobiator (``_add_rows``) and freed, so
-no (dim, dim, dim) array is formed.
+``jacobi_residual`` probes the bivector along its own rows Pi(x) e_i, so the
+differences are T[i,j,k] = sum_l Pi_il d_l Pi_jk itself, and takes the max
+of the cyclic sums over i < j < k from a packed Jacobiator.  Only the memory
+blocking depends on the size (``_BLOCK_ENTRIES``): a chunk of samples per
+call, gathered whole (``_gather_jacobiator``), or a block of one sample's
+rows per call, added as it arrives (``_add_rows``).  Both sum each triple in
+the same order, so a sample's residual is the same, bit for bit, at every
+block size.
 """
 
 from __future__ import annotations
@@ -48,7 +40,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import charts
-from .brackets import BracketSpec, HoloFn1, antisymmetrize, sts_rhs_tensor
+from .brackets import BracketSpec, HoloFn1, sts_rhs_tensor
 from .errors import ConfigError
 from .factorization import _nonvanishing_g, g_factors, g_pm
 from .points import SPoint, SpinPoint, SpinTuple
@@ -128,7 +120,6 @@ def _difference_blocks(
     x: np.ndarray,
     scheme: DiffScheme,
     block: int,
-    with_base: bool = False,
     directions: Optional[np.ndarray] = None,
 ):
     """Derivative stacks D[s, l] = sum_k c_k (f(x_s + t_k v_sl) - f(x_s - t_k v_sl))
@@ -138,9 +129,7 @@ def _difference_blocks(
     ``block`` consecutive directions l, each in an array of its own, after
     one call of ``f`` on that block's probes x_s +- t_k v_sl.  ``directions``
     has shape (S, m, dim), or (1, m, dim) for the same directions at every
-    point; by default they are the coordinate vectors e_l (m = dim).  With
-    ``with_base`` the first item is (None, f(x)), the values at the S points,
-    which go first in the first block's call.
+    point; by default they are the coordinate vectors e_l (m = dim).
 
     ``f`` maps a (P, dim) stack of probes to P values; ValueError if the
     values do not come back one per probe."""
@@ -157,15 +146,9 @@ def _difference_blocks(
         np.add(x[:, None, None, :], steps, out=X[:, :, 0])
         np.subtract(x[:, None, None, :], steps, out=X[:, :, 1])
         X = X.reshape(-1, dim)
-        lead = with_base and l0 == 0
-        if lead:
-            X = np.concatenate([x, X])
         Y = np.asarray(f(X))
         if Y.shape[:1] != X.shape[:1]:
             raise ValueError(f"map must take (..., {dim}) to (..., m): a {X.shape} stack gave {Y.shape}")
-        if lead:
-            yield None, Y[:S].copy()  # a copy, so the block's buffer is not kept alive
-            Y = Y[S:]
         Y = Y.reshape((S, K, 2, l1 - l0) + Y.shape[1:])
         blk = np.subtract(Y[:, 0, 0], Y[:, 0, 1])
         blk *= scheme.weights[0]
@@ -234,43 +217,44 @@ def jacobi_residual(spec: BracketSpec, x: np.ndarray, scheme: DiffScheme):
     points of shape (S, dim), which gives the (S,) array of their residuals.
     The Jacobiator is J[i,j,k] = T[i,j,k] + T[k,i,j] + T[j,k,i] with
     T[i,j,k] = sum_l Pi_il d_l Pi_jk, the derivative of Pi along row i of
-    Pi.  Every probe calls the raw fill ``spec.upper``, so T is read only
-    where j < k, with T[j,k,i] = -T[j,i,k]; J is totally antisymmetric, so
-    the max over i < j < k is the full max up to the rounding of the three
-    cyclic sums, and never above it.  Both regimes form the packed J over
-    i < j < k, C(dim, 3) complex entries (a sixth of a (dim, dim, dim)
-    array) in colex order, and take max |J| per sample in chunks.  The two
-    regimes, chosen by the entries ``per_sample`` of the calls one sample's
-    probes need, differ only in how T arrives:
+    Pi: the probes run along the rows Pi(x) e_i (unnormalised), so their
+    differences are T itself.  Every probe calls the raw fill
+    ``spec.upper``, so T is read only where j < k, with
+    T[j,k,i] = -T[j,i,k]; J is totally antisymmetric, so the max over
+    i < j < k is the full max up to the rounding of the three cyclic sums,
+    and never above it.  The packed J over i < j < k, C(dim, 3) complex
+    entries (a sixth of a (dim, dim, dim) array) in colex order, sums each
+    triple as (T[i,j,k] - T[j,i,k]) + T[k,i,j], and max |J| is taken per
+    sample in chunks.  Two blockings, chosen by the entries ``per_sample``
+    of the calls one sample's probes need, keep the memory bounded:
 
-    - single call (``per_sample <= _BLOCK_ENTRIES``): the stack is cut into
-      chunks of consecutive samples whose probes along the coordinate axes
-      e_l, and the samples' own points, fit in one call; T is the product
-      of Pi(x) with the derivative stack, about ``_BLOCK_ENTRIES * dim / 2``
-      multiply-adds per call, and J is gathered from the chunk's T whole.
-    - multi-call: one sample at a time, its point in a bivector call of its
-      own, then its probes along the rows Pi(x) e_i (unnormalised) in blocks
-      of consecutive rows of at most ``_BLOCK_ENTRIES`` entries a call.  The
-      differences are T itself, so no dim^4 product is formed, and each
-      block's are added to J as the block arrives.
+    - one call (``per_sample <= _BLOCK_ENTRIES``): the stack is cut into
+      chunks of consecutive samples whose probes fit in one call, after one
+      bivector call for the chunk's directions, and J is gathered from the
+      chunk's T whole.
+    - row blocks: one sample at a time, after a bivector call for its
+      directions, its probes in blocks of consecutive rows of at most
+      ``_BLOCK_ENTRIES`` entries a call, each block's differences added to
+      J as the block arrives.
 
-    A sample's residual depends only on its point.
+    A sample's residual depends only on its point, and is the same, bit for
+    bit, at every ``_BLOCK_ENTRIES``.
     """
     x = np.asarray(x, dtype=complex)
     dim = spec.dim
     if x.ndim not in (1, 2) or x.shape[-1] != dim:
         raise ValueError(f"jacobi_residual takes ({dim},) or (S, {dim}) points, got {x.shape}")
     X = x.reshape(-1, dim)
-    per_direction = 2 * len(scheme.offsets) * dim * dim  # output entries of one direction's probes
-    per_sample = dim * per_direction + dim * dim  # all probes of one sample, and its point
+    per_direction = 2 * len(scheme.offsets) * dim * dim  # output entries of one row's probes
+    per_sample = dim * per_direction
     parts = []
     if per_sample <= _BLOCK_ENTRIES:
         chunk = _BLOCK_ENTRIES // per_sample
         for s0 in range(0, len(X), chunk):
-            (_, U0), (_, D) = _difference_blocks(spec.upper, X[s0 : s0 + chunk], scheme, dim, with_base=True)
-            T = _matmul(antisymmetrize(U0), D.reshape(len(D), dim, dim * dim))
+            Xc = X[s0 : s0 + chunk]
+            ((_, T),) = _difference_blocks(spec.upper, Xc, scheme, dim, directions=spec.bivector(Xc))
             parts.append(_max_abs_chunked(_gather_jacobiator(T)))
-            del D, U0, T  # not alive during the next chunk's fill
+            del T  # not alive during the next chunk's fill
     else:
         block = max(1, _BLOCK_ENTRIES // per_direction)
         for s in range(len(X)):
@@ -338,25 +322,25 @@ def _add_rows(J: np.ndarray, D: np.ndarray, l0: int) -> None:
 @lru_cache(maxsize=32)
 def _cyclic_positions(dim: int) -> np.ndarray:
     """The read-only (3, C(dim, 3)) flat positions, in a (dim, dim, dim)
-    array, of [i,j,k], [k,i,j] and [j,i,k] for the triples i < j < k in the
+    array, of [i,j,k], [j,i,k] and [k,i,j] for the triples i < j < k in the
     packed Jacobiator's colex order (k, then j, then i)."""
     r = np.arange(dim)
     k, j, i = np.nonzero((r[:, None, None] > r[:, None]) & (r[:, None] > r))
-    pos = np.stack([(i * dim + j) * dim + k, (k * dim + i) * dim + j, (j * dim + i) * dim + k])
+    pos = np.stack([(i * dim + j) * dim + k, (j * dim + i) * dim + k, (k * dim + i) * dim + j])
     pos.flags.writeable = False
     return pos
 
 
 def _gather_jacobiator(T: np.ndarray) -> np.ndarray:
-    """The packed Jacobiators (T[i,j,k] + T[k,i,j]) - T[j,i,k] over i < j < k
-    in colex order, of shape (S, C(dim, 3)), of an (S, dim, dim, dim) stack T,
-    or its (S, dim, dim * dim) view, read only where its last two indices
-    increase."""
+    """The packed Jacobiators (T[i,j,k] - T[j,i,k]) + T[k,i,j] over i < j < k
+    in colex order, of shape (S, C(dim, 3)), of an (S, dim, dim, dim) stack T
+    read only where its last two indices increase: the sums ``_add_rows``
+    accumulates, in its order, so the same bits."""
     S, dim = T.shape[:2]
     T = T.reshape(S, -1)
-    ijk, kij, jik = _cyclic_positions(dim)
-    J = np.take(T, ijk, axis=1) + np.take(T, kij, axis=1)
-    J -= np.take(T, jik, axis=1)
+    ijk, jik, kij = _cyclic_positions(dim)
+    J = np.take(T, ijk, axis=1) - np.take(T, jik, axis=1)
+    J += np.take(T, kij, axis=1)
     return J
 
 

@@ -256,8 +256,8 @@ def test_jacobi_residual_builds_no_point_container(monkeypatch, spec):
 def _jacobi_per_probe(spec, x, scheme, along_rows=False):
     """One bivector call per probe.  Along the coordinate axes the differences
     d_l Pi are contracted with Pi(x) by a plain einsum; along the rows of
-    Pi(x), as ``jacobi_residual`` probes once a sample spans several calls,
-    the differences are T[i] = sum_l Pi_il d_l Pi themselves."""
+    Pi(x), as ``jacobi_residual`` probes, the differences are
+    T[i] = sum_l Pi_il d_l Pi themselves."""
     x = np.asarray(x, dtype=complex)
     dim = spec.dim
     Pi0 = spec.bivector(x)
@@ -360,8 +360,8 @@ STACK_SCHEME_IDS = ["poly", "rational"]
 
 
 def _per_sample_entries(spec, scheme):
-    """Bivector entries of one sample's probes and its point, as jacobi_residual counts them."""
-    return ((4 if scheme.richardson else 2) * spec.dim + 1) * spec.dim**2
+    """Bivector entries of one sample's probes, as jacobi_residual counts them."""
+    return (4 if scheme.richardson else 2) * spec.dim**3
 
 
 @pytest.mark.parametrize("scheme", STACK_SCHEMES, ids=STACK_SCHEME_IDS)
@@ -381,9 +381,9 @@ def test_stacked_residual_equals_per_point(spec, count, scheme):
 def test_stacked_residual_equals_per_point_small_blocks(monkeypatch, spec, scheme, split):
     X = _points(spec, 7)
     per_direction = (4 if scheme.richardson else 2) * spec.dim**2
-    if split == "two-samples":  # chunks of two samples, the last one alone, each in one call
-        cap, calls_wanted = 2 * _per_sample_entries(spec, scheme), 4
-    else:  # one sample at a time: its point, then its probes in blocks of two rows of Pi
+    if split == "two-samples":  # chunks of two samples, the last one alone: their rows of Pi, then their probes
+        cap, calls_wanted = 2 * _per_sample_entries(spec, scheme), 2 * 4
+    else:  # one sample at a time: its rows of Pi, then its probes in blocks of two rows
         cap, calls_wanted = 2 * per_direction, 7 * (1 + -(-spec.dim // 2))
     monkeypatch.setattr(verify, "_BLOCK_ENTRIES", cap)
     want = [jacobi_residual(spec, x, scheme) for x in X]
@@ -415,10 +415,6 @@ def _count_bivector_calls(monkeypatch, spec) -> list:
     return calls
 
 
-# the brackets that are quadratic in the coordinates
-QUADRATIC_KINDS = ("S", "AOplus", "AOminus", "Prime", "Sprod", "GLmult", "Double", "STS")
-
-
 # DualGroup is rational, so only Richardson differences reach TOL_EXACT on it,
 # and only they are used on it
 REGIME_CASES = [
@@ -431,14 +427,17 @@ REGIME_CASES = [
 
 @pytest.mark.parametrize("spec,scheme", REGIME_CASES)
 def test_one_point_in_both_regimes(monkeypatch, spec, scheme):
-    # a cap of one sample's entries keeps it in one call; one entry less
-    # sends it to a base call and one call of probes along the rows of Pi
+    # a cap of one sample's entries keeps its probes in one call after the
+    # call for its rows of Pi; one entry less sends the probes of all rows
+    # but the last to one call and the last row's to another, with the
+    # same residual, bit for bit
     x = _points(spec, 1)[0]
     per_sample = _per_sample_entries(spec, scheme)
     perturbed = _Perturbed(spec, quadratic=True)
-    probes = (4 if scheme.richardson else 2) * spec.dim
+    per_row = 4 if scheme.richardson else 2
+    probes = per_row * spec.dim
     got = []
-    for cap, calls_wanted in ((per_sample, [1 + probes]), (per_sample - 1, [1, probes])):
+    for cap, calls_wanted in ((per_sample, [1, probes]), (per_sample - 1, [1, probes - per_row, per_row])):
         monkeypatch.setattr(verify, "_BLOCK_ENTRIES", cap)
         calls = _count_bivector_calls(monkeypatch, spec)
         residual = jacobi_residual(spec, x, scheme)
@@ -446,14 +445,40 @@ def test_one_point_in_both_regimes(monkeypatch, spec, scheme):
         assert residual < suites.TOL_EXACT
         got.append(jacobi_residual(perturbed, x, scheme))
         monkeypatch.undo()
-    if spec.kind in QUADRATIC_KINDS:
-        assert got[0] > 1e-2
-        assert got[1] == pytest.approx(got[0], rel=1e-12)
+    assert got[0] > 1e-2
+    assert got[1] == got[0]
+
+
+@pytest.mark.parametrize(
+    "spec,scheme",
+    [
+        pytest.param(BracketSpec("S", 2.0 - 1.0j, n=3, d=3), POLY, id="S"),
+        pytest.param(BracketSpec("Double", 1j, ell=4), POLY, id="Double"),
+        pytest.param(BracketSpec("DualGroup", 2.0 - 1.0j, ell=3), RATIONAL, id="DualGroup"),
+    ],
+)
+def test_residual_is_the_same_at_every_block_size(monkeypatch, spec, scheme):
+    # every blocking probes the rows of Pi and sums each triple in one order:
+    # chunks of every number of samples down to one, then blocks of every
+    # number of rows down to one row a call, give each sample's residual
+    # bit for bit, on the bracket and on an O(1) Jacobiator
+    X = _points(spec, 5)
+    per_sample = _per_sample_entries(spec, scheme)
+    per_row = per_sample // spec.dim
+    caps = [c * per_sample for c in range(len(X), 0, -1)] + [r * per_row for r in range(spec.dim - 1, 0, -1)]
+    for bracket in (spec, _Perturbed(spec, quadratic=True)):
+        want = jacobi_residual(bracket, X, scheme)
+        for cap in caps:
+            monkeypatch.setattr(verify, "_BLOCK_ENTRIES", cap)
+            np.testing.assert_array_equal(jacobi_residual(bracket, X, scheme), want)
+        monkeypatch.undo()
+    assert np.all(jacobi_residual(spec, X, scheme) < suites.TOL_EXACT)
+    assert np.all(want > 1e-2)
 
 
 def test_dual_group_row_probes_stay_in_chart_domain():
-    # at ell = 7 (dim 49) each sample's Richardson probes span several calls,
-    # so they run along the rows of Pi(x); the largest step they take in a
+    # the probes run along the rows of Pi(x), at ell = 7 (dim 49) in several
+    # calls per sample with Richardson differences; the largest step they take in a
     # diagonal coordinate of h_+ (the chart divides by it) was at most 4.5e-4
     # of that coordinate over 20 samples and three kappas
     ell = 7
@@ -503,9 +528,8 @@ def test_multi_call_stack_keeps_one_derivative_stack():
     ids=lambda spec: f"{spec.kind}-dim{spec.dim}",
 )
 def test_single_call_chunks_keep_one_derivative_stack(spec):
-    # chunks of 18, 7 and 5 samples: with NumPy 2.4 the peak was 2.21, 3.04
-    # and 1.90 MB for one chunk, and about 1 MB more for 2 or 4 chunks while the
-    # previous chunk's derivative stack, base and product stayed bound
+    # chunks of 18, 8 and 5 samples: with NumPy 2.4 the peak was 2.20, 1.71
+    # and 1.90 MB for one chunk, and within 2 kB of it for 2 or 4 chunks
     chunk = verify._BLOCK_ENTRIES // _per_sample_entries(spec, POLY)
     assert chunk >= 2
     X = sampling.sample_vector(42, np.arange(4 * chunk), spec.dim, 1.0)
@@ -519,38 +543,30 @@ def test_single_call_chunks_keep_one_derivative_stack(spec):
 MULTI_CALL = [
     pytest.param(spec, scheme, id=_label(spec))
     for spec, scheme in [
-        *[(BracketSpec(k, 2.0 - 1.0j, n=4, d=4), POLY) for k in ("S", "AOplus", "AOminus", "Prime", "Sprod")],
-        (BracketSpec("Double", 1j, ell=4), POLY),
+        *[(BracketSpec(k, 2.0 - 1.0j, n=4, d=5), POLY) for k in ("S", "AOplus", "AOminus", "Prime", "Sprod")],
+        (BracketSpec("Double", 1j, ell=5), POLY),
         (BracketSpec("GLmult", 1j, ell=6), POLY),
         (BracketSpec("STS", 1j, ell=6), POLY),
         (BracketSpec("DualGroup", 2.0 - 1.0j, ell=6), RATIONAL),
-        (BracketSpec("ZakC", 1.0, n=16, F=F_AFF, G=G_AFF), POLY),
-        (BracketSpec("ZakC", -2j * EPSILON, n=16, F=F_AFF, G=G_AFF), POLY),
+        (BracketSpec("ZakC", 1.0, n=17, F=F_AFF, G=G_AFF), POLY),
+        (BracketSpec("ZakC", -2j * EPSILON, n=17, F=F_AFF, G=G_AFF), POLY),
     ]
 ]
 
 
-def _differences(f, X, scheme, with_base=False, directions=None):
+def _differences(f, X, scheme, directions=None):
     """The derivative stack of ``f`` at the points X along all the directions
-    in one block, and with ``with_base`` the values f(X) after it."""
+    in one block."""
     m = X.shape[1] if directions is None else directions.shape[1]
-    items = dict(verify._difference_blocks(f, X, scheme, m, with_base, directions))
-    return (items[0], items[None]) if with_base else items[0]
+    ((_, D),) = verify._difference_blocks(f, X, scheme, m, directions)
+    return D
 
 
-def _full_cyclic_max(spec, X, scheme, rows=True):
+def _full_cyclic_max(spec, X, scheme):
     """Oracle: the max over every (i, j, k) of the cyclic sum of T, and max |T|,
-    per point.  T is the derivative of the antisymmetric bivector along its
-    rows, or with ``rows=False`` Pi(x) times its derivatives along the
-    coordinate axes, taken in one call with the points: the residual's own
-    ``_matmul`` product, made exactly antisymmetric in (j, k) like Pi and
-    its derivatives."""
-    S, dim = X.shape
-    if rows:
-        T = _differences(spec.bivector, X, scheme, directions=spec.bivector(X))
-    else:
-        dPi, Pi = _differences(spec.bivector, X, scheme, with_base=True)
-        T = antisymmetrize(verify._matmul(Pi, dPi.reshape(S, dim, dim * dim)).reshape(S, dim, dim, dim))
+    per point, with T the derivative of the antisymmetric bivector along its
+    rows."""
+    T = _differences(spec.bivector, X, scheme, directions=spec.bivector(X))
     J = T + T.transpose(0, 2, 3, 1) + T.transpose(0, 3, 1, 2)
     return np.max(np.abs(J), axis=(1, 2, 3)), np.max(np.abs(T), axis=(1, 2, 3))
 
@@ -562,7 +578,8 @@ def test_multi_call_residual_is_the_full_cyclic_max(monkeypatch, spec, scheme):
     assert _per_sample_entries(spec, scheme) > verify._BLOCK_ENTRIES
     X = _points(spec, 2)
     want, size = _full_cyclic_max(spec, X, scheme)
-    # whole row blocks, then uneven ones: at dim 32, rows of 5, 7, 13 and 5
+    # blocks of the default size, the last one shorter at most dims (at
+    # dim 50, 13, 13, 13 and 11 rows), then blocks of one or two rows
     for cap in (verify._BLOCK_ENTRIES, 5000):
         monkeypatch.setattr(verify, "_BLOCK_ENTRIES", cap)
         got = jacobi_residual(spec, X, scheme)
@@ -572,12 +589,11 @@ def test_multi_call_residual_is_the_full_cyclic_max(monkeypatch, spec, scheme):
 
 @pytest.mark.parametrize("spec,scheme", REGIME_CASES)
 def test_single_call_residual_is_the_full_cyclic_max(spec, scheme):
-    # the coordinate-axis regime takes the same max over i < j < k only, with
-    # the multi-call bound; over these cases the largest gap to the full max
-    # was 5.6e-17 * max(1, max|T|)
+    # one call per chunk takes the same max over i < j < k only, with the
+    # multi-call bound
     assert _per_sample_entries(spec, scheme) <= verify._BLOCK_ENTRIES
     X = _points(spec, 3)
-    want, size = _full_cyclic_max(spec, X, scheme, rows=False)
+    want, size = _full_cyclic_max(spec, X, scheme)
     got = jacobi_residual(spec, X, scheme)
     assert np.all(got <= want)
     assert np.all(want - got <= 1e-15 * np.maximum(1.0, size))
@@ -589,17 +605,17 @@ def test_single_call_residual_of_an_o1_jacobiator():
     spec = _Perturbed(BracketSpec("Prime", 1j, n=2, d=3))
     assert _per_sample_entries(spec, POLY) <= verify._BLOCK_ENTRIES
     X = _points(spec.spec, 3)
-    want, _ = _full_cyclic_max(spec, X, POLY, rows=False)
+    want, _ = _full_cyclic_max(spec, X, POLY)
     assert np.all(want > 1e-2)
     np.testing.assert_allclose(jacobi_residual(spec, X, POLY), want, rtol=1e-14)
 
 
 def _cyclic_sums(T):
-    """J[i,j,k] = T[i,j,k] + T[k,i,j] - T[j,i,k] for i < j < k in colex order
-    (k, then j, then i), from a (dim, dim, dim) T read where j < k."""
+    """J[i,j,k] = (T[i,j,k] - T[j,i,k]) + T[k,i,j] for i < j < k in colex
+    order (k, then j, then i), from a (dim, dim, dim) T read where j < k."""
     dim = len(T)
     i, j, k = (np.array(t) for t in zip(*[(i, j, k) for k in range(dim) for j in range(k) for i in range(j)]))
-    return T[i, j, k] + T[k, i, j] - T[j, i, k]
+    return (T[i, j, k] - T[j, i, k]) + T[k, i, j]
 
 
 @pytest.mark.parametrize("dim", [3, 4, 7])
@@ -624,9 +640,10 @@ def test_packed_jacobiator_at_every_block_size(dim):
 
 @pytest.mark.parametrize("dim", [3, 4, 7])
 def test_gathered_jacobiator_is_the_packed_one(dim):
-    # the single-call regime gathers every cyclic sum over i < j < k at its
+    # a chunk in one call gathers every cyclic sum over i < j < k at its
     # colex position, the bits of the packed Jacobiator that ``_add_rows``
-    # accumulates, and nothing from the entries read below the diagonal
+    # accumulates from blocks of rows, and nothing from the entries read
+    # below the diagonal
     rng = np.random.default_rng(dim)
     T = rng.normal(size=(2,) + (dim,) * 3) + 1j * rng.normal(size=(2,) + (dim,) * 3)
     want = [_cyclic_sums(t) for t in T]
@@ -634,6 +651,12 @@ def test_gathered_jacobiator_is_the_packed_one(dim):
     got = verify._gather_jacobiator(T)
     assert np.all(np.isfinite(got))
     np.testing.assert_array_equal(got, want)
+    for t, g in zip(T, got):
+        for block in (1, 2, dim):
+            J = np.zeros(verify._packed_size(dim), dtype=complex)
+            for l0 in range(0, dim, block):
+                verify._add_rows(J, t[l0 : l0 + block].copy(), l0)
+            np.testing.assert_array_equal(J[: len(g)], g)
 
 
 def test_uneven_row_blocks_of_the_packed_jacobiator(monkeypatch):
@@ -656,10 +679,10 @@ def test_uneven_row_blocks_of_the_packed_jacobiator(monkeypatch):
 
 
 def test_inadmissible_zak_fails_in_multi_call_regime():
-    # F = 1, G = 0 is not Poisson; at n = 16 (dim 32) its residual takes the
-    # row probes and must still exceed the zakrzewski suite's 1e-8 bound
+    # F = 1, G = 0 is not Poisson; at n = 17 (dim 34) its residual takes
+    # blocks of rows and must still exceed the zakrzewski suite's 1e-8 bound
     F_one, G_zero = HoloFn1.affine(1, 0, "F"), HoloFn1.affine(0, 0, "G")
-    spec = BracketSpec("ZakC", 1.0, n=16, F=F_one, G=G_zero)
+    spec = BracketSpec("ZakC", 1.0, n=17, F=F_one, G=G_zero)
     assert _per_sample_entries(spec, POLY) > verify._BLOCK_ENTRIES
     assert np.all(jacobi_residual(spec, _points(spec, 5), POLY) > 1e-8)
 
@@ -684,13 +707,14 @@ class _SingleEntryDefect:
         return self.spec.upper(x) + self._term(x)
 
 
-def test_single_entry_defect_fails_in_multi_call_regime():
+def test_single_entry_defect_fails_in_multi_call_regime(monkeypatch):
     # a defect in one entry pair, the weakest case for a residual that reads
     # only i < j < k: at eps = 1e-6 on S at dim 32 it gave 8.1e-8 to 1.6e-6
     # over these five samples, 2.2e6 to 3.5e7 times the exact floor, the same
-    # as the max over every (i, j, k)
+    # as the max over every (i, j, k); half a sample's probes per call, so
+    # each sample takes two blocks of 16 rows
     spec = BracketSpec("S", 1.0, n=4, d=4)
-    assert _per_sample_entries(spec, POLY) > verify._BLOCK_ENTRIES
+    monkeypatch.setattr(verify, "_BLOCK_ENTRIES", _per_sample_entries(spec, POLY) // 2)
     X = _points(spec, 5)
     floor = jacobi_residual(spec, X, POLY)
     got = jacobi_residual(_SingleEntryDefect(spec, 1e-6), X, POLY)
@@ -706,8 +730,8 @@ NAN_CHARTS = ("GLmult", "Double", "STS")
 @pytest.mark.parametrize("spec", [s for s in SPECS if s.kind in NAN_CHARTS], ids=_label)
 def test_nan_sample_stays_in_its_row(monkeypatch, spec):
     # chunks of two samples, so the NaN sample shares its bivector calls with
-    # a finite one; then one sample less than one call, so each sample's
-    # probes run along the rows of Pi and its cyclic max over i < j < k
+    # a finite one; then one entry less than one sample's probes, so each
+    # sample's rows take calls of their own
     per_sample = _per_sample_entries(spec, POLY)
     for cap in (2 * per_sample, per_sample - 1):
         monkeypatch.setattr(verify, "_BLOCK_ENTRIES", cap)
@@ -720,15 +744,15 @@ def test_nan_sample_stays_in_its_row(monkeypatch, spec):
 
 
 def test_nan_sample_fails_the_suite_in_multi_call_regime(monkeypatch):
-    # at ell = 4 the Double kind (dim 32) takes the row probes; a NaN in one
+    # at ell = 5 the Double kind (dim 50) takes blocks of rows; a NaN in one
     # of its samples must give that sample a NaN residual and fail the suite
-    cfg = suites.RunConfig("jacobi", n=2, d=2, ell=4, samples=3)
-    assert _per_sample_entries(BracketSpec("Double", 1.0, ell=4), POLY) > verify._BLOCK_ENTRIES
+    cfg = suites.RunConfig("jacobi", n=2, d=2, ell=5, samples=3)
+    assert _per_sample_entries(BracketSpec("Double", 1.0, ell=5), POLY) > verify._BLOCK_ENTRIES
     real = sampling.sample_vector
 
     def with_nan(seed, indices, dim, radius):
         X = real(seed, indices, dim, radius)
-        if dim == 32:
+        if dim == 50:
             X[1, 0] = np.nan
         return X
 
@@ -868,6 +892,41 @@ def test_moment_suite_takes_three_jacobians_per_sample(monkeypatch):
         for key in params["bounds"]:
             want = (fine if key.startswith("mom1_") else exact)[key]
             assert got[key][i] == want, key
+
+
+def test_decouple_F_suite_differentiates_map_F_once(monkeypatch):
+    # one Jacobian of x -> [F(x), theta(F(x))], on the stack of all samples,
+    # gives both Poisson-map keys the bits of a Jacobian of each map alone
+    n, d = 3, 2
+    cfg = suites.RunConfig("decouple-F", n=n, d=d, kappa=2.0 - 1.0j, samples=4)
+    _, count, check = suites._BUILDERS["decouple-F"](cfg)
+    real = verify.jacobian_fd
+    calls = []
+
+    def counted(f, x, scheme):
+        calls.append(np.shape(x)[0])
+        return real(f, x, scheme)
+
+    monkeypatch.setattr(verify, "jacobian_fd", counted)
+    got = check(np.arange(count))
+    assert calls == [count]
+    monkeypatch.undo()
+    x = charts.pack_tuple(sampling.sample_tuple(cfg.seed, np.arange(count), n, d, cfg.radius))
+
+    def fmap(xx):
+        return dc.map_F(charts.unpack_tuple(xx, n, d))
+
+    maps = {
+        "poisson_map_F": ("Prime", lambda xx: charts.pack_spoint(fmap(xx))),
+        "poisson_map_thetaF": (
+            "AOplus",
+            lambda xx: charts.pack_spoint(dc.map_theta(fmap(xx), 1.0, -1.0 / cfg.kappa, cfg.kappa)),
+        ),
+    }
+    src = BracketSpec("Sprod", cfg.kappa, n=n, d=d)
+    for key, (kind, f) in maps.items():
+        tgt = BracketSpec(kind, cfg.kappa, n=n, d=d)
+        np.testing.assert_array_equal(got[key], verify.poisson_map_residual(src, tgt, f, x, suites._RATIONAL))
 
 
 def test_spoint_stack_validation():
