@@ -17,6 +17,7 @@ kept as an independent cross-check oracle.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
@@ -97,27 +98,23 @@ def _finite(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _fill_s(spec: "BracketSpec", x: np.ndarray) -> np.ndarray:
+# The S-type kinds are one r-matrix formula.  Per kind: the hat kernel or not
+# (looked up in kernels per call, which perfbench's tracer wraps), the sign of
+# kappa and the cross constant, None for the signed kappa.  AOminus is the plus
+# bracket after alpha -> d+1-alpha on both blocks: S at -kappa, constant -1.
+_S_TYPES = {
+    "S": (False, operator.pos, None),
+    "Prime": (True, operator.pos, None),
+    "AOplus": (True, operator.pos, -1.0),
+    "AOminus": (False, operator.neg, -1.0),
+}
+
+
+def _fill_s_type(spec: "BracketSpec", x: np.ndarray) -> np.ndarray:
+    hat, sign, cross = _S_TYPES[spec.kind]
     A, B = charts._spoint_arrays(_finite(x), spec.n, spec.d)
-    return kernels.fill_s(A, B, spec.kappa, spec.kappa)
-
-
-def _fill_prime(spec: "BracketSpec", x: np.ndarray) -> np.ndarray:
-    A, B = charts._spoint_arrays(_finite(x), spec.n, spec.d)
-    return kernels.fill_hat(A, B, spec.kappa, spec.kappa)
-
-
-def _fill_ao_plus(spec: "BracketSpec", x: np.ndarray) -> np.ndarray:
-    A, B = charts._spoint_arrays(_finite(x), spec.n, spec.d)
-    return kernels.fill_hat(A, B, spec.kappa, -1.0)
-
-
-def _fill_ao_minus(spec: "BracketSpec", x: np.ndarray) -> np.ndarray:
-    """The minus variant: the plus bracket after the substitution
-    alpha -> d+1-alpha on both blocks, which is the S bracket at -kappa
-    with cross constant -1."""
-    A, B = charts._spoint_arrays(_finite(x), spec.n, spec.d)
-    return kernels.fill_s(A, B, -spec.kappa, -1.0)
+    kappa = sign(spec.kappa)
+    return (kernels.fill_hat if hat else kernels.fill_s)(A, B, kappa, kappa if cross is None else cross)
 
 
 def _fill_sprod(spec: "BracketSpec", x: np.ndarray) -> np.ndarray:
@@ -217,10 +214,10 @@ def _fill_zak(spec: "BracketSpec", x: np.ndarray) -> np.ndarray:
 
 
 _FILLS = {
-    "S": _fill_s,
-    "AOplus": _fill_ao_plus,
-    "AOminus": _fill_ao_minus,
-    "Prime": _fill_prime,
+    "S": _fill_s_type,
+    "AOplus": _fill_s_type,
+    "AOminus": _fill_s_type,
+    "Prime": _fill_s_type,
     "Sprod": _fill_sprod,
     "GLmult": _fill_gl_mult,
     "Double": _fill_double,
@@ -307,7 +304,7 @@ def dual_bases(ell: int, kappa: complex) -> DualBases:
 
 # --- spec-driven dispatch -----------------------------------------------------
 
-_S_KINDS = ("S", "AOplus", "AOminus", "Prime")
+_S_KINDS = tuple(_S_TYPES)
 _GL_KINDS = ("GLmult", "Double", "DualGroup", "STS")
 
 

@@ -7,9 +7,11 @@ S(n,d) fills take stacks: ``A`` of shape ``(..., n, d)`` and ``B`` of shape
 S(n,d) chart: A(i,alpha) row-major, then B(alpha,i) row-major.  A single
 point is the batch shape ``()``.  A fill is valid on and above the block
 diagonal: it writes the AA, BB and AB blocks and leaves the BA block zero,
-for ``brackets.antisymmetrize`` to mirror.  The kernels take plain arrays,
-such as the views of the flat coordinates that :mod:`plie.brackets` reads
-from :mod:`plie.charts`; no kernel builds or validates a point container.
+for ``brackets.antisymmetrize`` to mirror.  ``fill_hat`` is ``fill_s`` with
+the sign s = -1 in place of +1 and the mu-sum of the cross block reversed;
+they differ only in that data.  The kernels take plain arrays, such as the
+views of the flat coordinates that :mod:`plie.brackets` reads from
+:mod:`plie.charts`; no kernel builds or validates a point container.
 
 Every Kronecker-delta term of a fill, here and in :mod:`plie.brackets`, is
 written in place through a diagonal view such as
@@ -71,14 +73,13 @@ def quadratic(M, N, kappa: complex, c0: float, c_row: float, c_col: float, rows=
     return np.multiply((0.5 * kappa) * W, P, out=P)  # in place, in the operand order of (kappa/2) W P
 
 
-def _fill(A, B, kappa: complex, hat: bool, cross_const: complex) -> np.ndarray:
+def _fill(A, B, kappa: complex, s: int, cross_const: complex) -> np.ndarray:
+    """The S-type fill with sign s: +1 for ``fill_s``, -1 for ``fill_hat``."""
     A = np.asarray(A, dtype=complex)
     B = np.asarray(B, dtype=complex)
     n, d = A.shape[-2:]
     batch = A.shape[:-2]
     nd = n * d
-    s = -1.0 if hat else 1.0
-    half = 0.5 * kappa
 
     M = np.zeros(batch + (2 * nd, 2 * nd), dtype=complex)
     # {A_i^a, A_k^b} = (kappa/2)(s sgn(i-k) - sgn(a-b)) A_i^b A_k^a
@@ -88,21 +89,16 @@ def _fill(A, B, kappa: complex, hat: bool, cross_const: complex) -> np.ndarray:
 
     # {A_i^a, B_k^b}, axes (i, a, b, k):
     #   s delta_ik [ (k/2) A_i^a B_i^b + k sum_{t>i} A_t^a B_t^b ]
-    # + s delta_ab [ (k/2) A_i^a B_k^a + k sum_{mu<a} A_i^mu B_k^mu ]   (S: mu < a)
-    #                                    k sum_{mu>a} ...               (hat: mu > a)
+    # + s delta_ab [ (k/2) A_i^a B_k^a + k sum_{mu<a} A_i^mu B_k^mu ]   (s = +1: mu < a)
+    #                                    k sum_{mu>a} ...               (s = -1: mu > a)
     # + cross_const delta_ab delta_ik
     diag_ik = np.einsum("...ia,...bi->...iab", A, B)  # A_i^a B_i^b
     tail = np.cumsum(diag_ik[..., ::-1, :, :], axis=-3)[..., ::-1, :, :] - diag_ik
     im = np.einsum("...im,...mk->...imk", A, B)  # A_i^mu B_k^mu
-    if hat:
-        part = np.cumsum(im[..., ::-1, :], axis=-2)[..., ::-1, :] - im
-    else:
-        part = np.cumsum(im, axis=-2) - im
-    T_ik = half * diag_ik + kappa * tail
-    T_ab = half * im + kappa * part
-    if hat:
-        np.negative(T_ik, out=T_ik)
-        np.negative(T_ab, out=T_ab)
+    part = np.cumsum(im[..., ::s, :], axis=-2)[..., ::s, :] - im
+    half, whole = s * (0.5 * kappa), s * kappa
+    T_ik = half * diag_ik + whole * tail
+    T_ab = half * im + whole * part
 
     # the three delta terms, written through diagonal views of the (i, a, b, k) cross block
     AB = np.zeros(batch + (n, d, d, n), dtype=complex)
@@ -116,11 +112,10 @@ def _fill(A, B, kappa: complex, hat: bool, cross_const: complex) -> np.ndarray:
 def fill_s(A: np.ndarray, B: np.ndarray, kappa: complex, cross_const: complex) -> np.ndarray:
     """Raw bracket matrix of the covariant bracket on S(n,d) and its relatives.
 
-    ``cross_const`` is the coefficient of delta_{ab} delta_{ik} in the
-    cross bracket: +kappa for the covariant bracket itself; the minus
-    oscillator bracket at kappa is this fill at -kappa with -1.
+    ``cross_const`` is the coefficient of delta_{ab} delta_{ik} in the cross
+    bracket: +kappa for the covariant bracket, -1 for the minus one at -kappa.
     """
-    return _fill(A, B, kappa, False, cross_const)
+    return _fill(A, B, kappa, 1, cross_const)
 
 
 def fill_hat(A: np.ndarray, B: np.ndarray, kappa: complex, cross_const: complex) -> np.ndarray:
@@ -129,4 +124,4 @@ def fill_hat(A: np.ndarray, B: np.ndarray, kappa: complex, cross_const: complex)
     ``cross_const`` is the coefficient of delta_{ab} delta_{ik} in the
     cross bracket: +kappa for the primed bracket, -1 for the plus bracket.
     """
-    return _fill(A, B, kappa, True, cross_const)
+    return _fill(A, B, kappa, -1, cross_const)

@@ -23,6 +23,7 @@ import cmath
 import math
 import numbers
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -331,7 +332,7 @@ def _suite_ao_maps(cfg: RunConfig):
 
 
 def _suite_moment(cfg: RunConfig):
-    exact_keys = ("Ga1", "Ga2_A", "Ga2_B", "Ga1prime", "Ga2prime_A", "Ga2prime_B")
+    exact_keys = ("Ga1", "Ga2_A", "Ga2_B", "Ga1prime", "Ga2prime_A", "Ga2prime_B", "Ga1_sts")
     fd_keys = ("mom1_gplus_a", "mom1_gplus_b", "mom1_gminus_a", "mom1_gminus_b")
     bounds = {k: TOL_EXACT for k in exact_keys}
     bounds.update({k: 1e-6 for k in fd_keys})
@@ -460,7 +461,7 @@ def _suite_actions(cfg: RunConfig):
     zspec = BracketSpec("ZakC", kap, n=n, F=_F_AFF, G=_G_AFF)
 
     # group element and point each of shape (..., dim); either may be one point
-    def act_n(gv, xv):
+    def act_n(gv, xv, d=d):
         g = charts.unpack_gl(gv, n)
         p = charts.unpack_spoint(xv, n, d)
         return charts.pack_spoint(SPoint(g @ p.A, p.B @ np.linalg.inv(g)))
@@ -469,12 +470,6 @@ def _suite_actions(cfg: RunConfig):
         g = charts.unpack_gl(gv, d)
         p = charts.unpack_spoint(xv, n, d)
         return charts.pack_spoint(SPoint(p.A @ np.linalg.inv(g), g @ p.B))
-
-    def act_z(gv, xv):
-        g = charts.unpack_gl(gv, n)
-        a = (g @ xv[..., :n, None])[..., 0]
-        b = (xv[..., None, n:] @ np.linalg.inv(g))[..., 0, :]
-        return np.concatenate([a, b], axis=-1)
 
     def check(indices: np.ndarray) -> dict:
         r = cfg.radius
@@ -486,7 +481,8 @@ def _suite_actions(cfg: RunConfig):
         return {
             "gl_n_action": vf.action_residual(gspec_n, sspec, act_n, gn, x, _RATIONAL),
             "gl_d_action": vf.action_residual(gspec_d, sspec, act_d, gd, x, _RATIONAL),
-            "spin_action": vf.action_residual(gspec_n, zspec, act_z, gn, xz, _RATIONAL),
+            # the spin space's chart (a, then b) is that of S(n,1)
+            "spin_action": vf.action_residual(gspec_n, zspec, partial(act_n, d=1), gn, xz, _RATIONAL),
         }
 
     return params, cfg.samples, check

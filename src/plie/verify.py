@@ -4,11 +4,11 @@ h-product bracket identities, symplectic inversion, rank, and the
 admissibility condition of the holomorphic covariant brackets.
 
 All differentiation goes through one routine: central differences along
-real directions of the complex coordinates (valid for holomorphic maps) on
-the stencil of the ``DiffScheme`` each caller names; exact Jacobians should
-be supplied for linear maps.  A differentiated map takes points of shape
-(..., dim) to values of shape (..., m), and each Jacobian evaluates all its
-probe points, along the coordinate axes, in one call.  Brackets of
+the real directions each caller passes (valid for holomorphic maps) on the
+stencil of the ``DiffScheme`` it names; exact Jacobians should be supplied
+for linear maps.  A differentiated map takes points of shape (..., dim) to
+values of shape (..., m), and each Jacobian evaluates all its probe points,
+along the rows of the identity, in one call.  Brackets of
 functions g are read from C = Pi J_g^T, the brackets {x_p, g_q} of the
 coordinates with g (``_coordinate_brackets``), and J_g C: only the functions
 are differentiated, never the coordinates themselves.  Every product of
@@ -106,21 +106,12 @@ class VerificationReport:
             raise ValueError("pass flag inconsistent with the failure list")
 
 
-@lru_cache(maxsize=32)
-def _axis_steps(dim: int, offsets: tuple) -> np.ndarray:
-    """The probe steps t_k e_l along the coordinate axes, as a read-only
-    float array of shape (K, dim, dim)."""
-    steps = np.multiply.outer(offsets, np.eye(dim))
-    steps.flags.writeable = False
-    return steps
-
-
 def _difference_blocks(
     f: Callable[[np.ndarray], np.ndarray],
     x: np.ndarray,
     scheme: DiffScheme,
     block: int,
-    directions: Optional[np.ndarray] = None,
+    directions: np.ndarray,
 ):
     """Derivative stacks D[s, l] = sum_k c_k (f(x_s + t_k v_sl) - f(x_s - t_k v_sl))
     of the S points x of shape (S, dim) along directions v, with the offsets
@@ -129,19 +120,16 @@ def _difference_blocks(
     ``block`` consecutive directions l, each in an array of its own, after
     one call of ``f`` on that block's probes x_s +- t_k v_sl.  ``directions``
     has shape (S, m, dim), or (1, m, dim) for the same directions at every
-    point; by default they are the coordinate vectors e_l (m = dim).
+    point.
 
     ``f`` maps a (P, dim) stack of probes to P values; ValueError if the
     values do not come back one per probe."""
     S, dim = x.shape
-    m = dim if directions is None else directions.shape[1]
+    m = directions.shape[1]
     K = len(scheme.offsets)
     for l0 in range(0, m, block):
         l1 = min(m, l0 + block)
-        if directions is None:
-            steps = _axis_steps(dim, scheme.offsets)[:, l0:l1]
-        else:
-            steps = np.multiply.outer(scheme.offsets, directions[:, l0:l1]).swapaxes(0, 1)  # [s, k, l] = t_k v_sl
+        steps = np.multiply.outer(scheme.offsets, directions[:, l0:l1]).swapaxes(0, 1)  # [s, k, l] = t_k v_sl
         X = np.empty((S, K, 2, l1 - l0, dim), dtype=complex)
         np.add(x[:, None, None, :], steps, out=X[:, :, 0])
         np.subtract(x[:, None, None, :], steps, out=X[:, :, 1])
@@ -196,7 +184,7 @@ def jacobian_fd(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, scheme: Di
     """
     x = np.asarray(x, dtype=complex)
     dim = x.shape[-1]
-    ((_, D),) = _difference_blocks(f, x.reshape(-1, dim), scheme, dim)
+    ((_, D),) = _difference_blocks(f, x.reshape(-1, dim), scheme, dim, np.eye(dim)[None])
     if D.ndim != 3:
         raise ValueError(f"map must take (..., {dim}) to (..., m): its values have shape {D.shape[2:]}")
     return D.swapaxes(-1, -2).reshape(x.shape[:-1] + (D.shape[2], dim))
@@ -496,7 +484,8 @@ def moment_gamma_residuals(kappa: complex, point: SPoint, scheme: DiffScheme) ->
     """The closed bracket relation of Gamma = 1 + AB with itself ('Ga1') and
     with the coordinates ('Ga2_A', 'Ga2_B'), and the same set for the hatted
     structure with Gamma-hat = 1 - AB ('*prime'), whose right-hand sides are
-    the unhatted ones times -1, at a point or a stack of points.  All maps
+    the unhatted ones times -1, and the STS fill at Gamma against the oracle
+    of 'Ga1' ('Ga1_sts'), at a point or a stack of points.  All maps
     differentiated here are polynomial."""
     n, d = point.n, point.d
     nd = n * d
@@ -511,7 +500,10 @@ def moment_gamma_residuals(kappa: complex, point: SPoint, scheme: DiffScheme) ->
 
         C, J = _coordinate_brackets(BracketSpec(kind, kappa, n=n, d=d), x, gamma_flat, scheme)
         G = np.eye(n, dtype=complex) + sign * (point.A @ point.B)
-        out[f"Ga1{suffix}"] = max_abs(_matmul(J, C) - sign * _matrix(sts_rhs_tensor(kappa, G, n), n * n, n * n))
+        sts = _matrix(sts_rhs_tensor(kappa, G, n), n * n, n * n)
+        out[f"Ga1{suffix}"] = max_abs(_matmul(J, C) - sign * sts)
+        if sign > 0:  # the STS bracket at Gamma is this oracle, exactly
+            out["Ga1_sts"] = max_abs(BracketSpec("STS", kappa, ell=n).bivector(charts.pack_gl(G)) - sts)
         # {A1, G2} = kappa (G2 r+ - r- G2) A1 ; {B1, G2} = kappa B1 (r- G2 - G2 r+)
         rhs_A = _matrix(sign * kappa * (rpn.lmul2(G) - rmn.rmul2(G)).rmul1(point.A), nd, n * n)
         rhs_B = _matrix(sign * kappa * (rmn.rmul2(G) - rpn.lmul2(G)).lmul1(point.B), nd, n * n)

@@ -228,7 +228,6 @@ def _count_containers(monkeypatch) -> list:
 def test_jacobi_residual_builds_no_point_container(monkeypatch, spec):
     X = _points(spec, 3)
     caches = (
-        verify._axis_steps,
         verify._cyclic_positions,
         brackets._on_or_below_diagonal,
         charts._dual_index,
@@ -240,7 +239,6 @@ def test_jacobi_residual_builds_no_point_container(monkeypatch, spec):
     assert built == []
     assert [c.cache_info().misses for c in caches] == misses  # the second call reuses every table
     tables = [
-        verify._axis_steps(spec.dim, POLY.offsets),
         verify._cyclic_positions(spec.dim),
         brackets._on_or_below_diagonal(spec.dim, spec.dim),
     ]
@@ -554,11 +552,10 @@ MULTI_CALL = [
 ]
 
 
-def _differences(f, X, scheme, directions=None):
+def _differences(f, X, scheme, directions):
     """The derivative stack of ``f`` at the points X along all the directions
     in one block."""
-    m = X.shape[1] if directions is None else directions.shape[1]
-    ((_, D),) = verify._difference_blocks(f, X, scheme, m, directions)
+    ((_, D),) = verify._difference_blocks(f, X, scheme, directions.shape[1], directions)
     return D
 
 

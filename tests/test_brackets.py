@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plie import brackets, charts, sampling
+from plie import brackets, charts, kernels, sampling
 from plie.brackets import (
     BracketSpec,
     HoloFn1,
@@ -177,6 +177,43 @@ def _cross_delta(n: int, d: int) -> np.ndarray:
         for a in range(d):
             out[i * d + a, a * n + i] = 1.0
     return out
+
+
+def _cross_by_loop(A, B, kappa, s, cross_const):
+    """{A_i^a, B_k^b} at [(i,a), (b,k)], term by term: s = +1 is the S-type
+    sum over mu < a, s = -1 the hatted one over mu > a."""
+    n, d = A.shape
+    out = np.zeros((n * d, d * n), dtype=complex)
+    for i in range(n):
+        for a in range(d):
+            for b in range(d):
+                for k in range(n):
+                    v = 0j
+                    if i == k:
+                        tail = sum(A[t, a] * B[b, t] for t in range(i + 1, n))
+                        v += s * (kappa / 2 * A[i, a] * B[b, i] + kappa * tail)
+                    if a == b:
+                        mus = range(a) if s > 0 else range(a + 1, d)
+                        part = sum(A[i, mu] * B[mu, k] for mu in mus)
+                        v += s * (kappa / 2 * A[i, a] * B[a, k] + kappa * part)
+                    if i == k and a == b:
+                        v += cross_const
+                    out[i * d + a, b * n + k] = v
+    return out
+
+
+@pytest.mark.parametrize("n,d", [(2, 3), (3, 2), (3, 3)])
+@pytest.mark.parametrize("kappa", [1.0, 2.0 - 1.0j])
+@pytest.mark.parametrize("cross", ["kappa", -1.0])
+@pytest.mark.parametrize("fill,s", [(kernels.fill_s, 1), (kernels.fill_hat, -1)], ids=["fill_s", "fill_hat"])
+def test_cross_block_entry_by_entry(n, d, kappa, cross, fill, s):
+    rng = np.random.default_rng(10 * n + d)
+    A = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+    B = rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n))
+    c = kappa if cross == "kappa" else cross
+    nd = n * d
+    got = fill(A, B, kappa, c)[:nd, nd:]
+    np.testing.assert_allclose(got, _cross_by_loop(A, B, kappa, s, c), rtol=1e-14, atol=0)
 
 
 class TestGlMult:

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from plie import charts, sampling, suites, verify
+from plie import brackets, charts, sampling, suites, verify
 from plie.brackets import BracketSpec, HoloFn1, sts_rhs_tensor
 from plie.decoupling import iota, map_m
 from plie.errors import ConfigError, ZeroG
@@ -594,8 +594,24 @@ class TestMomentResiduals:
     def test_exact_relations(self):
         p = sampling.sample_spoint(6, 0, 2, 2, 0.3)
         res = moment_residuals(1.0, p, POLY)
-        for key in ("Ga1", "Ga2_A", "Ga2_B", "Ga1prime", "Ga2prime_A", "Ga2prime_B"):
+        for key in ("Ga1", "Ga2_A", "Ga2_B", "Ga1prime", "Ga2prime_A", "Ga2prime_B", "Ga1_sts"):
             assert res[key] < 1e-10, key
+
+    def test_sts_oracle_at_the_default_run(self):
+        cfg = suites.RunConfig("moment")
+        p = sampling.sample_spoint(cfg.seed, np.arange(cfg.samples), cfg.n, cfg.d, cfg.radius)
+        res = moment_gamma_residuals(cfg.kappa, p, suites._POLY)
+        assert np.max(res["Ga1_sts"]) <= 1e-15
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, 3.0])
+    def test_sts_scaling_mutants_fail_on_ga1_sts(self, monkeypatch, scale):
+        # a multiple of the STS fill passes the Jacobi identity; the tie to
+        # the tensor oracle in the moment suite catches it
+        real = brackets._FILLS["STS"]
+        monkeypatch.setitem(brackets._FILLS, "STS", lambda spec, x: scale * real(spec, x))
+        report = suites.run_suite(suites.RunConfig("all", seed=42))
+        assert not report.ok
+        assert all(d.startswith("moment: ") and d.endswith(" check=Ga1_sts") for _, _, d in report.failures)
 
     def test_factor_relations(self):
         p = sampling.sample_spoint(6, 1, 3, 2, 0.3)
@@ -654,6 +670,9 @@ def _reference_moment_gamma(kappa, p, scheme):
         G = np.eye(n) + sign * (p.A @ p.B)
         rhs = sign * sts_rhs_tensor(kappa, G, n)
         out["Ga1" + suffix] = _worst(M[..., 2 * nd :, 2 * nd :] - _mat(rhs, n * n, n * n))
+        if sign > 0:
+            sts = BracketSpec("STS", kappa, ell=n).bivector(G.reshape(G.shape[:-2] + (n * n,)))
+            out["Ga1_sts"] = _worst(sts - _mat(rhs, n * n, n * n))
         rhs = sign * kappa * (rpn.lmul2(G) - rmn.rmul2(G)).rmul1(p.A)
         out[f"Ga2{suffix}_A"] = _worst(M[..., :nd, 2 * nd :] - _mat(rhs, nd, n * n))
         rhs = sign * kappa * (rmn.rmul2(G) - rpn.lmul2(G)).lmul1(p.B)
