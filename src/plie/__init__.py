@@ -8,7 +8,6 @@ from .errors import (
     BranchCut,
     ConfigError,
     ConstraintViolated,
-    DomainEscape,
     PlieError,
     SingularMinor,
     ZeroG,
@@ -29,7 +28,6 @@ __all__ = [
     "BranchCut",
     "ZeroG",
     "ConstraintViolated",
-    "DomainEscape",
     "ConfigError",
     "__version__",
 ]

@@ -1,18 +1,25 @@
 """The decoupling diffeomorphisms m and F with their local inverses, and the
 auxiliary (anti-)Poisson maps nu, xi, theta and iota.
+
+The forward maps are defined wherever no partial sum G_j of a copy they
+factor lies on (-inf, 0]: ``factorization.g_factors`` checks that per index
+and raises ``ZeroG`` or ``BranchCut``, which is the maps' only domain check.
+map_m_inverse refactors each copy it recovers with the same roots, but
+map_F_inverse is local: it takes the principal root of each ratio
+G_j/G_{j+1}, so it recovers only tuples whose every sqrt(G_j)/sqrt(G_{j+1})
+has a positive real part.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConstraintViolated, DomainEscape
+from .errors import ConstraintViolated
 from .factorization import chi_inverse_local, g_factors
 from .points import SPoint, SpinPoint, SpinTuple
 from .tensors import eta
 
 __all__ = [
-    "guard_tuple",
     "map_m",
     "map_m_inverse",
     "map_F",
@@ -22,19 +29,6 @@ __all__ = [
     "map_theta",
     "iota",
 ]
-
-_GUARD = 0.9
-
-
-def guard_tuple(t: SpinTuple) -> None:
-    """Require ||a|| * ||b|| < 0.9 per copy: keeps all G_j off the branch cut.
-
-    Copies of shape (..., n) are checked point by point; one point outside
-    the domain raises.
-    """
-    for i, s in enumerate(t):
-        if np.any(np.linalg.norm(s.a, axis=-1) * np.linalg.norm(s.b, axis=-1) >= _GUARD):
-            raise DomainEscape(f"copy {i + 1}: ||a||*||b|| >= {_GUARD}")
 
 
 def _dress(h: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -52,7 +46,6 @@ def map_m(t: SpinTuple) -> SPoint:
 
     Copies of shape (..., n) give A of shape (..., n, d) and B of shape (..., d, n).
     """
-    guard_tuple(t)
     n, d = t.n, t.d
     batch = t[0].a.shape[:-1]
     A = np.empty(batch + (n, d), dtype=complex)
@@ -93,7 +86,6 @@ def map_F(t: SpinTuple) -> SPoint:
 
     Copies of shape (..., n) give A of shape (..., n, d) and B of shape (..., d, n).
     """
-    guard_tuple(t)
     n, d = t.n, t.d
     batch = t[0].a.shape[:-1]
     A = np.empty(batch + (n, d), dtype=complex)

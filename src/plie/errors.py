@@ -41,9 +41,5 @@ class ConstraintViolated(PlieError):
     """A parameter constraint such as xi_A * xi_B = -1/kappa fails."""
 
 
-class DomainEscape(PlieError):
-    """A point (or a finite-difference probe) left the domain of a local map."""
-
-
 class ConfigError(PlieError):
     """Invalid run configuration."""

@@ -246,14 +246,15 @@ def _suite_decouple_F(cfg: RunConfig):
     def check(indices: np.ndarray) -> dict:
         t = sampling.sample_tuple(cfg.seed, indices, cfg.n, cfg.d, cfg.radius)
         x = charts.pack_tuple(t)
-        q = dc.map_theta(dc.map_F(t), th_a, th_b, cfg.kappa)
+        p = dc.map_F(t)
+        q = dc.map_theta(p, th_a, th_b, cfg.kappa)
         GG = fc.calG_pm(t)
         lhs = np.eye(cfg.n) + cfg.kappa * q.A @ q.B
         J, m = vf.jacobian_fd(f_theta_f, x, _RATIONAL), x.shape[-1]
         return {
             "poisson_map_F": vf.poisson_map_residual(src, tgt_pr, lambda y: f_theta_f(y)[:, :m], x, jac=J[:, :m]),
             "poisson_map_thetaF": vf.poisson_map_residual(src, tgt_ao, lambda y: f_theta_f(y)[:, m:], x, jac=J[:, m:]),
-            "roundtrip": _tuple_diff(t, dc.map_F_inverse(dc.map_F(t))),
+            "roundtrip": _tuple_diff(t, dc.map_F_inverse(p)),
             "residue_identity": max_abs(lhs - np.linalg.solve(GG.hplus, GG.hminus)),
         }
 
@@ -287,9 +288,10 @@ def _linear_jacobian(fmap: Callable[[np.ndarray], np.ndarray], dim: int) -> np.n
 
 
 def _suite_ao_maps(cfg: RunConfig):
-    n, d, kap = cfg.n, cfg.d, cfg.kappa
-    bounds = {k: TOL_EXACT for k in ("xi", "nu", "theta", "iota", "iota_spin")}
-    params = {"n": n, "d": d, "kappa": kap, "bounds": bounds}
+    n, d, ell, kap = cfg.n, cfg.d, cfg.ell, cfg.kappa
+    keys = ("xi", "nu", "theta", "iota", "iota_spin", "double_u", "double_v", "dual_restriction")
+    bounds = {k: TOL_EXACT for k in keys}
+    params = {"n": n, "d": d, "ell": ell, "kappa": kap, "bounds": bounds}
     s_spec = BracketSpec("S", kap, n=n, d=d)
     xi_a = 1.0
     xi_b = -1.0 / kap
@@ -318,6 +320,16 @@ def _suite_ao_maps(cfg: RunConfig):
     swap = np.zeros((2 * n, 2 * n))
     swap[:n, n:] = np.eye(n)
     swap[n:, :n] = np.eye(n)
+    # the double's projections onto GL(l), and its restriction to the free
+    # coordinates of GL*, a Poisson submanifold, are Poisson: they tie the
+    # Double and DualGroup fills to GLmult's and to each other's
+    double = BracketSpec("Double", kap, ell=ell)
+    glmult = BracketSpec("GLmult", kap, ell=ell)
+    dual = BracketSpec("DualGroup", kap, ell=ell)
+    proj_u = lambda y: y[..., : ell * ell]
+    proj_v = lambda y: y[..., ell * ell :]
+    restrict = lambda y: y[..., charts.glstar_free_indices(ell)]
+    J_u, J_v, J_restrict = (_linear_jacobian(f, double.dim) for f in (proj_u, proj_v, restrict))
 
     def check(indices: np.ndarray) -> dict:
         # every source chart has dim 2nd, so the maps share one stack of points
@@ -326,13 +338,19 @@ def _suite_ao_maps(cfg: RunConfig):
         out["iota"] = vf.anti_poisson_residual(sprod, iota_f, x, jac=J_iota)
         xz = sampling.sample_vector(cfg.seed, indices, zak.dim, 1.0)
         out["iota_spin"] = vf.anti_poisson_residual(zak, lambda xx: xx @ swap.T, xz, jac=swap)
+        y = sampling.sample_vector(cfg.seed, indices, double.dim, 1.0)
+        out["double_u"] = vf.poisson_map_residual(double, glmult, proj_u, y, jac=J_u)
+        out["double_v"] = vf.poisson_map_residual(double, glmult, proj_v, y, jac=J_v)
+        pair = sampling.sample_dual(cfg.seed, indices, ell, 0.4)
+        y_dual = charts.pack_double(pair.hplus, pair.hminus)
+        out["dual_restriction"] = vf.poisson_map_residual(double, dual, restrict, y_dual, jac=J_restrict)
         return out
 
     return params, cfg.samples, check
 
 
 def _suite_moment(cfg: RunConfig):
-    exact_keys = ("Ga1", "Ga2_A", "Ga2_B", "Ga1prime", "Ga2prime_A", "Ga2prime_B", "Ga1_sts")
+    exact_keys = ("Ga1", "Ga2_A", "Ga2_B", "Ga1prime", "Ga2prime_A", "Ga2prime_B", "Ga1_sts", "Ga1_aominus")
     fd_keys = ("mom1_gplus_a", "mom1_gplus_b", "mom1_gminus_a", "mom1_gminus_b")
     bounds = {k: TOL_EXACT for k in exact_keys}
     bounds.update({k: 1e-6 for k in fd_keys})

@@ -484,8 +484,9 @@ def moment_gamma_residuals(kappa: complex, point: SPoint, scheme: DiffScheme) ->
     """The closed bracket relation of Gamma = 1 + AB with itself ('Ga1') and
     with the coordinates ('Ga2_A', 'Ga2_B'), and the same set for the hatted
     structure with Gamma-hat = 1 - AB ('*prime'), whose right-hand sides are
-    the unhatted ones times -1, and the STS fill at Gamma against the oracle
-    of 'Ga1' ('Ga1_sts'), at a point or a stack of points.  All maps
+    the unhatted ones times -1, the STS fill at Gamma against the oracle
+    of 'Ga1' ('Ga1_sts'), and 1 + kappa AB as a Poisson map from AOminus onto
+    STS at -kappa ('Ga1_aominus'), at a point or a stack of points.  All maps
     differentiated here are polynomial."""
     n, d = point.n, point.d
     nd = n * d
@@ -509,6 +510,14 @@ def moment_gamma_residuals(kappa: complex, point: SPoint, scheme: DiffScheme) ->
         rhs_B = _matrix(sign * kappa * (rmn.rmul2(G) - rpn.lmul2(G)).lmul1(point.B), nd, n * n)
         out[f"Ga2{suffix}_A"] = max_abs(C[..., :nd, :] - rhs_A)
         out[f"Ga2{suffix}_B"] = max_abs(C[..., nd:, :] - rhs_B)
+
+    def gamma_kappa(xx):
+        p = charts.unpack_spoint(xx, n, d)
+        return _flat(np.eye(n, dtype=complex) + kappa * (p.A @ p.B))
+
+    C, J = _coordinate_brackets(BracketSpec("AOminus", kappa, n=n, d=d), x, gamma_kappa, scheme)
+    G = np.eye(n, dtype=complex) + kappa * (point.A @ point.B)
+    out["Ga1_aominus"] = max_abs(_matmul(J, C) - BracketSpec("STS", -kappa, ell=n).bivector(charts.pack_gl(G)))
     return out
 
 

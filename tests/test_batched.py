@@ -12,7 +12,7 @@ import pytest
 
 from plie import brackets, charts, decoupling as dc, factorization as fc, kernels, sampling, suites, verify
 from plie.brackets import BracketSpec, HoloFn1, antisymmetrize, s_bivector_tensor
-from plie.errors import BranchCut, DomainEscape, ZeroG
+from plie.errors import BranchCut, ZeroG
 from plie.points import DualPair, SPoint, SpinPoint, SpinTuple
 from plie.tensors import r_pm
 from plie.verify import DiffScheme, jacobi_residual, jacobian_fd
@@ -867,7 +867,8 @@ def test_jacobi_suite_bivector_calls_do_not_grow_with_samples(monkeypatch):
 
 
 def test_moment_suite_takes_three_jacobians_per_sample(monkeypatch):
-    # the three Jacobians of every sample are taken together, on the stack of all samples
+    # the Jacobians of every sample, of 1 + AB, 1 - AB, g+- and 1 + kappa AB, are
+    # taken together, on the stack of all samples
     cfg = suites.RunConfig("moment", n=3, d=2, samples=4)
     params, count, check = suites._BUILDERS["moment"](cfg)
     real = verify.jacobian_fd
@@ -879,7 +880,7 @@ def test_moment_suite_takes_three_jacobians_per_sample(monkeypatch):
 
     monkeypatch.setattr(verify, "jacobian_fd", counted)
     got = check(np.arange(count))
-    assert calls == [count] * 3
+    assert calls == [count] * 4
     monkeypatch.setattr(verify, "jacobian_fd", real)
     # each key as the two whole-set calls, one per scheme, give it
     for i in range(count):
@@ -1055,13 +1056,15 @@ def test_branch_cut_in_last_point_of_stack():
     assert exc.value.index == 1
 
 
-@pytest.mark.parametrize("fn", [dc.guard_tuple, dc.map_m, dc.map_F], ids=["guard", "map_m", "map_F"])
-def test_domain_escape_in_last_point_of_stack(fn):
+@pytest.mark.parametrize("fn", [dc.map_m, dc.map_F], ids=["map_m", "map_F"])
+def test_branch_cut_in_last_point_of_decoupling_stack(fn):
     X = _tuple_stack((5,))
-    X[-1, -2 * N :] = 0.8  # last copy of the last tuple: ||a||*||b|| = 3 * 0.64
+    X[-1, : 2 * N] = 0.0
+    X[-1, 0], X[-1, N] = 1.0, -2.0  # copy 1 of the last tuple, which both maps factor: G_1 = -1
     fn(charts.unpack_tuple(X[:-1], N, D))
-    with pytest.raises(DomainEscape):
+    with pytest.raises(BranchCut) as exc:
         fn(charts.unpack_tuple(X, N, D))
+    assert exc.value.index == 1
 
 
 def test_spin_tuple_rejects_mixed_batch_axes():
@@ -1179,20 +1182,13 @@ def test_branch_cut_in_last_matrix_of_stack():
         fc.chi_inverse_local(H)
 
 
-def test_domain_escape_in_last_sample_of_suite_stack():
-    # at radius 1 some samples leave the domain of map_m, others do not
-    _, _, check = suites._BUILDERS["decouple-m"](suites.RunConfig("decouple-m", n=3, d=2, radius=1.0))
-
-    def escapes(i):
-        try:
-            check(np.array([i]))
-        except DomainEscape:
-            return True
-        return False
-
-    flags = [escapes(i) for i in range(30)]
-    good = [i for i, bad in enumerate(flags) if not bad][:3]
-    bad = flags.index(True)
-    check(np.array(good))
-    with pytest.raises(DomainEscape):
-        check(np.array(good + [bad]))
+def test_radius_one_decouple_m_stack_evaluates_every_sample():
+    # at radius 1 some copies have ||a|| ||b|| >= 0.9, yet no G_j reaches (-inf, 0]:
+    # every sample lies in the domain of map_m and passes
+    cfg = suites.RunConfig("decouple-m", n=3, d=2, radius=1.0, samples=30)
+    params, count, check = suites._BUILDERS["decouple-m"](cfg)
+    t = sampling.sample_tuple(cfg.seed, np.arange(count), cfg.n, cfg.d, cfg.radius)
+    assert any(np.any(np.linalg.norm(s.a, axis=-1) * np.linalg.norm(s.b, axis=-1) >= 0.9) for s in t)
+    for key, values in check(np.arange(count)).items():
+        assert values.shape == (count,), key
+        assert np.all(values <= params["bounds"][key]), key

@@ -128,6 +128,23 @@ class TestProductBivector:
                     else:
                         np.testing.assert_array_equal(blk, np.zeros_like(blk))
 
+    @pytest.mark.parametrize("n,d", [(1, 3), (2, 2), (3, 4)])
+    def test_upper_is_fill_s_per_copy(self, n, d):
+        # the raw fill is exactly 0 off the d diagonal 2n x 2n blocks, and each
+        # block is the S(n,1) fill of its copy
+        m = 2 * n
+        t = sampling.sample_tuple(8, np.arange(3), n, d, 1.0)
+        for kappa in KAPPAS:
+            U = BracketSpec("Sprod", kappa, n=n, d=d).upper(charts.pack_tuple(t))
+            for a in range(d):
+                for b in range(d):
+                    blk = U[:, m * a : m * (a + 1), m * b : m * (b + 1)]
+                    if a == b:
+                        A, B = t[a].a[:, :, None], t[a].b[:, None, :]  # copy a as a point of S(n,1)
+                        np.testing.assert_array_equal(blk, kernels.fill_s(A, B, kappa, kappa))
+                    else:
+                        np.testing.assert_array_equal(blk, np.zeros_like(blk))
+
     def test_zero_point_cross_block(self):
         n, d, kappa = 3, 2, 2.0 + 1.0j
         M = _on_tuple(kappa, SpinTuple(SpinPoint(z, z) for z in np.zeros((d, n))))

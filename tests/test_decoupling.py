@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from plie import sampling
+from plie import charts, sampling
 from plie.decoupling import (
-    guard_tuple,
     iota,
     map_F,
     map_F_inverse,
@@ -15,8 +14,8 @@ from plie.decoupling import (
     map_theta,
     map_xi,
 )
-from plie.errors import ConstraintViolated, DomainEscape
-from plie.factorization import g_pm
+from plie.errors import BranchCut, ConstraintViolated
+from plie.factorization import g_functions, g_pm
 from plie.points import SPoint, SpinPoint, SpinTuple
 
 
@@ -24,6 +23,21 @@ def _tuple_close(t1, t2, tol=1e-10):
     for u, v in zip(t1, t2):
         assert np.max(np.abs(u.a - v.a)) < tol
         assert np.max(np.abs(u.b - v.b)) < tol
+
+
+# a spin of size 3 on the branch cut: G_1 = 1 + a_1 b_1 = -1
+CUT = SpinPoint([1.0, 0.0, 0.0], [-2.0, 0.0, 0.0])
+
+
+def _with_copy(t, al, s):
+    """The tuple t with copy al replaced by the spin s."""
+    return SpinTuple(s if be == al else c for be, c in enumerate(t))
+
+
+def _root_ratios(s):
+    """sqrt(G_j)/sqrt(G_{j+1}) of a spin, j = 1..n, with principal roots."""
+    r = np.sqrt(g_functions(s)[1:])
+    return r[:-1] / r[1:]
 
 
 class TestMapM:
@@ -54,10 +68,14 @@ class TestMapM:
         for s in t:
             assert np.max(np.abs(s.a)) == 0 and np.max(np.abs(s.b)) == 0
 
-    def test_domain_guard(self):
-        bad = SpinTuple([SpinPoint(np.full(3, 1.0), np.full(3, 1.0))])
-        with pytest.raises(DomainEscape):
-            map_m(bad)
+    def test_branch_cut_in_a_factored_copy(self):
+        # map_m factors copies 1..d-1 only: the last copy may lie on the cut
+        t = sampling.sample_tuple(2, 0, 3, 2, 0.3)
+        p = map_m(_with_copy(t, 1, CUT))
+        np.testing.assert_allclose(p.A[:, 1], g_pm(t[0]).hplus @ CUT.a, rtol=0, atol=1e-15)
+        with pytest.raises(BranchCut) as exc:
+            map_m(_with_copy(t, 0, CUT))
+        assert exc.value.index == 1
 
 
 class TestMapF:
@@ -99,10 +117,30 @@ class TestMapF:
         for s in t:
             assert np.max(np.abs(s.a)) == 0 and np.max(np.abs(s.b)) == 0
 
-    def test_domain_guard(self):
-        bad = SpinTuple([SpinPoint(np.full(2, 0.8), np.full(2, 0.8))])
-        with pytest.raises(DomainEscape):
-            map_F(bad)
+    def test_branch_cut(self):
+        # map_F factors every copy
+        t = sampling.sample_tuple(4, 0, 3, 2, 0.3)
+        for al in range(t.d):
+            with pytest.raises(BranchCut) as exc:
+                map_F(_with_copy(t, al, CUT))
+            assert exc.value.index == 1
+
+    def test_roundtrip_off_the_principal_branch(self):
+        # decouple-F's sample 0 at n = 2, d = 1, radius 1.5 and seed 42: the local
+        # inverse takes principal roots of G_j/G_{j+1}, so where a ratio of the
+        # roots has a negative real part it recovers another tuple
+        t = sampling.sample_tuple(42, 0, 2, 1, 1.5)
+        assert np.min(_root_ratios(t[0]).real) < -1.3
+        back = map_F_inverse(map_F(t))
+        assert np.max(np.abs(charts.pack_tuple(back) - charts.pack_tuple(t))) > 1.0
+
+    def test_roundtrip_near_the_cut(self):
+        # the same run's sample 9: a G_j within 0.18 of the cut's angle, and
+        # every ratio with a positive real part
+        t = sampling.sample_tuple(42, 9, 2, 1, 1.5)
+        assert np.max(np.abs(np.angle(g_functions(t[0])))) > 2.96
+        assert np.min(_root_ratios(t[0]).real) > 0.05
+        _tuple_close(t, map_F_inverse(map_F(t)), tol=1e-14)
 
 
 class TestMapNu:
@@ -170,12 +208,3 @@ class TestIota:
         p1 = g_pm(SpinPoint(s.b, s.a))
         np.testing.assert_allclose(p1.hplus, np.linalg.inv(p0.hminus).T, atol=1e-12)
         np.testing.assert_allclose(p1.hminus, np.linalg.inv(p0.hplus).T, atol=1e-12)
-
-
-class TestGuard:
-    def test_accepts_small(self):
-        guard_tuple(sampling.sample_tuple(8, 0, 3, 3, 0.3))
-
-    def test_rejects_large(self):
-        with pytest.raises(DomainEscape):
-            guard_tuple(SpinTuple([SpinPoint([1.0, 0.0], [0.0, 1.0])]))

@@ -594,7 +594,7 @@ class TestMomentResiduals:
     def test_exact_relations(self):
         p = sampling.sample_spoint(6, 0, 2, 2, 0.3)
         res = moment_residuals(1.0, p, POLY)
-        for key in ("Ga1", "Ga2_A", "Ga2_B", "Ga1prime", "Ga2prime_A", "Ga2prime_B", "Ga1_sts"):
+        for key in ("Ga1", "Ga2_A", "Ga2_B", "Ga1prime", "Ga2prime_A", "Ga2prime_B", "Ga1_sts", "Ga1_aominus"):
             assert res[key] < 1e-10, key
 
     def test_sts_oracle_at_the_default_run(self):
@@ -606,18 +606,40 @@ class TestMomentResiduals:
     @pytest.mark.parametrize("scale", [0.0, -1.0, 3.0])
     def test_sts_scaling_mutants_fail_on_ga1_sts(self, monkeypatch, scale):
         # a multiple of the STS fill passes the Jacobi identity; the tie to
-        # the tensor oracle in the moment suite catches it
+        # the tensor oracle in the moment suite catches it (and Ga1_aominus,
+        # whose target is the STS fill)
         real = brackets._FILLS["STS"]
         monkeypatch.setitem(brackets._FILLS, "STS", lambda spec, x: scale * real(spec, x))
-        report = suites.run_suite(suites.RunConfig("all", seed=42))
-        assert not report.ok
-        assert all(d.startswith("moment: ") and d.endswith(" check=Ga1_sts") for _, _, d in report.failures)
+        assert not suites.run_suite(suites.RunConfig("all", seed=42)).ok
+        params, count, check = suites._BUILDERS["moment"](suites.RunConfig("moment", seed=42))
+        assert np.all(check(np.arange(count))["Ga1_sts"] > params["bounds"]["Ga1_sts"])
 
     def test_factor_relations(self):
         p = sampling.sample_spoint(6, 1, 3, 2, 0.3)
         res = moment_residuals(1.0, p, FD)
         for key in ("mom1_gplus_a", "mom1_gplus_b", "mom1_gminus_a", "mom1_gminus_b"):
             assert res[key] < 1e-7, key
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, 3.0])
+@pytest.mark.parametrize(
+    "kind,suite,keys",
+    [
+        ("Double", "ao-maps", ("double_u", "double_v", "dual_restriction")),
+        ("DualGroup", "ao-maps", ("dual_restriction",)),
+        ("AOminus", "moment", ("Ga1_aominus",)),
+    ],
+    ids=["Double", "DualGroup", "AOminus"],
+)
+def test_scaling_mutants_fail_on_their_ties(monkeypatch, kind, suite, keys, scale):
+    # a multiple of a Poisson fill passes the Jacobi identity; a Poisson map
+    # between it and another kind's fill catches it
+    real = brackets._FILLS[kind]
+    monkeypatch.setitem(brackets._FILLS, kind, lambda spec, x: scale * real(spec, x))
+    report = suites.run_suite(suites.RunConfig("all", seed=42))
+    assert not report.ok
+    assert {d.split(" check=")[-1] for _, _, d in report.failures} == set(keys)
+    assert all(d.startswith(f"{suite}: ") for _, _, d in report.failures)
 
 
 class TestLemmaResiduals:
@@ -677,6 +699,15 @@ def _reference_moment_gamma(kappa, p, scheme):
         out[f"Ga2{suffix}_A"] = _worst(M[..., :nd, 2 * nd :] - _mat(rhs, nd, n * n))
         rhs = sign * kappa * (rmn.rmul2(G) - rpn.lmul2(G)).lmul1(p.B)
         out[f"Ga2{suffix}_B"] = _worst(M[..., nd : 2 * nd, 2 * nd :] - _mat(rhs, nd, n * n))
+
+    def g(xv):
+        q = charts.unpack_spoint(xv, n, d)
+        return (np.eye(n) + kappa * (q.A @ q.B)).reshape(xv.shape[:-1] + (n * n,))
+
+    M = _full_brackets(BracketSpec("AOminus", kappa, n=n, d=d), x, g, scheme)
+    G = np.eye(n) + kappa * (p.A @ p.B)
+    sts = BracketSpec("STS", -kappa, ell=n).bivector(G.reshape(G.shape[:-2] + (n * n,)))
+    out["Ga1_aominus"] = _worst(M[..., 2 * nd :, 2 * nd :] - sts)
     return out
 
 
